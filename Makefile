@@ -21,9 +21,9 @@ lint:
 race:
 	$(GO) test -race -short ./...
 
-# Un-short race pass over the parallel runner, the batched fleet
-# executor, and the workers=1-vs-8 determinism sweep — the places a data
-# race could corrupt results.
+# Un-short race pass over the parallel runner, the fleet executor, and
+# the workers=1-vs-8 determinism sweep — the places a data race could
+# corrupt results.
 race-runner:
 	$(GO) test -race -timeout 1800s ./internal/runner
 	$(GO) test -race -timeout 1800s ./internal/fleet

@@ -10,11 +10,10 @@
 // per-stage cost-model totals, and one event trace per experiment —
 // byte-identical at any -workers setting.
 //
-// -fleet swaps the per-goroutine runner for the batched fleet executor
-// (internal/fleet): missions are partitioned into profile-homogeneous
-// batches stepped in lockstep over shared per-(profile, dt) caches.
-// Output stays byte-identical; missions/sec/core improves. -batch tunes
-// the lockstep width and requires -fleet (usage errors exit 2).
+// -fleet swaps the per-goroutine runner for the fleet executor
+// (internal/fleet): missions are dispatched one at a time to every
+// worker over shared per-(profile, dt) caches. Output stays
+// byte-identical.
 //
 // -campaign runs a declarative Monte-Carlo study (internal/campaign)
 // from a JSON spec file instead of the experiment registry: the sweep is
@@ -28,7 +27,7 @@
 //
 // Usage:
 //
-//	experiments -exp all -missions 25 -seed 1 [-workers 0] [-fleet [-batch 64]] [-out EXPERIMENTS.md] [-report report.json]
+//	experiments -exp all -missions 25 -seed 1 [-workers 0] [-fleet] [-out EXPERIMENTS.md] [-report report.json]
 //	experiments -campaign spec.json [-shards 16] [-checkpoint dir [-resume]] [-fleet] [-out study.json]
 package main
 
@@ -64,7 +63,6 @@ type options struct {
 	report     string
 	progress   bool
 	fleet      bool
-	batch      int
 	campaign   string
 	shards     int
 	checkpoint string
@@ -83,8 +81,7 @@ func main() {
 	report := flag.String("report", "", "write the machine-readable run report (JSON) to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off by default")
 	progress := flag.Bool("progress", false, "report per-sweep mission completion on stderr")
-	fleetFlag := flag.Bool("fleet", false, "execute missions on the batched fleet executor (lockstep batches over shared per-profile caches); output is identical, throughput is not")
-	batch := flag.Int("batch", 0, "fleet lockstep batch size (0 = default); requires -fleet")
+	fleetFlag := flag.Bool("fleet", false, "execute missions on the fleet executor (one mission at a time per worker over shared per-profile caches); output is identical, throughput is not")
 	campaignSpec := flag.String("campaign", "", "run a campaign study from this spec file (JSON) instead of the experiment registry; writes the versioned study report to -out")
 	shards := flag.Int("shards", 1, "campaign shard count; more shards mean finer checkpoints, never different bytes")
 	checkpoint := flag.String("checkpoint", "", "campaign checkpoint directory: each finished shard's partial report is persisted atomically")
@@ -95,7 +92,7 @@ func main() {
 	o := options{
 		exp: *exp, missions: *missions, seed: *seed, windCap: *windCap,
 		workers: *workers, out: *out, report: *report, progress: *progress,
-		fleet: *fleetFlag, batch: *batch,
+		fleet:    *fleetFlag,
 		campaign: *campaignSpec, shards: *shards, checkpoint: *checkpoint,
 		resume: *resume, haltAfter: *haltAfter,
 		flagsSeen: make(map[string]bool),
@@ -157,7 +154,6 @@ type flagRule struct {
 
 // flagRules are the command's inter-flag constraints.
 var flagRules = []flagRule{
-	{flag: "batch", requires: []string{"fleet"}},
 	{flag: "shards", requires: []string{"campaign"}},
 	{flag: "checkpoint", requires: []string{"campaign"}},
 	{flag: "resume", requires: []string{"campaign", "checkpoint"}},
@@ -168,12 +164,10 @@ var flagRules = []flagRule{
 }
 
 // enabled reports whether a flag is in effect: boolean and string flags
-// by their value (so -fleet=false disables dependents), the rest by
+// by their value (so -resume=false leaves its rule unfired), the rest by
 // having been passed explicitly.
 func (o options) enabled(name string) bool {
 	switch name {
-	case "fleet":
-		return o.fleet
 	case "resume":
 		return o.resume
 	case "campaign":
@@ -201,9 +195,6 @@ func (o options) validate() error {
 				return usagef("-%s conflicts with -%s", r.flag, c)
 			}
 		}
-	}
-	if o.batch < 0 {
-		return usagef("-batch must be non-negative, got %d", o.batch)
 	}
 	if o.flagsSeen["shards"] && o.shards < 1 {
 		return usagef("-shards must be at least 1, got %d", o.shards)
@@ -246,7 +237,7 @@ func run(ctx context.Context, o options) error {
 	}
 	opt := experiments.Options{
 		Missions: o.missions, Seed: o.seed, Wind: o.windCap, Workers: o.workers,
-		Fleet: o.fleet, BatchSize: o.batch,
+		Fleet: o.fleet,
 	}
 	if o.progress {
 		opt.Progress = func(completed, total int) {
@@ -297,7 +288,6 @@ func runCampaign(ctx context.Context, o options) error {
 	}
 	opt := campaign.Options{
 		Workers:   o.workers,
-		BatchSize: o.batch,
 		Shards:    o.shards,
 		Dir:       o.checkpoint,
 		Resume:    o.resume,

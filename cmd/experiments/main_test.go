@@ -37,10 +37,6 @@ func TestValidateExitCodes(t *testing.T) {
 	}{
 		{"defaults", opts(), 0, ""},
 		{"fleet alone", opts(func(o *options) { o.fleet = true }, seen("fleet")), 0, ""},
-		{"batch with fleet", opts(func(o *options) { o.fleet = true; o.batch = 64 }, seen("fleet"), seen("batch")), 0, ""},
-		{"batch without fleet", opts(func(o *options) { o.batch = 64 }, seen("batch")), 2, "-batch requires -fleet"},
-		{"batch with fleet=false", opts(func(o *options) { o.fleet = false; o.batch = 64 }, seen("fleet"), seen("batch")), 2, "-batch requires -fleet"},
-		{"negative batch", opts(func(o *options) { o.fleet = true; o.batch = -1 }, seen("fleet"), seen("batch")), 2, "non-negative"},
 		{"campaign alone", opts(func(o *options) { o.campaign = "spec.json" }, seen("campaign")), 0, ""},
 		{"campaign with fleet", opts(func(o *options) { o.campaign = "spec.json"; o.fleet = true }, seen("campaign"), seen("fleet")), 0, ""},
 		{"campaign with checkpoint and resume", opts(func(o *options) {

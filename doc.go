@@ -27,7 +27,7 @@
 // replays the committed trace over real HTTP against the same golden.
 //
 // Every execution path — experiment sweeps, the service pool, and the
-// batched fleet executor — dispatches through one engine seam
+// shared-cache fleet executor — dispatches through one engine seam
 // (internal/engine): pre-drawn seeded jobs in, submission-order results
 // and telemetry out. On top of it, internal/campaign runs declarative
 // Monte-Carlo studies (grid or random sweeps over profiles, strategies,

@@ -106,9 +106,6 @@ type Options struct {
 	Engine engine.Engine
 	// Workers is the per-shard parallelism; <= 0 uses all CPUs.
 	Workers int
-	// BatchSize tunes the fleet engine's lockstep width; other engines
-	// ignore it.
-	BatchSize int
 	// Shards partitions the job list; <= 0 runs one shard. More shards
 	// mean finer-grained checkpoints (less work lost on interruption),
 	// never different bytes.
@@ -244,7 +241,7 @@ func (c *Campaign) runShard(ctx context.Context, sh Shard, jobs []engine.Job, gr
 		eng = engine.Runner()
 	}
 	res, err := eng.Run(ctx, jobs[sh.Lo:sh.Hi], engine.Options{
-		Workers: opt.Workers, BatchSize: opt.BatchSize, Progress: opt.Progress,
+		Workers: opt.Workers, Progress: opt.Progress,
 	})
 	if err != nil {
 		return nil, err

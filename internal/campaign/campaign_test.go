@@ -103,7 +103,7 @@ func TestStudyInvariance(t *testing.T) {
 		{"shards=16", Options{Shards: 16, Workers: 1}},
 		{"workers=N", Options{Shards: 4, Workers: runtime.NumCPU()}},
 		{"engine=fleet", Options{Shards: 1, Workers: 1, Engine: engine.Fleet()}},
-		{"engine=fleet/shards=4/workers=N", Options{Shards: 4, Engine: engine.Fleet(), BatchSize: 3}},
+		{"engine=fleet/shards=4/workers=N", Options{Shards: 4, Engine: engine.Fleet()}},
 		{"checkpointed", Options{Shards: 4, Workers: 1, Dir: t.TempDir()}},
 	}
 	for _, v := range variants {

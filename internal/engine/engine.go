@@ -1,19 +1,24 @@
 // Package engine is the unified mission-execution seam: one interface
-// over the repo's three execution paths — the per-goroutine parallel
-// runner (internal/runner), the batched lockstep fleet executor
-// (internal/fleet), and the long-lived sharded service pool
-// (runner.Pool). Every consumer that used to pick an executor ad hoc
-// (the experiments package's Options.Fleet branch, the mission service's
-// attachShared + Pool.Submit wiring) now dispatches through an Engine.
+// over the repo's execution paths — the per-goroutine parallel runner
+// (internal/runner), the shared-cache fleet executor (internal/fleet),
+// and the long-lived sharded service pool (runner.Pool). Every consumer
+// that used to pick an executor ad hoc (the experiments package's
+// Options.Fleet branch, the mission service's attachShared +
+// Pool.Submit wiring) now dispatches through an Engine.
+//
+// Every engine attaches the process-wide per-(profile, dt) shared caches
+// to its jobs and dispatches missions one at a time to its workers, so
+// the runner and fleet engines differ in name only; the pool adds
+// admission control and in-order streaming.
 //
 // The seam's contract is the one every executor already honors: jobs are
 // pre-drawn and fully seeded before submission, results are indexed by
 // submission order, telemetry is reduced strictly in submission order,
 // and the lowest-indexed failure is the reported error. Consequently the
 // engines are interchangeable byte for byte — same jobs, same result
-// bytes, same report bytes, at any worker count, batch size, or pool
-// shard count — which is what lets the campaign layer (internal/campaign)
-// treat engine choice as a pure throughput knob.
+// bytes, same report bytes, at any worker count or pool shard count —
+// which is what lets the campaign layer (internal/campaign) treat engine
+// choice as a pure throughput knob.
 package engine
 
 import (
@@ -37,9 +42,6 @@ type Job = runner.Job
 type Options struct {
 	// Workers is the parallelism; <= 0 means all CPUs.
 	Workers int
-	// BatchSize caps the fleet executor's lockstep width; <= 0 selects
-	// the fleet default. Other engines ignore it.
-	BatchSize int
 	// Progress, when non-nil, is called after each job completes with the
 	// number of completed jobs and the total. Calls are serialized and
 	// completed is strictly increasing; which job finished is unspecified.
@@ -68,9 +70,8 @@ type Engine interface {
 // goroutine per in-flight mission, the latency-optimized default.
 func Runner() Engine { return runnerEngine{} }
 
-// Fleet returns the batched lockstep fleet engine — profile-homogeneous
-// batches stepped in lockstep over shared per-(profile, dt) caches, the
-// throughput-optimized choice for large homogeneous sweeps.
+// Fleet returns the fleet engine — fleet.Run: the shared per-(profile,
+// dt) caches attached, then one mission at a time to every worker.
 func Fleet() Engine { return fleetEngine{} }
 
 // Names lists the engines constructible by name, in preference order.
@@ -89,25 +90,13 @@ func ByName(name string) (Engine, error) {
 }
 
 // AttachShared points every job whose config has no shared caches yet at
-// the process-wide per-(profile, dt) caches, so a sweep's missions
-// reference one DARE solution, one EKF covariance schedule, and one
-// compiled diagnosis graph spec instead of rebuilding them per mission.
-// Results are bit-identical with or without the caches (the PR-9
-// equivalence suite pins this); a profile whose caches cannot be built
-// simply runs unshared, surfacing any real defect as the usual
-// per-mission construction error. Every engine applies this uniformly,
-// so no dispatcher needs its own cache wiring.
-func AttachShared(jobs []Job) {
-	for i := range jobs {
-		cfg := &jobs[i].Cfg
-		if cfg.Shared != nil {
-			continue
-		}
-		if sh, err := fleet.SharedFor(cfg.Profile, cfg.DT); err == nil {
-			cfg.Shared = sh
-		}
-	}
-}
+// the process-wide per-(profile, dt) caches (fleet.Attach), so a sweep's
+// missions reference one DARE solution, one EKF covariance schedule, and
+// one compiled diagnosis graph spec instead of rebuilding them per
+// mission. Results are bit-identical with or without the caches (the
+// fleet equivalence suite pins this). Every engine applies this
+// uniformly, so no dispatcher needs its own cache wiring.
+func AttachShared(jobs []Job) { fleet.Attach(jobs) }
 
 // runnerEngine adapts runner.Run to the seam.
 type runnerEngine struct{}
@@ -122,14 +111,13 @@ func (runnerEngine) Run(ctx context.Context, jobs []Job, opt Options) ([]sim.Res
 }
 
 // fleetEngine adapts fleet.Run to the seam. The fleet attaches the
-// shared caches itself, per batch.
+// shared caches itself.
 type fleetEngine struct{}
 
 func (fleetEngine) Name() string { return "fleet" }
 
 func (fleetEngine) Run(ctx context.Context, jobs []Job, opt Options) ([]sim.Result, error) {
-	return fleet.Run(ctx, jobs, fleet.Options{
-		Workers: opt.Workers, BatchSize: opt.BatchSize,
-		Progress: opt.Progress, Telemetry: opt.Telemetry,
+	return fleet.Run(ctx, jobs, runner.Options{
+		Workers: opt.Workers, Progress: opt.Progress, Telemetry: opt.Telemetry,
 	})
 }

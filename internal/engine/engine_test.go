@@ -14,18 +14,25 @@ import (
 	"repro/internal/core"
 	"repro/internal/mission"
 	"repro/internal/runner"
+	"repro/internal/sensors"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/vehicle"
 )
 
-// suite builds a deterministic mixed-profile job list — short real
-// missions, attacked and clean, every draw derived from one master seed —
-// fresh stateful collaborators per call so the same suite can be executed
-// independently by every engine.
-func suite(t testing.TB, n int) []Job {
+// The suites' vehicle-profile cycles: a mixed-profile sweep, and a
+// single profile — the shape of a campaign shard.
+var (
+	mixed  = []vehicle.ProfileName{vehicle.ArduCopter, vehicle.ArduRover}
+	copter = []vehicle.ProfileName{vehicle.ArduCopter}
+)
+
+// suite builds a deterministic job list cycling through the given
+// profiles — short real missions, attacked and clean, every draw derived
+// from one master seed — fresh stateful collaborators per call so the
+// same suite can be executed independently by every engine.
+func suite(t testing.TB, n int, profiles []vehicle.ProfileName) []Job {
 	t.Helper()
-	profiles := []vehicle.ProfileName{vehicle.ArduCopter, vehicle.ArduRover}
 	rng := rand.New(rand.NewSource(7))
 	jobs := make([]Job, n)
 	for i := range jobs {
@@ -64,7 +71,7 @@ func runOn(t *testing.T, eng Engine, n int, opt Options) ([]sim.Result, []byte) 
 	col := telemetry.NewCollector()
 	col.Begin("equiv")
 	opt.Telemetry = col
-	res, err := eng.Run(context.Background(), suite(t, n), opt)
+	res, err := eng.Run(context.Background(), suite(t, n, mixed), opt)
 	if err != nil {
 		t.Fatalf("%s: %v", eng.Name(), err)
 	}
@@ -98,7 +105,7 @@ func TestEnginesByteIdentical(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			name := fmt.Sprintf("%s/workers=%d", eng.Name(), workers)
 			t.Run(name, func(t *testing.T) {
-				gotRes, gotRep := runOn(t, eng, n, Options{Workers: workers, BatchSize: 3})
+				gotRes, gotRep := runOn(t, eng, n, Options{Workers: workers})
 				if len(gotRes) != len(wantRes) {
 					t.Fatalf("results = %d, want %d", len(gotRes), len(wantRes))
 				}
@@ -122,7 +129,7 @@ func TestEnginesLowestIndexedError(t *testing.T) {
 	wantRes, _ := runOn(t, Runner(), 6, Options{Workers: 2})
 	for _, eng := range testEngines(t) {
 		t.Run(eng.Name(), func(t *testing.T) {
-			jobs := suite(t, 6)
+			jobs := suite(t, 6, mixed)
 			jobs[2].Label = "suite/broken-a"
 			jobs[2].Cfg.DT = -1 // rejected by sim.Config.Validate
 			jobs[4].Label = "suite/broken-b"
@@ -145,6 +152,61 @@ func TestEnginesLowestIndexedError(t *testing.T) {
 	}
 }
 
+// panicSource is the simulator's own sensor source with a defect
+// injected: Sample panics once mission time reaches at.
+type panicSource struct {
+	*sim.SimSource
+	at float64
+}
+
+func (s panicSource) Sample(tick sensors.Tick) (sensors.Reading, error) {
+	if tick.T >= s.at {
+		panic(fmt.Sprintf("injected sensor fault at t=%.2f", tick.T))
+	}
+	return s.SimSource.Sample(tick)
+}
+
+// TestEnginesIsolatePanickingMission pins per-mission panic isolation on
+// the shape of a campaign shard: in a single-profile job list one
+// mission's sensor source panics mid-flight. Every engine reports that
+// job's index and label, and every other job's result equals a clean
+// reference run's, at worker counts 1 and 2.
+func TestEnginesIsolatePanickingMission(t *testing.T) {
+	const n, bad = 6, 3
+	want, err := Runner().Run(context.Background(), suite(t, n, copter), Options{Workers: 1})
+	if err != nil {
+		t.Fatalf("clean reference: %v", err)
+	}
+	for _, eng := range testEngines(t) {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", eng.Name(), workers), func(t *testing.T) {
+				jobs := suite(t, n, copter)
+				cfg := &jobs[bad].Cfg
+				cfg.Source = panicSource{
+					SimSource: sim.NewSimSource(sim.SourceConfig{Profile: cfg.Profile, Seed: cfg.Seed, Attacks: cfg.Attacks}),
+					at:        1,
+				}
+				cfg.Attacks = nil
+				jobs[bad].Label = "suite/panics"
+				res, err := eng.Run(context.Background(), jobs, Options{Workers: workers})
+				if err == nil {
+					t.Fatal("panicking mission did not surface an error")
+				}
+				for _, w := range []string{fmt.Sprintf("job %d", bad), "suite/panics", "injected sensor fault"} {
+					if !strings.Contains(err.Error(), w) {
+						t.Errorf("error %q missing %q", err, w)
+					}
+				}
+				for i := range want {
+					if i != bad && !reflect.DeepEqual(res[i], want[i]) {
+						t.Errorf("job %d diverged from the clean reference run", i)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestEnginesCancelledContext: a pre-cancelled context returns a bare
 // ctx.Err() from every engine.
 func TestEnginesCancelledContext(t *testing.T) {
@@ -152,7 +214,7 @@ func TestEnginesCancelledContext(t *testing.T) {
 	cancel()
 	for _, eng := range testEngines(t) {
 		t.Run(eng.Name(), func(t *testing.T) {
-			_, err := eng.Run(ctx, suite(t, 4), Options{Workers: 2})
+			_, err := eng.Run(ctx, suite(t, 4, mixed), Options{Workers: 2})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
@@ -169,7 +231,7 @@ func TestPoolStreamSubmissionOrder(t *testing.T) {
 	p := runner.NewPool(4, 64)
 	defer p.Close()
 	eng := NewPool(p)
-	st, err := eng.Submit(context.Background(), suite(t, 8))
+	st, err := eng.Submit(context.Background(), suite(t, 8, mixed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +261,11 @@ func TestPoolSubmitRejections(t *testing.T) {
 	p := runner.NewPool(1, 2)
 	defer p.Close()
 	eng := NewPool(p)
-	if _, err := eng.Submit(context.Background(), suite(t, 8)); !errors.Is(err, runner.ErrQueueFull) {
+	if _, err := eng.Submit(context.Background(), suite(t, 8, mixed)); !errors.Is(err, runner.ErrQueueFull) {
 		t.Errorf("oversized submit: err = %v, want ErrQueueFull", err)
 	}
 	p.BeginDrain()
-	if _, err := eng.Submit(context.Background(), suite(t, 1)); !errors.Is(err, runner.ErrDraining) {
+	if _, err := eng.Submit(context.Background(), suite(t, 1, mixed)); !errors.Is(err, runner.ErrDraining) {
 		t.Errorf("draining submit: err = %v, want ErrDraining", err)
 	}
 }
@@ -227,7 +289,7 @@ func TestByName(t *testing.T) {
 // TestAttachSharedIdempotent: attaching twice or over a pre-attached
 // config is a no-op, and configs keep their caches per (profile, dt).
 func TestAttachSharedIdempotent(t *testing.T) {
-	jobs := suite(t, 4)
+	jobs := suite(t, 4, mixed)
 	AttachShared(jobs)
 	first := make([]*core.Shared, len(jobs))
 	for i := range jobs {

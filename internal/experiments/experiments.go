@@ -9,7 +9,7 @@
 // the unified execution seam (internal/engine), reducing the results in
 // submission order. Randomness is therefore fixed before fan-out and the
 // rendered tables are byte-identical at any worker count and under any
-// engine (per-goroutine runner, batched fleet, service pool).
+// engine (per-goroutine runner, shared-cache fleet, service pool).
 //
 // The registry (registry.go) exposes each experiment behind the
 // Experiment interface; cmd/experiments drives them and renders the
@@ -64,19 +64,16 @@ type Options struct {
 	// content depend on experiment selection.
 	Collector *telemetry.Collector
 	// Engine selects the execution engine every sweep dispatches through.
-	// Nil selects the per-goroutine runner, or the batched fleet executor
+	// Nil selects the per-goroutine runner, or the fleet executor
 	// when Fleet is set. All engines are byte-identical (the seam's
 	// contract, pinned by internal/engine's equivalence suite); the choice
 	// changes throughput only.
 	Engine engine.Engine
-	// Fleet selects the batched fleet executor when Engine is nil:
-	// missions are partitioned into profile-homogeneous batches stepped in
-	// lockstep over shared per-(profile, dt) caches. Output is
-	// byte-identical to the runner's; only throughput changes.
+	// Fleet selects the fleet executor when Engine is nil: missions are
+	// dispatched one at a time to every worker over shared
+	// per-(profile, dt) caches. Output is byte-identical to the runner's;
+	// only throughput changes.
 	Fleet bool
-	// BatchSize caps the fleet executor's lockstep width; <= 0 selects
-	// the fleet default. Other engines ignore it.
-	BatchSize int
 }
 
 // withDefaults fills unset options.
@@ -107,7 +104,7 @@ func (o Options) engine() engine.Engine {
 
 // engineOptions extracts the execution knobs for the engine seam.
 func (o Options) engineOptions() engine.Options {
-	return engine.Options{Workers: o.Workers, BatchSize: o.BatchSize, Progress: o.Progress, Telemetry: o.Collector}
+	return engine.Options{Workers: o.Workers, Progress: o.Progress, Telemetry: o.Collector}
 }
 
 // sweep executes pre-drawn jobs on the selected execution engine,

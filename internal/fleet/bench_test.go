@@ -1,8 +1,9 @@
 package fleet
 
-// BenchmarkRunner and BenchmarkFleet are the PR's headline pair: the
-// same reduced mixed-profile suite executed by the per-goroutine runner
-// and by the batched fleet executor, both reporting missions/sec/core.
+// BenchmarkRunner and BenchmarkFleet are the executors' headline pair:
+// the same reduced mixed-profile suite executed by the bare
+// per-goroutine runner and by the fleet executor, which differ only in
+// the fleet's shared caches, both reporting missions/sec/core.
 // scripts/bench_compare.sh runs the pair, byte-compares the two engines'
 // experiment output (outputs_identical), and gates BENCH_PR9.json on the
 // fleet/runner speedup.
@@ -15,9 +16,9 @@ import (
 	"repro/internal/runner"
 )
 
-// benchMissions is the suite size per benchmark iteration: large enough
-// that every profile fills a default-width batch's worth of work, small
-// enough that one iteration stays in benchtime range.
+// benchMissions is the suite size per benchmark iteration: eight
+// missions per profile, small enough that one iteration stays in
+// benchtime range.
 const benchMissions = 16
 
 // reportMissionThroughput attaches the headline metric: completed
@@ -36,7 +37,7 @@ func BenchmarkRunner(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runner.Run(context.Background(), reducedSuite(b, benchMissions), runner.Options{}); err != nil {
+		if _, err := runner.Run(context.Background(), reducedSuite(b, benchMissions, mixed), runner.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -47,7 +48,7 @@ func BenchmarkFleet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(context.Background(), reducedSuite(b, benchMissions), Options{}); err != nil {
+		if _, err := Run(context.Background(), reducedSuite(b, benchMissions, mixed), Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,14 +19,20 @@ import (
 	"repro/internal/vehicle"
 )
 
-// reducedSuite builds a deterministic mixed-profile job list: short real
-// missions across two vehicle profiles, attacked and clean, with every
-// random draw derived from one master seed. Each call builds fresh
+// The suites' vehicle-profile cycles: a mixed-profile sweep, and a
+// single profile — the shape of a campaign shard.
+var (
+	mixed  = []vehicle.ProfileName{vehicle.ArduCopter, vehicle.ArduRover}
+	copter = []vehicle.ProfileName{vehicle.ArduCopter}
+)
+
+// reducedSuite builds a deterministic job list: short real missions
+// cycling through the given vehicle profiles, attacked and clean, with
+// every random draw derived from one master seed. Each call builds fresh
 // stateful collaborators (attack schedules), so the same suite can be
-// executed independently by both engines.
-func reducedSuite(t testing.TB, n int) []runner.Job {
+// executed independently by both executors.
+func reducedSuite(t testing.TB, n int, profiles []vehicle.ProfileName) []runner.Job {
 	t.Helper()
-	profiles := []vehicle.ProfileName{vehicle.ArduCopter, vehicle.ArduRover}
 	rng := rand.New(rand.NewSource(42))
 	jobs := make([]runner.Job, n)
 	for i := range jobs {
@@ -72,43 +78,49 @@ func reportBytes(t *testing.T, c *telemetry.Collector) []byte {
 	return buf.Bytes()
 }
 
-// runReference executes the suite on the per-goroutine runner.
-func runReference(t *testing.T, n int) ([]sim.Result, []byte) {
+// runReference executes the suite on the bare per-goroutine runner, so
+// every mission builds its own caches.
+func runReference(t *testing.T, n int, profiles []vehicle.ProfileName) ([]sim.Result, []byte) {
 	t.Helper()
 	col := telemetry.NewCollector()
 	col.Begin("equiv")
-	res, err := runner.Run(context.Background(), reducedSuite(t, n), runner.Options{Workers: 2, Telemetry: col})
+	res, err := runner.Run(context.Background(), reducedSuite(t, n, profiles), runner.Options{Workers: 2, Telemetry: col})
 	if err != nil {
 		t.Fatalf("runner: %v", err)
 	}
 	return res, reportBytes(t, col)
 }
 
-// runFleet executes the suite on the batched executor.
-func runFleet(t *testing.T, n int, opt Options) ([]sim.Result, []byte) {
+// runFleet executes the suite on the fleet executor and checks that
+// every mission ran on the shared caches.
+func runFleet(t *testing.T, n int, profiles []vehicle.ProfileName, opt Options) ([]sim.Result, []byte) {
 	t.Helper()
 	col := telemetry.NewCollector()
 	col.Begin("equiv")
 	opt.Telemetry = col
-	res, err := Run(context.Background(), reducedSuite(t, n), opt)
+	jobs := reducedSuite(t, n, profiles)
+	res, err := Run(context.Background(), jobs, opt)
 	if err != nil {
 		t.Fatalf("fleet: %v", err)
+	}
+	for i := range jobs {
+		if jobs[i].Cfg.Shared == nil {
+			t.Errorf("job %d ran without shared caches", i)
+		}
 	}
 	return res, reportBytes(t, col)
 }
 
-// TestFleetMatchesRunnerAtAnyBatchSize is the executor's headline
-// contract: for a mixed-profile suite, results and the aggregated
-// telemetry report must be byte-identical to the per-goroutine runner's
-// at batch sizes 1 (degenerate lockstep), 7 (multiple partial batches),
-// and 64 (one batch per profile).
-func TestFleetMatchesRunnerAtAnyBatchSize(t *testing.T) {
-	const n = 10
-	wantRes, wantReport := runReference(t, n)
-	for _, size := range []int{1, 7, 64} {
-		size := size
-		t.Run(fmt.Sprintf("batch=%d", size), func(t *testing.T) {
-			gotRes, gotReport := runFleet(t, n, Options{Workers: 1, BatchSize: size})
+// TestFleetShardSweepMatchesRunner is the executor's headline contract
+// on the shape of a campaign shard — one profile, attacked and clean
+// missions: results and the aggregated telemetry report are
+// byte-identical to the bare runner's at worker counts 1 and 4.
+func TestFleetShardSweepMatchesRunner(t *testing.T) {
+	const n = 6
+	wantRes, wantReport := runReference(t, n, copter)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			gotRes, gotReport := runFleet(t, n, copter, Options{Workers: workers})
 			if len(gotRes) != len(wantRes) {
 				t.Fatalf("results = %d, want %d", len(gotRes), len(wantRes))
 			}
@@ -118,7 +130,7 @@ func TestFleetMatchesRunnerAtAnyBatchSize(t *testing.T) {
 				}
 			}
 			if !bytes.Equal(gotReport, wantReport) {
-				t.Errorf("telemetry report differs from runner reference (batch=%d)", size)
+				t.Errorf("telemetry report differs from runner reference (workers=%d)", workers)
 			}
 		})
 	}
@@ -128,8 +140,8 @@ func TestFleetMatchesRunnerAtAnyBatchSize(t *testing.T) {
 // its own parallelism: 1 worker and 4 workers must emit identical bytes.
 func TestFleetWorkerCountInvariance(t *testing.T) {
 	const n = 10
-	res1, rep1 := runFleet(t, n, Options{Workers: 1, BatchSize: 3})
-	res4, rep4 := runFleet(t, n, Options{Workers: 4, BatchSize: 3})
+	res1, rep1 := runFleet(t, n, mixed, Options{Workers: 1})
+	res4, rep4 := runFleet(t, n, mixed, Options{Workers: 4})
 	for i := range res1 {
 		if !reflect.DeepEqual(res1[i], res4[i]) {
 			t.Errorf("job %d: result depends on worker count", i)
@@ -140,48 +152,17 @@ func TestFleetWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestFleetMixedProfilesForceMultipleBatches asserts the partitioner
-// actually splits a mixed-profile campaign (the byte-identity above
-// would hold vacuously if everything landed in one batch).
-func TestFleetMixedProfilesForceMultipleBatches(t *testing.T) {
-	jobs := reducedSuite(t, 10)
-	batches := partition(jobs, 3)
-	if len(batches) < 4 {
-		t.Fatalf("partition produced %d batches, want >= 4 (two profiles x ceil(5/3))", len(batches))
-	}
-	keys := make(map[batchKey]bool)
-	var covered int
-	for _, b := range batches {
-		keys[b.key] = true
-		if len(b.idxs) > 3 {
-			t.Errorf("batch exceeds size cap: %d", len(b.idxs))
-		}
-		for _, idx := range b.idxs {
-			if keyOf(&jobs[idx].Cfg) != b.key {
-				t.Errorf("job %d landed in foreign batch %v", idx, b.key)
-			}
-		}
-		covered += len(b.idxs)
-	}
-	if len(keys) != 2 {
-		t.Errorf("distinct batch keys = %d, want 2", len(keys))
-	}
-	if covered != len(jobs) {
-		t.Errorf("batches cover %d jobs, want %d", covered, len(jobs))
-	}
-}
-
 // TestFleetLowestIndexedErrorAndSurvivors mirrors the runner's failure
-// contract: a broken job fails alone — its batch-mates still produce
+// contract: a broken job fails alone — the other jobs still produce
 // valid results — and the reported error is the lowest-indexed one,
 // labeled.
 func TestFleetLowestIndexedErrorAndSurvivors(t *testing.T) {
-	jobs := reducedSuite(t, 6)
+	jobs := reducedSuite(t, 6, mixed)
 	jobs[3].Label = "suite/broken-a"
 	jobs[3].Cfg.DT = -1 // rejected by sim.Config.Validate
 	jobs[5].Label = "suite/broken-b"
 	jobs[5].Cfg.DT = -1
-	res, err := Run(context.Background(), jobs, Options{Workers: 2, BatchSize: 64})
+	res, err := Run(context.Background(), jobs, Options{Workers: 2})
 	if err == nil {
 		t.Fatal("broken job did not surface an error")
 	}
@@ -190,7 +171,7 @@ func TestFleetLowestIndexedErrorAndSurvivors(t *testing.T) {
 			t.Errorf("error %q missing %q", err, want)
 		}
 	}
-	wantRes, _ := runReference(t, 6)
+	wantRes, _ := runReference(t, 6, mixed)
 	for _, i := range []int{0, 1, 2, 4} {
 		if !reflect.DeepEqual(res[i], wantRes[i]) {
 			t.Errorf("surviving job %d diverged from runner reference", i)
@@ -203,7 +184,7 @@ func TestFleetLowestIndexedErrorAndSurvivors(t *testing.T) {
 func TestFleetCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, reducedSuite(t, 4), Options{Workers: 2})
+	_, err := Run(ctx, reducedSuite(t, 4, mixed), Options{Workers: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -1,20 +1,20 @@
-// Package fleet is the batched mission executor: it steps N same-profile
-// missions in lockstep, amortizing the per-mission read-only setup — the
-// recovery LQR gain (a DARE solve), the EKF covariance/gain schedule, and
-// the compiled diagnosis graphs — into one core.Shared cache per
-// (vehicle profile, control period) key, built once and referenced by
-// every mission in a batch.
+// Package fleet is the shared-cache mission executor: it attaches one
+// core.Shared cache per (vehicle profile, control period) key to every
+// job — the recovery LQR gain (a DARE solve), the EKF covariance/gain
+// schedule, and the compiled diagnosis graphs, built once per process
+// instead of once per mission — and dispatches the missions one at a
+// time to every worker of the per-goroutine runner (internal/runner).
 //
-// The executor accepts the exact same pre-drawn job list as the
-// per-goroutine runner (internal/runner) and produces byte-identical
-// output: jobs are partitioned into profile-homogeneous batches in
-// submission order, each batch advances its missions one control period
-// at a time on one worker, and results, errors, and telemetry are
-// reduced strictly in submission order. Batch size and worker count
-// affect wall-clock time and locality only, never bytes — the property
-// tests in equiv_test.go pin this at batch sizes 1, 7, and 64 and at
-// worker counts 1 and N, and scripts/bench_compare.sh gates the
-// benchmark on a byte-compare of the two engines' reports.
+// The executor accepts the exact same pre-drawn job list as the bare
+// runner and produces byte-identical output: the caches are read-only
+// and bit-identical to what each mission would build for itself, and the
+// runner slots results by submission index, recovers a panic per job,
+// reports the lowest-indexed labeled failure, and reduces telemetry
+// strictly in submission order. Its throughput gain over the bare runner
+// comes from the shared caches alone. The property tests in
+// equiv_test.go pin the byte-identity at worker counts 1 and N, and
+// scripts/bench_compare.sh gates the benchmark on a byte-compare of the
+// two executors' reports.
 package fleet
 
 import (
@@ -26,54 +26,20 @@ import (
 	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/vehicle"
 )
 
-// Options configure one batched sweep.
-type Options struct {
-	// Workers is the pool size stepping batches; <= 0 means all CPUs.
-	Workers int
-	// BatchSize caps the missions stepped in lockstep per batch; <= 0
-	// selects 64. Larger batches amortize shared caches over more
-	// missions but enlarge the working set each worker touches per round.
-	BatchSize int
-	// Progress, when non-nil, is called after each mission completes with
-	// the number of completed missions and the total, mirroring the
-	// runner's contract: calls are serialized and completed is strictly
-	// increasing, but which mission finished is unspecified.
-	Progress func(completed, total int)
-	// Telemetry, when non-nil, receives every job's mission telemetry
-	// after the sweep completes, in submission order — byte-identical to
-	// the runner's reduce at any batch size or worker count.
-	Telemetry *telemetry.Collector
-}
+// Options configure one sweep: they are the runner's, since the runner
+// executes it.
+type Options = runner.Options
 
-// defaultBatchSize is the lockstep width when Options.BatchSize is unset.
-const defaultBatchSize = 64
-
-// cancelCheckRounds is how many lockstep rounds a batch advances between
-// context polls; at 64 lanes it bounds cancellation latency to a few
-// thousand mission ticks while keeping the poll off the per-tick path.
-const cancelCheckRounds = 100
-
-// batchKey identifies the shared-cache unit: missions agree on every
+// cacheKey identifies the shared-cache unit: missions agree on every
 // cache input iff they agree on the vehicle profile and the (bitwise)
 // control period. Profiles come from the vehicle registry, so the name
 // identifies the parameter set.
-type batchKey struct {
+type cacheKey struct {
 	profile vehicle.ProfileName
 	dtBits  uint64
-}
-
-// keyOf derives a job's batch key, applying sim's documented DT default
-// so explicit-0.01 and defaulted configs share one cache.
-func keyOf(cfg *sim.Config) batchKey {
-	dt := cfg.DT
-	if dt <= 0 {
-		dt = 0.01
-	}
-	return batchKey{profile: cfg.Profile.Name, dtBits: math.Float64bits(dt)}
 }
 
 // caches is the process-wide shared-cache registry. Caches are pure
@@ -82,18 +48,17 @@ func keyOf(cfg *sim.Config) batchKey {
 // requests). Per-key lookup only — the map is never iterated.
 var caches = struct {
 	sync.Mutex
-	m map[batchKey]*core.Shared
-}{m: make(map[batchKey]*core.Shared)}
+	m map[cacheKey]*core.Shared
+}{m: make(map[cacheKey]*core.Shared)}
 
 // SharedFor returns the process-wide shared cache for a (profile, dt)
-// pair, building it on first use. dt <= 0 selects sim's 0.01 s default.
-// The mission service uses this to attach caches to pool submissions
-// without running the batching executor.
+// pair, building it on first use. dt <= 0 selects sim's 0.01 s default,
+// so explicit-0.01 and defaulted configs share one cache.
 func SharedFor(p vehicle.Profile, dt float64) (*core.Shared, error) {
 	if dt <= 0 {
 		dt = 0.01
 	}
-	key := batchKey{profile: p.Name, dtBits: math.Float64bits(dt)}
+	key := cacheKey{profile: p.Name, dtBits: math.Float64bits(dt)}
 	caches.Lock()
 	defer caches.Unlock()
 	sh, ok := caches.m[key]
@@ -108,156 +73,32 @@ func SharedFor(p vehicle.Profile, dt float64) (*core.Shared, error) {
 	return sh, nil
 }
 
-// batch is one profile-homogeneous slice of the sweep: the submission
-// indices of its jobs, in submission order.
-type batch struct {
-	key  batchKey
-	idxs []int
-}
-
-// partition groups jobs into batches of at most size missions sharing a
-// batch key. Scanning in submission order keeps each batch's index list
-// ascending, which is what lets every write downstream target disjoint
-// per-batch slots.
-func partition(jobs []runner.Job, size int) []batch {
-	var batches []batch
-	open := make(map[batchKey]int, 4) // key -> open batch index; lookup only
+// Attach points every job whose config has no shared caches yet at the
+// process-wide cache for its (profile, dt), in place. A preset
+// Config.Shared is kept. A profile that cannot build shared caches still
+// executes: its missions run unshared, and any underlying defect (an
+// unsolvable DARE, say) surfaces as the same per-mission construction
+// error the bare runner would report.
+func Attach(jobs []runner.Job) {
 	for i := range jobs {
-		k := keyOf(&jobs[i].Cfg)
-		bi, ok := open[k]
-		if !ok || len(batches[bi].idxs) >= size {
-			batches = append(batches, batch{key: k})
-			bi = len(batches) - 1
-			open[k] = bi
-		}
-		batches[bi].idxs = append(batches[bi].idxs, i)
-	}
-	return batches
-}
-
-// progress serializes per-mission completion callbacks across batches.
-type progress struct {
-	mu    sync.Mutex
-	fn    func(completed, total int)
-	done  int
-	total int
-}
-
-// bump records one completed (or failed) mission.
-func (p *progress) bump() {
-	if p.fn == nil {
-		return
-	}
-	p.mu.Lock()
-	p.done++
-	p.fn(p.done, p.total)
-	p.mu.Unlock()
-}
-
-// Run executes the jobs in profile-homogeneous lockstep batches and
-// returns their results indexed by submission order, byte-identical to
-// runner.Run over the same jobs. On error the lowest-indexed failure is
-// returned and the successful entries of the result slice are still
-// valid; a mission error kills only its own lane, never its batch.
-// Cancelling ctx abandons in-flight batches and returns ctx.Err().
-func Run(ctx context.Context, jobs []runner.Job, opt Options) ([]sim.Result, error) {
-	size := opt.BatchSize
-	if size <= 0 {
-		size = defaultBatchSize
-	}
-	results := make([]sim.Result, len(jobs))
-	errs := make([]error, len(jobs))
-	batches := partition(jobs, size)
-	prog := &progress{fn: opt.Progress, total: len(jobs)}
-	err := runner.Do(ctx, len(batches), runner.Options{Workers: opt.Workers}, func(ctx context.Context, b int) error {
-		runBatch(ctx, jobs, batches[b], results, errs, prog)
-		return nil
-	})
-	if err != nil {
-		// Do only fails here on cancellation or a panic escaping a batch
-		// (mission errors are recorded per-lane in errs, below).
-		if ctx.Err() != nil {
-			return results, ctx.Err()
-		}
-		return results, fmt.Errorf("fleet: %w", err)
-	}
-	for i, jerr := range errs {
-		if jerr != nil {
-			return results, fmt.Errorf("fleet: job %d (%s): %w", i, jobs[i].Label, jerr)
-		}
-	}
-	if opt.Telemetry != nil {
-		reduceTelemetry(results, opt.Telemetry)
-	}
-	return results, nil
-}
-
-// reduceTelemetry feeds per-job telemetry to the collector strictly in
-// submission order, mirroring the runner's deterministic reduce.
-func reduceTelemetry(results []sim.Result, c *telemetry.Collector) {
-	for i := range results {
-		c.Add(results[i].Telemetry)
-	}
-}
-
-// runBatch builds the batch's missions — attaching the shared caches —
-// and steps them in lockstep. Each lane writes only its own submission
-// index of results/errs, and distinct batches own disjoint index sets,
-// so no synchronization is needed beyond the progress counter's.
-func runBatch(ctx context.Context, jobs []runner.Job, b batch, results []sim.Result, errs []error, prog *progress) {
-	// A profile that cannot build shared caches still executes: the lanes
-	// run unshared, and any underlying defect (an unsolvable DARE, say)
-	// surfaces as the same per-mission construction error the runner
-	// would report.
-	sh, _ := SharedFor(jobs[b.idxs[0]].Cfg.Profile, jobs[b.idxs[0]].Cfg.DT)
-	lanes := make([]*sim.Mission, len(b.idxs))
-	live := 0
-	for k, idx := range b.idxs {
-		cfg := jobs[idx].Cfg
-		if cfg.Shared == nil {
-			cfg.Shared = sh
-		}
-		m, err := sim.NewMission(cfg)
-		if err != nil {
-			errs[idx] = err
-			prog.bump()
+		cfg := &jobs[i].Cfg
+		if cfg.Shared != nil {
 			continue
 		}
-		lanes[k] = m
-		live++
+		if sh, err := SharedFor(cfg.Profile, cfg.DT); err == nil {
+			cfg.Shared = sh
+		}
 	}
-	stepLanes(ctx, lanes, b.idxs, results, errs, live, prog)
 }
 
-// stepLanes is the lockstep loop: every round advances each live lane
-// one control period, so the batch's missions march through the shared
-// covariance schedule together and per-profile cache lines stay hot
-// across lanes. A lane that finishes is reduced into its own submission
-// slot and nilled; a lane that errors records the error the same way.
-// This is the fleet's hot loop — a declared hotalloc/puretick root: the
-// round body allocates nothing and polls cancellation via ctx.Err()
-// (never select) every cancelCheckRounds rounds.
-func stepLanes(ctx context.Context, lanes []*sim.Mission, idxs []int, results []sim.Result, errs []error, live int, prog *progress) {
-	for round := 0; live > 0; round++ {
-		if round%cancelCheckRounds == 0 && ctx.Err() != nil {
-			return
-		}
-		for k, m := range lanes {
-			if m == nil {
-				continue
-			}
-			cont, err := m.Step()
-			if cont {
-				continue
-			}
-			lanes[k] = nil
-			live--
-			if err != nil {
-				errs[idxs[k]] = err
-			} else {
-				results[idxs[k]] = m.Finish()
-			}
-			prog.bump()
-		}
-	}
+// Run attaches the shared caches to the jobs (see Attach) and executes
+// them on runner.Run, which hands each free worker the next mission, so
+// at most one mission per worker is live. Results are indexed by
+// submission order and byte-identical to the bare runner's over the same
+// jobs; on error the lowest-indexed failure is returned, labeled, and
+// every other job's result is still valid. Cancelling ctx abandons the
+// sweep with ctx.Err().
+func Run(ctx context.Context, jobs []runner.Job, opt Options) ([]sim.Result, error) {
+	Attach(jobs)
+	return runner.Run(ctx, jobs, opt)
 }

@@ -62,9 +62,9 @@ func DefaultAnalyzers() []*Analyzer {
 				modulePath + "/internal/mission",
 				corePath,
 				runnerPath,
-				// The fleet executor reorganizes mission execution into
-				// lockstep batches; its partition/step/reduce path is part
-				// of the same byte-identity surface as the runner's.
+				// The fleet executor attaches the process-wide shared
+				// caches every mission reads; its cache registry is part of
+				// the same byte-identity surface as the runner's.
 				fleetPath,
 				telemetryPath,
 				// The trace codec and the replay/bus sources are part of
@@ -91,13 +91,11 @@ func DefaultAnalyzers() []*Analyzer {
 			Roots: []FuncRef{
 				corePath + ":Pipeline.Tick",
 				runnerPath + ":reduceTelemetry",
-				// The fleet's lockstep loop covers the whole in-mission
-				// step path (sim.Mission.Step and everything it reaches),
-				// which the runner only exercised through RunContext: no
-				// select (cancellation is polled via ctx.Err), no clock,
-				// no global rand anywhere a batch round can reach.
-				fleetPath + ":stepLanes",
-				fleetPath + ":reduceTelemetry",
+				// One control period: the whole in-mission step path,
+				// which every executor reaches through RunContext (whose
+				// cancellation select sits outside Step): no select, no
+				// clock, no global rand anywhere a Step can reach.
+				simPath + ":Mission.Step",
 				// The engine seam's in-order reduce is the one place every
 				// engine's results flow through on their way into a report.
 				enginePath + ":reduceTelemetry",
@@ -141,9 +139,9 @@ func defaultHotalloc() HotallocConfig {
 			fgPath + ":Graph.Marginal",
 			fgPath + ":Graph.MarginalsInto",
 			fgPath + ":Graph.MLE",
-			// The fleet's lockstep round loop: one batch round must not
-			// allocate, or per-tick garbage scales with the lane count.
-			fleetPath + ":stepLanes",
+			// One control period: a nominal Step must not allocate, or
+			// per-tick garbage scales with mission length.
+			simPath + ":Mission.Step",
 		},
 		// Episodic or one-time paths sanctioned to allocate. Each runs per
 		// alert episode or per configuration change, never per tick, and
@@ -167,16 +165,13 @@ func defaultHotalloc() HotallocConfig {
 			ekfPath + ":Schedule.extendTo",
 			ekfPath + ":Schedule.seedPost",
 			ekfPath + ":Filter.detachShared",
-			// Per-mission epilogue, episodic telemetry captures, and
-			// terminal error paths of the fleet's lockstep loop: each runs
-			// once per mission or only inside an attack/recovery episode,
-			// never on the nominal per-round path.
-			simPath + ":Mission.Finish",
+			// Episodic telemetry captures and terminal error paths of the
+			// step path: each runs only inside an attack/recovery episode
+			// or once per mission, never on the nominal per-tick path.
 			simPath + ":Mission.noteDiagnosis",
 			simPath + ":srcErr",
 			sourcePath + ":exhaustedErr",
 			sourcePath + ":desyncErr",
-			fleetPath + ":progress.bump",
 			// Failure injection trips at most once per mission: the
 			// armed flag flips off after the first SetDropout.
 			sensorsPath + ":Suite.SetDropout",

@@ -197,10 +197,9 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 // Mission is one resumable mission: NewMission builds the per-mission
 // state, Step advances exactly one control period, and Finish computes
 // the outcome once Step reports the mission over. RunContext is the
-// single-mission driver; the fleet executor (internal/fleet) interleaves
-// Steps of many same-profile missions in lockstep. Both paths run the
-// identical per-tick code in the identical order, which is what makes
-// fleet output byte-identical to the per-goroutine runner's.
+// driver every executor runs, one mission per worker at a time; the
+// benchmark's stepped pass (bench/mission.go) drives Step directly to
+// time it. Both run the identical per-tick code in the identical order.
 type Mission struct {
 	cfg     Config
 	fw      *core.Framework
@@ -375,7 +374,7 @@ func (m *Mission) Step() (bool, error) {
 // noteDiagnosis captures the pipeline's diagnosis verdict into the
 // result while an attack or a recovery episode is in progress. The
 // clones it takes happen only on attacked or recovering ticks, so it is
-// a declared hotalloc cold cut point of the fleet's lockstep loop.
+// a declared hotalloc cold cut point of the per-step path.
 func (m *Mission) noteDiagnosis(attackActive bool) {
 	if attackActive && m.fw.DiagnosisRan() {
 		m.res.DiagnosedDuringAttack = m.fw.Compromised()

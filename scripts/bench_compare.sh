@@ -10,10 +10,11 @@
 # not change a single output byte.
 #
 # On top of the cross-tree comparison, the script races the working tree's
-# two execution engines against each other — the per-goroutine runner vs
-# the batched fleet executor, reported as missions/sec/core — byte-compares
-# their experiment output (folded into outputs_identical), and fails unless
-# the fleet is at least MIN_FLEET_SPEEDUP faster. It also races the
+# two execution engines against each other — the bare per-goroutine
+# runner vs the shared-cache fleet executor, reported as
+# missions/sec/core — byte-compares their experiment output (folded into
+# outputs_identical), and fails unless the fleet is at least
+# MIN_FLEET_SPEEDUP faster. It also races the
 # campaign layer against a bare engine run of the same job list and fails
 # if sharding costs more than MIN_CAMPAIGN_RATIO of the direct throughput
 # — campaign sharding must add no per-mission overhead. Results land in

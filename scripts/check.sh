@@ -5,10 +5,10 @@
 # The package-wide race pass runs with -short: the full experiment suite
 # already takes ~2 minutes natively and the race detector multiplies that
 # by ~20×, so the heavy mission sweeps (which honor testing.Short) are
-# skipped there. The parallel runner and the batched fleet executor are
-# the places where races would silently corrupt results, so they get
-# dedicated un-short race passes: every internal/runner test, the fleet
-# lockstep-vs-runner equivalence suite, and the workers=1-vs-8
+# skipped there. The parallel runner and the fleet executor are the
+# places where races would silently corrupt results, so they get
+# dedicated un-short race passes: every internal/runner test, the
+# fleet-vs-runner equivalence suite, and the workers=1-vs-8
 # byte-identical determinism sweep in internal/experiments. A full
 # `go test -race -timeout 60m ./...` remains available for release
 # verification.
@@ -28,7 +28,7 @@ go test -race -short ./...
 echo "== race (runner + parallel determinism) =="
 go test -race -timeout 1800s ./internal/runner
 go test -race -timeout 1800s -run 'TestParallelDeterminism|TestDeltaForSingleflight|TestReportDeterminism' ./internal/experiments
-echo "== race (fleet lockstep vs runner equivalence) =="
+echo "== race (fleet vs runner equivalence) =="
 go test -race -timeout 1800s -run 'TestFleet|TestSharedFor' ./internal/fleet
 echo "== race (pipeline FSM + legacy equivalence) =="
 go test -race -timeout 1800s -run 'TestPipelineEquivalence|TestLegalTransition|TestTransition|TestModeSides' ./internal/core
