@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race race-runner check bench bench-baseline equiv-gate replay-gate record-corpus serve service-smoke loadtest campaign
+.PHONY: all build test lint race race-runner check bench equiv-gate replay-gate record-corpus serve service-smoke loadtest campaign
 
 all: check
 
@@ -21,12 +21,12 @@ lint:
 race:
 	$(GO) test -race -short ./...
 
-# Un-short race pass over the parallel runner, the fleet executor, and
-# the workers=1-vs-8 determinism sweep — the places a data race could
+# Un-short race pass over the parallel runner, the engine seam, and the
+# workers=1-vs-8 determinism sweep — the places a data race could
 # corrupt results.
 race-runner:
 	$(GO) test -race -timeout 1800s ./internal/runner
-	$(GO) test -race -timeout 1800s ./internal/fleet
+	$(GO) test -race -timeout 1800s ./internal/engine
 	$(GO) test -race -timeout 1800s -run 'TestParallelDeterminism|TestDeltaForSingleflight|TestReportDeterminism' ./internal/experiments
 
 # Pipeline-equivalence gate: reduced experiment suite vs the committed
@@ -55,8 +55,8 @@ loadtest:
 	bash scripts/loadtest.sh
 
 # Campaign smoke gate: the committed tiny grid study must reproduce its
-# golden byte for byte — monolithic, sharded+checkpointed on the fleet
-# engine, and across a -halt-after interrupt followed by -resume.
+# golden byte for byte — monolithic, sharded+checkpointed, and across a
+# -halt-after interrupt followed by -resume.
 campaign:
 	bash scripts/campaign_smoke.sh
 
@@ -69,16 +69,8 @@ record-corpus:
 check:
 	sh scripts/check.sh
 
-# Before/after hot-path benchmark comparison against the pre-campaign
-# tree (git worktree), the runner-vs-fleet engine race, the campaign-vs-
-# direct overhead race, and the byte-identity checks; writes
-# BENCH_PR10.json. See scripts/bench_compare.sh for the BEFORE_REF/
-# BENCHTIME/MIN_FLEET_SPEEDUP/MIN_CAMPAIGN_RATIO knobs.
+# Layer micro-benchmarks (tick, EKF, factor graph, whole mission), five
+# samples each. The end-to-end benchmark is bench/ (see BENCHMARK.json).
 bench:
-	bash scripts/bench_compare.sh
-
-# Records wall-clock for `cmd/experiments -exp all` at workers=1 vs
-# workers=NumCPU into BENCH_BASELINE.json and verifies the two outputs
-# are byte-identical.
-bench-baseline:
-	sh scripts/bench_baseline.sh
+	$(GO) test -run '^$$' -bench 'Tick|EKF|FG|Mission' -benchmem -count 5 \
+		./. ./internal/core/ ./internal/ekf/ ./internal/fg/

@@ -1,10 +1,7 @@
 package repro_test
 
 // BenchmarkMissionShort runs one complete quiet mission per iteration —
-// the end-to-end number the hot-path optimization is judged by. It uses
-// only the sim package's public API, so scripts/bench_compare.sh can run
-// the identical file against the pre-optimization tree for before/after
-// numbers and the speedup figure in BENCH_PR4.json.
+// the whole-mission layer of the micro-benchmarks.
 
 import (
 	"testing"

@@ -2,18 +2,14 @@
 // simulated substrate. Each experiment is selectable; "all" runs the full
 // evaluation and emits the markdown recorded in EXPERIMENTS.md.
 //
-// Missions fan out across a deterministic parallel worker pool
-// (internal/runner): -workers changes wall-clock time only, never the
+// Missions fan out through the engine seam (internal/engine) across a
+// deterministic parallel worker pool that shares per-(profile, dt)
+// setup caches: -workers changes wall-clock time only, never the
 // rendered output. -report additionally writes the versioned
 // machine-readable run report (internal/telemetry): detection-latency
 // distributions, diagnosis precision/recall inputs, recovery RMSD,
 // per-stage cost-model totals, and one event trace per experiment —
 // byte-identical at any -workers setting.
-//
-// -fleet swaps the per-goroutine runner for the fleet executor
-// (internal/fleet): missions are dispatched one at a time to every
-// worker over shared per-(profile, dt) caches. Output stays
-// byte-identical.
 //
 // -campaign runs a declarative Monte-Carlo study (internal/campaign)
 // from a JSON spec file instead of the experiment registry: the sweep is
@@ -21,14 +17,14 @@
 // partial report is checkpointed atomically under -checkpoint, -resume
 // skips already-checkpointed shards after an interruption (even kill
 // -9), and the merged versioned study report goes to -out. The study's
-// bytes are invariant to -workers, -shards, -fleet, and interruption
-// history. -halt-after stops after N shards with exit 3 — the
-// interrupt/resume replay hook used by CI.
+// bytes are invariant to -workers, -shards, and interruption history.
+// -halt-after stops after N shards with exit 3 — the interrupt/resume
+// replay hook used by CI.
 //
 // Usage:
 //
-//	experiments -exp all -missions 25 -seed 1 [-workers 0] [-fleet] [-out EXPERIMENTS.md] [-report report.json]
-//	experiments -campaign spec.json [-shards 16] [-checkpoint dir [-resume]] [-fleet] [-out study.json]
+//	experiments -exp all -missions 25 -seed 1 [-workers 0] [-out EXPERIMENTS.md] [-report report.json]
+//	experiments -campaign spec.json [-shards 16] [-checkpoint dir [-resume]] [-out study.json]
 package main
 
 import (
@@ -46,7 +42,6 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -62,7 +57,6 @@ type options struct {
 	out        string
 	report     string
 	progress   bool
-	fleet      bool
 	campaign   string
 	shards     int
 	checkpoint string
@@ -81,7 +75,6 @@ func main() {
 	report := flag.String("report", "", "write the machine-readable run report (JSON) to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off by default")
 	progress := flag.Bool("progress", false, "report per-sweep mission completion on stderr")
-	fleetFlag := flag.Bool("fleet", false, "execute missions on the fleet executor (one mission at a time per worker over shared per-profile caches); output is identical, throughput is not")
 	campaignSpec := flag.String("campaign", "", "run a campaign study from this spec file (JSON) instead of the experiment registry; writes the versioned study report to -out")
 	shards := flag.Int("shards", 1, "campaign shard count; more shards mean finer checkpoints, never different bytes")
 	checkpoint := flag.String("checkpoint", "", "campaign checkpoint directory: each finished shard's partial report is persisted atomically")
@@ -92,7 +85,6 @@ func main() {
 	o := options{
 		exp: *exp, missions: *missions, seed: *seed, windCap: *windCap,
 		workers: *workers, out: *out, report: *report, progress: *progress,
-		fleet:    *fleetFlag,
 		campaign: *campaignSpec, shards: *shards, checkpoint: *checkpoint,
 		resume: *resume, haltAfter: *haltAfter,
 		flagsSeen: make(map[string]bool),
@@ -237,7 +229,6 @@ func run(ctx context.Context, o options) error {
 	}
 	opt := experiments.Options{
 		Missions: o.missions, Seed: o.seed, Wind: o.windCap, Workers: o.workers,
-		Fleet: o.fleet,
 	}
 	if o.progress {
 		opt.Progress = func(completed, total int) {
@@ -268,7 +259,7 @@ func run(ctx context.Context, o options) error {
 // runCampaign runs one campaign study: load the spec, partition into
 // shards, execute (or resume) with checkpoints, and write the merged
 // versioned study report to -out (or stdout). The report's bytes are
-// invariant to -workers, -shards, -fleet, and any interruption history.
+// invariant to -workers, -shards, and any interruption history.
 func runCampaign(ctx context.Context, o options) error {
 	f, err := os.Open(o.campaign)
 	if err != nil {
@@ -292,9 +283,6 @@ func runCampaign(ctx context.Context, o options) error {
 		Dir:       o.checkpoint,
 		Resume:    o.resume,
 		HaltAfter: o.haltAfter,
-	}
-	if o.fleet {
-		opt.Engine = engine.Fleet()
 	}
 	if o.progress {
 		opt.ShardDone = func(done, total int) {

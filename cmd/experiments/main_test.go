@@ -36,9 +36,7 @@ func TestValidateExitCodes(t *testing.T) {
 		wantMsg  string
 	}{
 		{"defaults", opts(), 0, ""},
-		{"fleet alone", opts(func(o *options) { o.fleet = true }, seen("fleet")), 0, ""},
 		{"campaign alone", opts(func(o *options) { o.campaign = "spec.json" }, seen("campaign")), 0, ""},
-		{"campaign with fleet", opts(func(o *options) { o.campaign = "spec.json"; o.fleet = true }, seen("campaign"), seen("fleet")), 0, ""},
 		{"campaign with checkpoint and resume", opts(func(o *options) {
 			o.campaign = "spec.json"
 			o.checkpoint = "ckpt"

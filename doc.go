@@ -26,10 +26,11 @@
 // byte-identical bytes at any pool size, and CI's service-smoke gate
 // replays the committed trace over real HTTP against the same golden.
 //
-// Every execution path — experiment sweeps, the service pool, and the
-// shared-cache fleet executor — dispatches through one engine seam
-// (internal/engine): pre-drawn seeded jobs in, submission-order results
-// and telemetry out. On top of it, internal/campaign runs declarative
+// Every execution path — experiment sweeps, campaign shards, and the
+// service pool — dispatches through one engine seam (internal/engine):
+// pre-drawn seeded jobs in, submission-order results and telemetry out,
+// with the process-wide per-(profile, dt) setup caches attached to every
+// mission. On top of it, internal/campaign runs declarative
 // Monte-Carlo studies (grid or random sweeps over profiles, strategies,
 // attack widths, onset, wind, and δ-scale) partitioned into
 // checkpointable shards: each finished shard's partial report persists

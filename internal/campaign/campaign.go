@@ -101,7 +101,7 @@ func shardRanges(n, count int) []Shard {
 // bytes — they select throughput, persistence, and interruption behavior
 // only.
 type Options struct {
-	// Engine executes each shard; nil selects the per-goroutine runner.
+	// Engine executes each shard; nil selects engine.Runner().
 	// All engines are byte-identical (the seam's contract).
 	Engine engine.Engine
 	// Workers is the per-shard parallelism; <= 0 uses all CPUs.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/runner"
 )
 
 // testSpec is the suite's study: a small real grid — two vehicle
@@ -91,10 +92,13 @@ func TestShardRanges(t *testing.T) {
 
 // TestStudyInvariance is the acceptance matrix: the study's bytes are
 // identical across monolithic vs sharded execution, shard counts 1/4/16,
-// workers 1 vs all CPUs, runner vs fleet engine, and persisted vs
-// in-memory runs.
+// workers 1 vs all CPUs, the runner vs the service pool engine, and
+// persisted vs in-memory runs.
 func TestStudyInvariance(t *testing.T) {
 	want := renderStudy(t, Options{Shards: 1, Workers: 1})
+	serial, wide := runner.NewPool(1, 0), runner.NewPool(runtime.NumCPU(), 0)
+	t.Cleanup(serial.Close)
+	t.Cleanup(wide.Close)
 	variants := []struct {
 		name string
 		opt  Options
@@ -102,8 +106,8 @@ func TestStudyInvariance(t *testing.T) {
 		{"shards=4", Options{Shards: 4, Workers: 1}},
 		{"shards=16", Options{Shards: 16, Workers: 1}},
 		{"workers=N", Options{Shards: 4, Workers: runtime.NumCPU()}},
-		{"engine=fleet", Options{Shards: 1, Workers: 1, Engine: engine.Fleet()}},
-		{"engine=fleet/shards=4/workers=N", Options{Shards: 4, Engine: engine.Fleet()}},
+		{"engine=pool", Options{Shards: 1, Engine: engine.NewPool(serial)}},
+		{"engine=pool/shards=4/workers=N", Options{Shards: 4, Engine: engine.NewPool(wide)}},
 		{"checkpointed", Options{Shards: 4, Workers: 1, Dir: t.TempDir()}},
 	}
 	for _, v := range variants {

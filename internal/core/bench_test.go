@@ -1,9 +1,7 @@
 package core_test
 
-// Benchmark for the full framework tick — the steady-state hot path every
-// mission second spends 100 iterations in. Public API only, so
-// scripts/bench_compare.sh can run the identical file against the
-// pre-optimization tree.
+// Benchmark for the full pipeline tick — the steady-state hot path every
+// mission second spends 100 iterations in.
 
 import (
 	"testing"
@@ -14,9 +12,9 @@ import (
 	"repro/internal/vehicle"
 )
 
-// benchFramework returns an initialized DeLorean framework hovering at
+// benchFramework returns an initialized DeLorean pipeline hovering at
 // 10 m with a truthful measurement stream.
-func benchFramework(b testing.TB) (*core.Framework, sensors.PhysState, mission.Waypoint) {
+func benchFramework(b testing.TB) (*core.Pipeline, sensors.PhysState, mission.Waypoint) {
 	b.Helper()
 	prof := vehicle.MustProfile(vehicle.ArduCopter)
 	fw, err := core.New(core.Config{

@@ -48,7 +48,7 @@ func floorFor(idx sensors.StateIndex) float64 {
 //
 // (k = 3 in the paper; Fig. 8a). samples holds one error vector per
 // calibration tick, collected by running attack-free missions and reading
-// Framework.LastError.
+// Pipeline.LastError.
 func CalibrateDelta(samples []sensors.PhysState, k float64) diagnosis.Delta {
 	var delta diagnosis.Delta
 	if len(samples) == 0 {

@@ -64,17 +64,11 @@ type Config struct {
 	// disables event recording (a nil Recorder is a valid no-op sink).
 	Telemetry *telemetry.Recorder
 	// Shared, when non-nil, supplies the read-only per-(profile, dt)
-	// caches — recovery LQR gain, EKF covariance schedule, diagnosis
-	// graph specs — built once by the fleet executor and referenced by
-	// every mission in a batch. Must match Profile.Name and DT; results
-	// are bit-identical with or without it.
+	// caches — quad recovery LQR gain, EKF covariance schedule — built
+	// once per process and referenced by every mission. Must match
+	// Profile.Name and DT; results are bit-identical with or without it.
 	Shared *Shared
 }
-
-// Framework is the historical name for the staged defense Pipeline; the
-// alias keeps the pre-pipeline construction and benchmark surface
-// compiling unchanged.
-type Framework = Pipeline
 
 // detectThreshFromDelta derives detector thresholds from the diagnosis δ
 // values, monitoring every physical state. Monitoring the full PS vector

@@ -11,7 +11,7 @@ import (
 	"repro/internal/vehicle"
 )
 
-func newFW(t *testing.T, strategy Strategy) *Framework {
+func newFW(t *testing.T, strategy Strategy) *Pipeline {
 	t.Helper()
 	prof := vehicle.MustProfile(vehicle.ArduCopter)
 	fw, err := New(Config{

@@ -121,11 +121,7 @@ func New(cfg Config, strategy Strategy) (*Pipeline, error) {
 	}
 	p.diagnoser = cfg.Diagnoser
 	if p.diagnoser == nil {
-		if cfg.Shared != nil {
-			p.diagnoser = diagnosis.NewDeLoreanSpec(cfg.Delta, cfg.Shared.graphSpec(cfg.Delta))
-		} else {
-			p.diagnoser = diagnosis.NewDeLorean(cfg.Delta)
-		}
+		p.diagnoser = diagnosis.NewDeLorean(cfg.Delta)
 	}
 	p.reconstructor = reconstruct.New(cfg.Profile, cfg.DT)
 	p.approxStep = approxModel(cfg.Profile)

@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
-	"repro/internal/diagnosis"
 	"repro/internal/ekf"
 	"repro/internal/mat"
 	"repro/internal/recovery"
@@ -13,23 +11,20 @@ import (
 )
 
 // Shared bundles the read-only per-mission setup that is a pure function
-// of (vehicle profile, control period): the recovery LQR gain (a DARE
-// solve), the EKF covariance/gain schedule, and the δ-keyed diagnosis
-// graph specs. The fleet executor builds one Shared per (profile, dt)
-// key and attaches it to every mission in a batch via Config.Shared;
-// each pipeline then references the caches instead of recomputing them.
-// All contents are immutable after construction (the EKF schedule
-// extends itself lazily behind its own synchronization), so one Shared
-// is safe for any number of concurrent missions.
+// of (vehicle profile, control period): the quad recovery LQR gain (a
+// DARE solve) and the EKF covariance/gain schedule. The engine seam
+// attaches one process-wide Shared per (profile, dt) key to every
+// mission via Config.Shared (internal/fleet's SharedFor registry); each
+// pipeline then references the caches instead of recomputing them. All
+// contents are immutable after construction (the EKF schedule extends
+// itself lazily behind its own synchronization), so one Shared is safe
+// for any number of concurrent missions.
 type Shared struct {
 	profile vehicle.ProfileName
 	dtBits  uint64
 
 	lqrQuad *mat.Mat // hover LQR gain; nil for rovers
 	ekf     *ekf.Schedule
-
-	mu    sync.Mutex
-	specs map[diagnosis.Delta]*diagnosis.GraphSpec
 }
 
 // NewShared builds the shared caches for one (profile, dt) pair.
@@ -46,7 +41,6 @@ func NewShared(p vehicle.Profile, dt float64) (*Shared, error) {
 		dtBits:  math.Float64bits(dt),
 		lqrQuad: k,
 		ekf:     ekf.NewSchedule(p, dt),
-		specs:   make(map[diagnosis.Delta]*diagnosis.GraphSpec),
 	}, nil
 }
 
@@ -59,17 +53,3 @@ func (s *Shared) Matches(name vehicle.ProfileName, dt float64) bool {
 
 // ProfileName identifies the profile the caches were built for.
 func (s *Shared) ProfileName() vehicle.ProfileName { return s.profile }
-
-// graphSpec returns the compiled diagnosis graph spec for δ, compiling
-// and caching it on first use. Per-key lookup only — the map is never
-// iterated, so it cannot leak ordering.
-func (s *Shared) graphSpec(delta diagnosis.Delta) *diagnosis.GraphSpec {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sp, ok := s.specs[delta]
-	if !ok {
-		sp = diagnosis.CompileSpec(delta)
-		s.specs[delta] = sp
-	}
-	return sp
-}

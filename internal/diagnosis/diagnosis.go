@@ -123,77 +123,37 @@ type SensorVerdict struct {
 // pairwise errors (e_{t−1}, e_t).
 const histLen = 2
 
-// GraphSpec is the precompiled, immutable structure of the per-sensor
-// diagnosis graphs for one δ calibration: which channels each sensor
-// graph monitors (Table 1 filtered by δ) and the variable/factor names.
-// The graphs themselves stay per-diagnoser — their threshold factors
-// read each diagnoser's private error window through evidence-cell
-// pointers — but the structural enumeration is a pure function of δ, so
-// one spec serves every mission sharing a calibration (the fleet
-// executor caches specs per δ alongside the other profile caches).
-type GraphSpec struct {
-	specs   []sensorSpec
-	maxVars int
-}
-
-// sensorSpec is one sensor's monitored-channel layout.
-type sensorSpec struct {
-	typ    sensors.Type
-	states []sensors.StateIndex
-	names  []string // variable names, idx.String()
-	fnames []string // factor names, "f_"+idx.String()
-}
-
-// CompileSpec precomputes the diagnosis graph structure for δ.
-func CompileSpec(delta Delta) *GraphSpec {
-	spec := &GraphSpec{}
+// NewDeLorean returns the FG diagnoser with calibrated thresholds. The
+// per-sensor factor graphs over the monitored channels (Table 1) are
+// built here, once; their factors read the error evidence through the
+// diagnoser's evidence cells.
+func NewDeLorean(delta Delta) *DeLorean {
+	d := &DeLorean{delta: delta}
+	maxVars := 0
 	for _, typ := range sensors.AllTypes() {
-		ss := sensorSpec{typ: typ}
+		g := fg.New()
+		nvars := 0
 		for _, idx := range sensors.StatesOf(typ) {
 			if delta[idx] <= 0 {
 				continue // unmonitored channel on this RV
 			}
-			ss.states = append(ss.states, idx)
-			ss.names = append(ss.names, idx.String())
-			ss.fnames = append(ss.fnames, "f_"+idx.String())
-		}
-		if len(ss.states) == 0 {
-			continue // sensor entirely unmonitored on this RV
-		}
-		spec.specs = append(spec.specs, ss)
-		if len(ss.states) > spec.maxVars {
-			spec.maxVars = len(ss.states)
-		}
-	}
-	return spec
-}
-
-// NewDeLorean returns the FG diagnoser with calibrated thresholds. The
-// per-sensor factor graphs over the monitored channels (Table 1) are
-// built once at construction; their factors read the error evidence
-// through the diagnoser's evidence cells.
-func NewDeLorean(delta Delta) *DeLorean {
-	return NewDeLoreanSpec(delta, CompileSpec(delta))
-}
-
-// NewDeLoreanSpec builds the diagnoser from a precompiled graph spec.
-// spec must have been compiled from the same δ; the constructed
-// diagnoser is identical to NewDeLorean(delta)'s.
-func NewDeLoreanSpec(delta Delta, spec *GraphSpec) *DeLorean {
-	d := &DeLorean{delta: delta}
-	for _, ss := range spec.specs {
-		g := fg.New()
-		for i, idx := range ss.states {
-			v := g.AddVariable(ss.names[i])
+			v := g.AddVariable(idx.String())
 			g.AddFactor(
-				ss.fnames[i],
+				"f_"+idx.String(),
 				fg.ThresholdFactorAt(&d.evPrev[idx], &d.evCur[idx], delta[idx]),
 				v,
 			)
+			nvars++
 		}
-		d.graphs = append(d.graphs, sensorGraph{typ: ss.typ, g: g, nvars: len(ss.states)})
+		if nvars == 0 {
+			continue // sensor entirely unmonitored on this RV
+		}
+		d.graphs = append(d.graphs, sensorGraph{typ: typ, g: g, nvars: nvars})
+		if nvars > maxVars {
+			maxVars = nvars
+		}
 	}
-	d.margBuf = make([]float64, spec.maxVars)
+	d.margBuf = make([]float64, maxVars)
 	return d
 }
 

@@ -1,8 +1,6 @@
 package ekf_test
 
-// Hot-path benchmarks for the EKF step cycle. These use only the filter's
-// public API, so scripts/bench_compare.sh can run the identical file
-// against the pre-optimization tree for before/after numbers.
+// Hot-path benchmarks for the EKF step cycle.
 
 import (
 	"testing"

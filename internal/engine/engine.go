@@ -1,17 +1,15 @@
 // Package engine is the unified mission-execution seam: one interface
-// over the repo's execution paths — the per-goroutine parallel runner
-// (internal/runner), the shared-cache fleet executor (internal/fleet),
-// and the long-lived sharded service pool (runner.Pool). Every consumer
-// that used to pick an executor ad hoc (the experiments package's
-// Options.Fleet branch, the mission service's attachShared +
-// Pool.Submit wiring) now dispatches through an Engine.
+// over the repo's two execution paths — the stateless parallel runner
+// (internal/runner's Run) and the long-lived sharded service pool
+// (runner.Pool). Experiments, campaigns and the mission service all
+// dispatch through an Engine instead of wiring an executor ad hoc.
 //
-// Every engine attaches the process-wide per-(profile, dt) shared caches
-// to its jobs and dispatches missions one at a time to its workers, so
-// the runner and fleet engines differ in name only; the pool adds
-// admission control and in-order streaming.
+// Both engines attach the process-wide per-(profile, dt) shared caches
+// (internal/fleet's SharedFor registry) to their jobs and dispatch
+// missions one at a time to their workers; the pool adds admission
+// control and in-order streaming.
 //
-// The seam's contract is the one every executor already honors: jobs are
+// The seam's contract is the one both executors honor: jobs are
 // pre-drawn and fully seeded before submission, results are indexed by
 // submission order, telemetry is reduced strictly in submission order,
 // and the lowest-indexed failure is the reported error. Consequently the
@@ -23,7 +21,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/fleet"
 	"repro/internal/runner"
@@ -57,7 +54,7 @@ type Options struct {
 // error (lowest-indexed failure), and the telemetry reduce order are
 // engine-invariant.
 type Engine interface {
-	// Name identifies the engine ("runner", "fleet", "pool").
+	// Name identifies the engine ("runner", "pool").
 	Name() string
 	// Run executes the jobs and returns their results indexed by
 	// submission order. On error the lowest-indexed failure is returned;
@@ -66,37 +63,36 @@ type Engine interface {
 	Run(ctx context.Context, jobs []Job, opt Options) ([]sim.Result, error)
 }
 
-// Runner returns the per-goroutine parallel runner engine — one
-// goroutine per in-flight mission, the latency-optimized default.
+// Runner returns the stateless parallel engine: the shared caches
+// attached, then runner.Run, which hands each free worker the next
+// mission.
 func Runner() Engine { return runnerEngine{} }
 
-// Fleet returns the fleet engine — fleet.Run: the shared per-(profile,
-// dt) caches attached, then one mission at a time to every worker.
-func Fleet() Engine { return fleetEngine{} }
+// Fleet returns the same engine as Runner.
+//
+// Deprecated: use Runner. Fleet remains only for the benchmark module.
+func Fleet() Engine { return Runner() }
 
-// Names lists the engines constructible by name, in preference order.
-func Names() []string { return []string{"runner", "fleet"} }
-
-// ByName resolves a stateless engine from its name. The pool engine is
-// excluded: it wraps a caller-owned runner.Pool (see NewPool).
-func ByName(name string) (Engine, error) {
-	switch name {
-	case "runner":
-		return runnerEngine{}, nil
-	case "fleet":
-		return fleetEngine{}, nil
+// attachShared points every job whose config has no shared caches yet at
+// the process-wide cache for its (profile, dt), in place, so a sweep's
+// missions reference one DARE solution and one EKF covariance schedule
+// instead of rebuilding them per mission. A preset Config.Shared is
+// kept. Results are bit-identical with or without the caches
+// (TestEnginesByteIdentical pins this). A profile that cannot build
+// shared caches still executes: its missions run unshared, and any
+// underlying defect (an unsolvable DARE, say) surfaces as the same
+// per-mission construction error a bare runner.Run would report.
+func attachShared(jobs []Job) {
+	for i := range jobs {
+		cfg := &jobs[i].Cfg
+		if cfg.Shared != nil {
+			continue
+		}
+		if sh, err := fleet.SharedFor(cfg.Profile, cfg.DT); err == nil {
+			cfg.Shared = sh
+		}
 	}
-	return nil, fmt.Errorf("engine: unknown engine %q (have runner, fleet)", name)
 }
-
-// AttachShared points every job whose config has no shared caches yet at
-// the process-wide per-(profile, dt) caches (fleet.Attach), so a sweep's
-// missions reference one DARE solution, one EKF covariance schedule, and
-// one compiled diagnosis graph spec instead of rebuilding them per
-// mission. Results are bit-identical with or without the caches (the
-// fleet equivalence suite pins this). Every engine applies this
-// uniformly, so no dispatcher needs its own cache wiring.
-func AttachShared(jobs []Job) { fleet.Attach(jobs) }
 
 // runnerEngine adapts runner.Run to the seam.
 type runnerEngine struct{}
@@ -104,20 +100,8 @@ type runnerEngine struct{}
 func (runnerEngine) Name() string { return "runner" }
 
 func (runnerEngine) Run(ctx context.Context, jobs []Job, opt Options) ([]sim.Result, error) {
-	AttachShared(jobs)
+	attachShared(jobs)
 	return runner.Run(ctx, jobs, runner.Options{
-		Workers: opt.Workers, Progress: opt.Progress, Telemetry: opt.Telemetry,
-	})
-}
-
-// fleetEngine adapts fleet.Run to the seam. The fleet attaches the
-// shared caches itself.
-type fleetEngine struct{}
-
-func (fleetEngine) Name() string { return "fleet" }
-
-func (fleetEngine) Run(ctx context.Context, jobs []Job, opt Options) ([]sim.Result, error) {
-	return fleet.Run(ctx, jobs, runner.Options{
 		Workers: opt.Workers, Progress: opt.Progress, Telemetry: opt.Telemetry,
 	})
 }

@@ -64,17 +64,9 @@ func suite(t testing.TB, n int, profiles []vehicle.ProfileName) []Job {
 	return jobs
 }
 
-// runOn executes a fresh suite on the engine and renders its telemetry
-// report.
-func runOn(t *testing.T, eng Engine, n int, opt Options) ([]sim.Result, []byte) {
+// reportBytes renders a collector's telemetry report.
+func reportBytes(t *testing.T, col *telemetry.Collector) []byte {
 	t.Helper()
-	col := telemetry.NewCollector()
-	col.Begin("equiv")
-	opt.Telemetry = col
-	res, err := eng.Run(context.Background(), suite(t, n, mixed), opt)
-	if err != nil {
-		t.Fatalf("%s: %v", eng.Name(), err)
-	}
 	rep, err := col.Report(telemetry.Meta{Generator: "engine-test"})
 	if err != nil {
 		t.Fatalf("report: %v", err)
@@ -83,41 +75,89 @@ func runOn(t *testing.T, eng Engine, n int, opt Options) ([]sim.Result, []byte) 
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatalf("write report: %v", err)
 	}
-	return res, buf.Bytes()
+	return buf.Bytes()
 }
 
-// engines under test: the two stateless engines plus a pool engine over
-// a fresh 4-shard pool. The cleanup closes the pool after the test.
+// runBare executes a fresh suite on runner.Run with no shared caches
+// attached, so every mission builds its own setup, and renders its
+// telemetry report: the reference every engine must match.
+func runBare(t *testing.T, n int, profiles []vehicle.ProfileName) ([]sim.Result, []byte) {
+	t.Helper()
+	col := telemetry.NewCollector()
+	col.Begin("equiv")
+	res, err := runner.Run(context.Background(), suite(t, n, profiles), runner.Options{Workers: 2, Telemetry: col})
+	if err != nil {
+		t.Fatalf("bare runner: %v", err)
+	}
+	return res, reportBytes(t, col)
+}
+
+// runOn executes a fresh suite on the engine, checks that every mission
+// ran on the shared caches, and renders its telemetry report.
+func runOn(t *testing.T, eng Engine, n int, profiles []vehicle.ProfileName, opt Options) ([]sim.Result, []byte) {
+	t.Helper()
+	col := telemetry.NewCollector()
+	col.Begin("equiv")
+	opt.Telemetry = col
+	jobs := suite(t, n, profiles)
+	res, err := eng.Run(context.Background(), jobs, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", eng.Name(), err)
+	}
+	for i := range jobs {
+		if jobs[i].Cfg.Shared == nil {
+			t.Errorf("%s: job %d ran without shared caches", eng.Name(), i)
+		}
+	}
+	return res, reportBytes(t, col)
+}
+
+// testEngines are the engines under test: the stateless runner engine
+// and a pool engine over a fresh 4-shard pool. The cleanup closes the
+// pool after the test.
 func testEngines(t *testing.T) []Engine {
 	t.Helper()
 	p := runner.NewPool(4, 64)
 	t.Cleanup(p.Close)
-	return []Engine{Runner(), Fleet(), NewPool(p)}
+	return []Engine{Runner(), NewPool(p)}
 }
 
 // TestEnginesByteIdentical is the seam's headline contract: for the same
 // pre-drawn job list, every engine produces deeply equal results and a
-// byte-identical telemetry report, at worker counts 1 and 4.
+// byte-identical telemetry report, at worker counts 1 and 4, and both
+// equal a bare runner.Run without the shared caches. It runs the
+// mixed-profile suite and a single-profile copter suite, the shape of a
+// campaign shard, whose subtests carry a "copter/" prefix.
 func TestEnginesByteIdentical(t *testing.T) {
 	const n = 10
-	wantRes, wantRep := runOn(t, Runner(), n, Options{Workers: 1})
-	for _, eng := range testEngines(t) {
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("%s/workers=%d", eng.Name(), workers)
-			t.Run(name, func(t *testing.T) {
-				gotRes, gotRep := runOn(t, eng, n, Options{Workers: workers})
-				if len(gotRes) != len(wantRes) {
-					t.Fatalf("results = %d, want %d", len(gotRes), len(wantRes))
-				}
-				for i := range wantRes {
-					if !reflect.DeepEqual(gotRes[i], wantRes[i]) {
-						t.Errorf("job %d: %s result diverged from runner reference", i, eng.Name())
+	suites := []struct {
+		prefix   string
+		profiles []vehicle.ProfileName
+	}{
+		{"", mixed},
+		{"copter/", copter},
+	}
+	engines := testEngines(t)
+	for _, s := range suites {
+		wantRes, wantRep := runBare(t, n, s.profiles)
+		for _, eng := range engines {
+			for _, workers := range []int{1, 4} {
+				name := fmt.Sprintf("%s%s/workers=%d", s.prefix, eng.Name(), workers)
+				t.Run(name, func(t *testing.T) {
+					gotRes, gotRep := runOn(t, eng, n, s.profiles, Options{Workers: workers})
+					if len(gotRes) != len(wantRes) {
+						t.Fatalf("results = %d, want %d", len(gotRes), len(wantRes))
 					}
-				}
-				if !bytes.Equal(gotRep, wantRep) {
-					t.Errorf("%s telemetry report differs from runner reference", name)
-				}
-			})
+					for i := range wantRes {
+						if !reflect.DeepEqual(gotRes[i], wantRes[i]) {
+							t.Errorf("job %d: %s result diverged from the bare runner reference", i, eng.Name())
+						}
+					}
+					if !bytes.Equal(gotRep, wantRep) {
+						t.Errorf("%s telemetry report differs from the bare runner reference", name)
+					}
+				})
+			}
 		}
 	}
 }
@@ -126,7 +166,7 @@ func TestEnginesByteIdentical(t *testing.T) {
 // engine reports the lowest-indexed failure with the job's label, and
 // surviving jobs still carry valid results.
 func TestEnginesLowestIndexedError(t *testing.T) {
-	wantRes, _ := runOn(t, Runner(), 6, Options{Workers: 2})
+	wantRes, _ := runBare(t, 6, mixed)
 	for _, eng := range testEngines(t) {
 		t.Run(eng.Name(), func(t *testing.T) {
 			jobs := suite(t, 6, mixed)
@@ -145,7 +185,7 @@ func TestEnginesLowestIndexedError(t *testing.T) {
 			}
 			for _, i := range []int{0, 1, 3, 5} {
 				if !reflect.DeepEqual(res[i], wantRes[i]) {
-					t.Errorf("surviving job %d diverged from runner reference", i)
+					t.Errorf("surviving job %d diverged from the bare runner reference", i)
 				}
 			}
 		})
@@ -270,27 +310,11 @@ func TestPoolSubmitRejections(t *testing.T) {
 	}
 }
 
-// TestByName covers the engine registry used by CLI flags.
-func TestByName(t *testing.T) {
-	for _, name := range Names() {
-		eng, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-		if eng.Name() != name {
-			t.Errorf("ByName(%q).Name() = %q", name, eng.Name())
-		}
-	}
-	if _, err := ByName("warp"); err == nil {
-		t.Error("unknown engine name did not error")
-	}
-}
-
 // TestAttachSharedIdempotent: attaching twice or over a pre-attached
 // config is a no-op, and configs keep their caches per (profile, dt).
 func TestAttachSharedIdempotent(t *testing.T) {
 	jobs := suite(t, 4, mixed)
-	AttachShared(jobs)
+	attachShared(jobs)
 	first := make([]*core.Shared, len(jobs))
 	for i := range jobs {
 		if jobs[i].Cfg.Shared == nil {
@@ -298,7 +322,7 @@ func TestAttachSharedIdempotent(t *testing.T) {
 		}
 		first[i] = jobs[i].Cfg.Shared
 	}
-	AttachShared(jobs)
+	attachShared(jobs)
 	for i := range jobs {
 		if jobs[i].Cfg.Shared != first[i] {
 			t.Errorf("job %d: re-attach replaced the cache", i)

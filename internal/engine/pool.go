@@ -6,17 +6,16 @@ import (
 
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // Pool adapts a long-lived runner.Pool to the engine seam. Unlike the
-// stateless runner/fleet engines it carries admission control — a
-// submission that does not fit the pool's bounded queue is rejected
-// whole with runner.ErrQueueFull, and a draining pool rejects with
+// stateless Runner engine it carries admission control — a submission
+// that does not fit the pool's bounded queue is rejected whole with
+// runner.ErrQueueFull, and a draining pool rejects with
 // runner.ErrDraining — and it exposes the pool's in-submission-order
-// streaming release (Submit) on top of the batch-synchronous Engine
-// contract (Run). The mission service streams; the campaign layer and
-// tests may Run.
+// streaming release (Submit) on top of the synchronous Engine contract
+// (Run). The mission service streams; the campaign layer and tests may
+// Run.
 type Pool struct {
 	pool *runner.Pool
 }
@@ -33,7 +32,7 @@ func (*Pool) Name() string { return "pool" }
 // submission order. Errors pass through from runner.Pool.Submit
 // (ErrQueueFull, ErrDraining) so callers can shed load.
 func (p *Pool) Submit(ctx context.Context, jobs []Job) (*Stream, error) {
-	AttachShared(jobs)
+	attachShared(jobs)
 	results := make([]sim.Result, len(jobs))
 	ticket, err := p.pool.Submit(ctx, len(jobs), func(ctx context.Context, i int) error {
 		res, err := sim.RunContext(ctx, jobs[i].Cfg)
@@ -77,23 +76,12 @@ func (p *Pool) Run(ctx context.Context, jobs []Job, opt Options) ([]sim.Result, 
 		return st.results, fmt.Errorf("engine: pool job %d (%s): %w", firstErr, jobs[firstErr].Label, st.Err(firstErr))
 	}
 	if opt.Telemetry != nil {
-		reduceTelemetry(st.results, opt.Telemetry)
+		runner.ReduceTelemetry(st.results, opt.Telemetry)
 	}
 	return st.results, nil
 }
 
-// reduceTelemetry is the engine seam's deterministic reduce: per-job
-// telemetry is collected strictly in submission order, never completion
-// order, mirroring the runner's. It is a declared root of the puretick
-// proof — everything it reaches must stay free of nondeterminism
-// sources.
-func reduceTelemetry(results []sim.Result, c *telemetry.Collector) {
-	for i := range results {
-		c.Add(results[i].Telemetry)
-	}
-}
-
-// Stream is the handle to one submitted batch on the pool engine:
+// Stream is the handle to one submission on the pool engine:
 // finished indices are released strictly in submission order (Ready
 // yields 0, 1, 2, … and is closed after the last), which is what carries
 // the engines' byte-identity contract across a streaming consumer at any

@@ -8,8 +8,8 @@
 // as a serial sweep would — and then submits the resulting jobs through
 // the unified execution seam (internal/engine), reducing the results in
 // submission order. Randomness is therefore fixed before fan-out and the
-// rendered tables are byte-identical at any worker count and under any
-// engine (per-goroutine runner, shared-cache fleet, service pool).
+// rendered tables are byte-identical at any worker count and on any
+// engine (the parallel runner or the service pool).
 //
 // The registry (registry.go) exposes each experiment behind the
 // Experiment interface; cmd/experiments drives them and renders the
@@ -63,17 +63,6 @@ type Options struct {
 	// to whichever experiment happened to trigger them would make report
 	// content depend on experiment selection.
 	Collector *telemetry.Collector
-	// Engine selects the execution engine every sweep dispatches through.
-	// Nil selects the per-goroutine runner, or the fleet executor
-	// when Fleet is set. All engines are byte-identical (the seam's
-	// contract, pinned by internal/engine's equivalence suite); the choice
-	// changes throughput only.
-	Engine engine.Engine
-	// Fleet selects the fleet executor when Engine is nil: missions are
-	// dispatched one at a time to every worker over shared
-	// per-(profile, dt) caches. Output is byte-identical to the runner's;
-	// only throughput changes.
-	Fleet bool
 }
 
 // withDefaults fills unset options.
@@ -90,29 +79,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// engine resolves the execution engine: an explicit Options.Engine wins,
-// then the Fleet shorthand, then the runner default.
-func (o Options) engine() engine.Engine {
-	if o.Engine != nil {
-		return o.Engine
-	}
-	if o.Fleet {
-		return engine.Fleet()
-	}
-	return engine.Runner()
-}
-
 // engineOptions extracts the execution knobs for the engine seam.
 func (o Options) engineOptions() engine.Options {
 	return engine.Options{Workers: o.Workers, Progress: o.Progress, Telemetry: o.Collector}
 }
 
-// sweep executes pre-drawn jobs on the selected execution engine,
-// returning results in submission order. Engines are interchangeable
-// byte for byte; every experiment funnels through here, so the engine
-// choice covers the whole evaluation.
+// sweep executes pre-drawn jobs on the runner engine, returning results
+// in submission order. Every experiment funnels through here.
 func sweep(ctx context.Context, jobs []runner.Job, opt Options) ([]sim.Result, error) {
-	return opt.engine().Run(ctx, jobs, opt.engineOptions())
+	return engine.Runner().Run(ctx, jobs, opt.engineOptions())
 }
 
 // scenario is one mission draw: plan, wind, timing, and seed.

@@ -1,8 +1,7 @@
 package fg_test
 
-// Benchmark for the factor-graph inference path the diagnosis engine
-// drives. Public API only, so scripts/bench_compare.sh can run the same
-// file against the pre-optimization tree.
+// Benchmarks for the factor-graph inference path the diagnosis engine
+// drives.
 
 import (
 	"testing"
@@ -44,5 +43,32 @@ func BenchmarkFGMarginalAllVars(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkFGMarginalsSteady is the cached-graph steady state the
+// diagnosis engine now runs: graphs built once with evidence-cell
+// factors, each step rewriting the cells, invalidating, and reading the
+// marginals into a reused buffer. Must report 0 allocs/op.
+func BenchmarkFGMarginalsSteady(b *testing.B) {
+	const n = 6
+	ePrev := make([]float64, n)
+	eCur := make([]float64, n)
+	g := fg.New()
+	for i := 0; i < n; i++ {
+		v := g.AddVariable("s")
+		g.AddFactor("f", fg.ThresholdFactorAt(&ePrev[i], &eCur[i], 1), v)
+	}
+	buf := make([]float64, n)
+	g.MarginalsInto(buf) // warm the enumeration scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < n; j++ {
+			ePrev[j] = float64((i + j) % 3)
+			eCur[j] = ePrev[j]
+		}
+		g.Invalidate()
+		g.MarginalsInto(buf)
 	}
 }

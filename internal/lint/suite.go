@@ -62,9 +62,9 @@ func DefaultAnalyzers() []*Analyzer {
 				modulePath + "/internal/mission",
 				corePath,
 				runnerPath,
-				// The fleet executor attaches the process-wide shared
-				// caches every mission reads; its cache registry is part of
-				// the same byte-identity surface as the runner's.
+				// The process-wide shared-cache registry every mission
+				// reads is part of the same byte-identity surface as the
+				// runner.
 				fleetPath,
 				telemetryPath,
 				// The trace codec and the replay/bus sources are part of
@@ -90,15 +90,14 @@ func DefaultAnalyzers() []*Analyzer {
 		Puretick(PuretickConfig{
 			Roots: []FuncRef{
 				corePath + ":Pipeline.Tick",
-				runnerPath + ":reduceTelemetry",
+				// The in-order reduce is the one place every engine's
+				// results flow through on their way into a report.
+				runnerPath + ":ReduceTelemetry",
 				// One control period: the whole in-mission step path,
 				// which every executor reaches through RunContext (whose
 				// cancellation select sits outside Step): no select, no
 				// clock, no global rand anywhere a Step can reach.
 				simPath + ":Mission.Step",
-				// The engine seam's in-order reduce is the one place every
-				// engine's results flow through on their way into a report.
-				enginePath + ":reduceTelemetry",
 			},
 			ClockPath: clockPath,
 			Sinks:     defaultSinks(),

@@ -10,16 +10,16 @@ import (
 
 // Pool is the long-lived, sharded variant of Do for the mission service:
 // a fixed set of executor shards pulling from one bounded queue that
-// outlives any single sweep. Where Do is born and dies with one batch,
-// the Pool accepts batches (tickets) for as long as the service runs,
-// enforces backpressure by rejecting submissions that do not fit the
-// queue, and drains gracefully — in-flight work finishes, new work is
-// refused.
+// outlives any single sweep. Where Do is born and dies with one sweep,
+// the Pool accepts submissions (tickets) for as long as the service
+// runs, enforces backpressure by rejecting submissions that do not fit
+// the queue, and drains gracefully — in-flight work finishes, new work
+// is refused.
 //
 // Determinism survives the pool the same way it survives Do: a ticket's
 // indices are released to the consumer strictly in submission order
 // (Ticket.Ready), never completion order, so the bytes a consumer
-// derives from a batch are identical at any shard count.
+// derives from a submission are identical at any shard count.
 var (
 	// ErrQueueFull rejects a submission that does not fit the bounded
 	// queue; the caller should shed load (HTTP 429) and retry later.
@@ -135,7 +135,9 @@ func (p *Pool) Submit(ctx context.Context, n int, fn func(ctx context.Context, i
 }
 
 // shard is one executor goroutine: it pulls queued items until the pool
-// closes, running each through its ticket.
+// closes, running each through its ticket. An item's outcome is counted
+// in the stats before the ticket releases it, so a consumer that has
+// seen every index released reads stats that include them all.
 func (p *Pool) shard() {
 	defer p.wg.Done()
 	for tk := range p.tasks {
@@ -144,7 +146,7 @@ func (p *Pool) shard() {
 		p.active++
 		p.mu.Unlock()
 
-		err := tk.t.run(tk.i)
+		err := tk.t.execute(tk.i)
 
 		p.mu.Lock()
 		p.active--
@@ -155,6 +157,8 @@ func (p *Pool) shard() {
 		}
 		p.cond.Broadcast()
 		p.mu.Unlock()
+
+		tk.t.release(tk.i, err)
 	}
 }
 
@@ -218,7 +222,7 @@ func (p *Pool) Stats() PoolStats {
 	return s
 }
 
-// Ticket is the handle to one submitted batch. Results are released in
+// Ticket is the handle to one submission. Results are released in
 // submission order: Ready yields 0, 1, 2, … as soon as every index up to
 // and including that one has finished, and is closed after the last. The
 // in-order release is what carries the runner's determinism contract
@@ -236,26 +240,30 @@ type Ticket struct {
 	ready chan int
 }
 
-// run executes index i (or skips it when the submission's ctx is already
-// done), records the outcome, and releases any newly contiguous prefix.
-func (t *Ticket) run(i int) error {
-	err := t.ctx.Err()
-	if err == nil {
-		err = runOne(t.ctx, i, t.fn)
+// execute runs index i, or skips it with the ctx error when the
+// submission's ctx is already done, and returns the outcome.
+func (t *Ticket) execute(i int) error {
+	if err := t.ctx.Err(); err != nil {
+		return err
 	}
+	return runOne(t.ctx, i, t.fn)
+}
+
+// release records index i's outcome and releases any newly contiguous
+// prefix.
+func (t *Ticket) release(i int, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.errs[i] = err
 	t.done[i] = true
 	for t.next < t.n && t.done[t.next] {
-		// Never blocks: ready is buffered to the batch size.
+		// Never blocks: ready is buffered to the submission size.
 		t.ready <- t.next
 		t.next++
 	}
 	if t.next == t.n {
 		close(t.ready)
 	}
-	return err
 }
 
 // Ready yields finished indices in submission order and is closed after

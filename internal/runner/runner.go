@@ -82,17 +82,17 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]sim.Result, error) {
 		return results, fmt.Errorf("runner: job %d (%s): %w", de.index, jobs[de.index].Label, de.err)
 	}
 	if err == nil && opt.Telemetry != nil {
-		reduceTelemetry(results, opt.Telemetry)
+		ReduceTelemetry(results, opt.Telemetry)
 	}
 	return results, err
 }
 
-// reduceTelemetry is the deterministic reduce: per-job telemetry is
-// collected strictly in submission order, never completion order, so the
-// aggregated run report is byte-identical at any worker count. It is a
-// declared root of the puretick proof — everything it reaches must stay
-// free of nondeterminism sources.
-func reduceTelemetry(results []sim.Result, c *telemetry.Collector) {
+// ReduceTelemetry is the deterministic reduce every engine shares:
+// per-job telemetry is collected strictly in submission order, never
+// completion order, so the aggregated run report is byte-identical at
+// any worker count. It is a declared root of the puretick proof —
+// everything it reaches must stay free of nondeterminism sources.
+func ReduceTelemetry(results []sim.Result, c *telemetry.Collector) {
 	for i := range results {
 		c.Add(results[i].Telemetry)
 	}

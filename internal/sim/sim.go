@@ -74,10 +74,9 @@ type Config struct {
 	TraceTransitions bool
 
 	// Shared optionally attaches the per-(profile, DT) read-only caches
-	// the fleet executor builds once per batch (recovery LQR gain, EKF
-	// covariance schedule, diagnosis graph specs). Results are
-	// bit-identical with or without it; Validate rejects a mismatched
-	// profile or control period.
+	// the engine seam builds once per process (quad recovery LQR gain,
+	// EKF covariance schedule). Results are bit-identical with or without
+	// it; Validate rejects a mismatched profile or control period.
 	Shared *core.Shared
 }
 
@@ -202,7 +201,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 // time it. Both run the identical per-tick code in the identical order.
 type Mission struct {
 	cfg     Config
-	fw      *core.Framework
+	fw      *core.Pipeline
 	tel     *telemetry.Recorder
 	gusts   *wind.Model
 	src     sensors.Source
