@@ -21,11 +21,10 @@ lint:
 race:
 	$(GO) test -race -short ./...
 
-# Un-short race pass over the parallel runner, the engine seam, and the
-# workers=1-vs-8 determinism sweep — the places a data race could
-# corrupt results.
+# Un-short race pass over the executor (internal/engine: the pool, the
+# runner engine, the equivalence suite) and the workers=1-vs-8
+# determinism sweep — the places a data race could corrupt results.
 race-runner:
-	$(GO) test -race -timeout 1800s ./internal/runner
 	$(GO) test -race -timeout 1800s ./internal/engine
 	$(GO) test -race -timeout 1800s -run 'TestParallelDeterminism|TestDeltaForSingleflight|TestReportDeterminism' ./internal/experiments
 

@@ -9,7 +9,7 @@ package repro_test
 //
 // BenchmarkExperiments drives every registered experiment through the
 // registry at both 1 worker and all CPUs, so `-bench Experiments` doubles
-// as a local speedup measurement for the parallel runner.
+// as a local speedup measurement for the parallel executor.
 
 import (
 	"context"
@@ -30,7 +30,7 @@ func benchOpt(seed int64) experiments.Options {
 
 // BenchmarkExperiments runs every registered experiment via the registry
 // at workers=1 and workers=NumCPU; comparing the two sub-benchmark
-// wall-clocks measures the runner's parallel speedup (output is identical
+// wall-clocks measures the executor's parallel speedup (output is identical
 // either way — see TestParallelDeterminism).
 func BenchmarkExperiments(b *testing.B) {
 	for _, workers := range []int{1, runtime.NumCPU()} {

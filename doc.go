@@ -27,7 +27,7 @@
 // replays the committed trace over real HTTP against the same golden.
 //
 // Every execution path — experiment sweeps, campaign shards, and the
-// service pool — dispatches through one engine seam (internal/engine):
+// service — runs on one executor, the sharded pool of internal/engine:
 // pre-drawn seeded jobs in, submission-order results and telemetry out,
 // with the process-wide per-(profile, dt) setup caches attached to every
 // mission. On top of it, internal/campaign runs declarative

@@ -126,9 +126,9 @@ type Options struct {
 	// ShardDone, when non-nil, is called after each shard completes or is
 	// skipped via resume, with the number of settled shards and the total.
 	ShardDone func(done, total int)
-	// Progress, when non-nil, receives per-mission completion counts
-	// within the currently executing shard.
-	Progress func(completed, total int)
+	// Progress, when non-nil, receives released-mission counts within
+	// the currently executing shard (engine.Options.Progress).
+	Progress func(released, total int)
 }
 
 // ErrHalted reports a run stopped by Options.HaltAfter with its

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/runner"
 )
 
 // testSpec is the suite's study: a small real grid — two vehicle
@@ -96,7 +95,7 @@ func TestShardRanges(t *testing.T) {
 // persisted vs in-memory runs.
 func TestStudyInvariance(t *testing.T) {
 	want := renderStudy(t, Options{Shards: 1, Workers: 1})
-	serial, wide := runner.NewPool(1, 0), runner.NewPool(runtime.NumCPU(), 0)
+	serial, wide := engine.NewPool(1, 0), engine.NewPool(runtime.NumCPU(), 0)
 	t.Cleanup(serial.Close)
 	t.Cleanup(wide.Close)
 	variants := []struct {
@@ -106,8 +105,8 @@ func TestStudyInvariance(t *testing.T) {
 		{"shards=4", Options{Shards: 4, Workers: 1}},
 		{"shards=16", Options{Shards: 16, Workers: 1}},
 		{"workers=N", Options{Shards: 4, Workers: runtime.NumCPU()}},
-		{"engine=pool", Options{Shards: 1, Engine: engine.NewPool(serial)}},
-		{"engine=pool/shards=4/workers=N", Options{Shards: 4, Engine: engine.NewPool(wide)}},
+		{"engine=pool", Options{Shards: 1, Engine: serial}},
+		{"engine=pool/shards=4/workers=N", Options{Shards: 4, Engine: wide}},
 		{"checkpointed", Options{Shards: 4, Workers: 1, Dir: t.TempDir()}},
 	}
 	for _, v := range variants {

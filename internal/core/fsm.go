@@ -124,7 +124,7 @@ func (f *FSM) Reset() { f.mode = ModeNominal }
 
 // Transition moves the machine to the target state, attributing the
 // transition to the pipeline stage that caused it. Illegal transitions
-// panic: they are pipeline programming errors, and the parallel runner
+// panic: they are pipeline programming errors, and the executor
 // converts panics into mission errors rather than corrupt results.
 func (f *FSM) Transition(tick int, to Mode, cause telemetry.Stage) {
 	if !LegalTransition(f.mode, to) {

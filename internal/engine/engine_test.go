@@ -13,7 +13,6 @@ import (
 	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/mission"
-	"repro/internal/runner"
 	"repro/internal/sensors"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -78,16 +77,23 @@ func reportBytes(t *testing.T, col *telemetry.Collector) []byte {
 	return buf.Bytes()
 }
 
-// runBare executes a fresh suite on runner.Run with no shared caches
-// attached, so every mission builds its own setup, and renders its
-// telemetry report: the reference every engine must match.
+// runBare executes a fresh suite serially on sim.RunContext — no
+// executor and no shared caches, so every mission builds its own setup —
+// and renders its telemetry report: the reference every engine must
+// match.
 func runBare(t *testing.T, n int, profiles []vehicle.ProfileName) ([]sim.Result, []byte) {
 	t.Helper()
 	col := telemetry.NewCollector()
 	col.Begin("equiv")
-	res, err := runner.Run(context.Background(), suite(t, n, profiles), runner.Options{Workers: 2, Telemetry: col})
-	if err != nil {
-		t.Fatalf("bare runner: %v", err)
+	jobs := suite(t, n, profiles)
+	res := make([]sim.Result, len(jobs))
+	for i := range jobs {
+		r, err := sim.RunContext(context.Background(), jobs[i].Cfg)
+		if err != nil {
+			t.Fatalf("bare %s: %v", jobs[i].Label, err)
+		}
+		res[i] = r
+		col.Add(r.Telemetry)
 	}
 	return res, reportBytes(t, col)
 }
@@ -113,21 +119,21 @@ func runOn(t *testing.T, eng Engine, n int, profiles []vehicle.ProfileName, opt 
 }
 
 // testEngines are the engines under test: the stateless runner engine
-// and a pool engine over a fresh 4-shard pool. The cleanup closes the
-// pool after the test.
+// and a fresh long-lived 4-shard pool. The cleanup closes the pool after
+// the test.
 func testEngines(t *testing.T) []Engine {
 	t.Helper()
-	p := runner.NewPool(4, 64)
+	p := NewPool(4, 64)
 	t.Cleanup(p.Close)
-	return []Engine{Runner(), NewPool(p)}
+	return []Engine{Runner(), p}
 }
 
 // TestEnginesByteIdentical is the seam's headline contract: for the same
 // pre-drawn job list, every engine produces deeply equal results and a
 // byte-identical telemetry report, at worker counts 1 and 4, and both
-// equal a bare runner.Run without the shared caches. It runs the
-// mixed-profile suite and a single-profile copter suite, the shape of a
-// campaign shard, whose subtests carry a "copter/" prefix.
+// equal a serial sim.RunContext loop without the shared caches. It runs
+// the mixed-profile suite and a single-profile copter suite, the shape of
+// a campaign shard, whose subtests carry a "copter/" prefix.
 func TestEnginesByteIdentical(t *testing.T) {
 	const n = 10
 	suites := []struct {
@@ -150,11 +156,11 @@ func TestEnginesByteIdentical(t *testing.T) {
 					}
 					for i := range wantRes {
 						if !reflect.DeepEqual(gotRes[i], wantRes[i]) {
-							t.Errorf("job %d: %s result diverged from the bare runner reference", i, eng.Name())
+							t.Errorf("job %d: %s result diverged from the bare serial reference", i, eng.Name())
 						}
 					}
 					if !bytes.Equal(gotRep, wantRep) {
-						t.Errorf("%s telemetry report differs from the bare runner reference", name)
+						t.Errorf("%s telemetry report differs from the bare serial reference", name)
 					}
 				})
 			}
@@ -185,7 +191,7 @@ func TestEnginesLowestIndexedError(t *testing.T) {
 			}
 			for _, i := range []int{0, 1, 3, 5} {
 				if !reflect.DeepEqual(res[i], wantRes[i]) {
-					t.Errorf("surviving job %d diverged from the bare runner reference", i)
+					t.Errorf("surviving job %d diverged from the bare serial reference", i)
 				}
 			}
 		})
@@ -265,13 +271,32 @@ func TestEnginesCancelledContext(t *testing.T) {
 	}
 }
 
+// TestEnginesEmptyJobList: an empty job list returns no results and a
+// bare ctx.Err() from every engine — nil on a live context.
+func TestEnginesEmptyJobList(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, eng := range testEngines(t) {
+		t.Run(eng.Name(), func(t *testing.T) {
+			for _, c := range []struct {
+				ctx  context.Context
+				want error
+			}{{context.Background(), nil}, {cancelled, context.Canceled}} {
+				res, err := eng.Run(c.ctx, nil, Options{Workers: 2})
+				if len(res) != 0 || err != c.want {
+					t.Errorf("Run(nil) = %d results, %v; want none, %v", len(res), err, c.want)
+				}
+			}
+		})
+	}
+}
+
 // TestPoolStreamSubmissionOrder pins the streaming release: Ready yields
 // exactly 0..n-1 in order regardless of completion interleaving.
 func TestPoolStreamSubmissionOrder(t *testing.T) {
-	p := runner.NewPool(4, 64)
+	p := NewPool(4, 64)
 	defer p.Close()
-	eng := NewPool(p)
-	st, err := eng.Submit(context.Background(), suite(t, 8, mixed))
+	st, err := p.Submit(context.Background(), suite(t, 8, mixed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,17 +320,16 @@ func TestPoolStreamSubmissionOrder(t *testing.T) {
 	}
 }
 
-// TestPoolSubmitRejections pass the pool's admission errors through the
-// seam unchanged so dispatchers can shed load on them.
+// TestPoolSubmitRejections: Submit returns the pool's admission errors
+// unchanged so dispatchers can shed load on them.
 func TestPoolSubmitRejections(t *testing.T) {
-	p := runner.NewPool(1, 2)
+	p := NewPool(1, 2)
 	defer p.Close()
-	eng := NewPool(p)
-	if _, err := eng.Submit(context.Background(), suite(t, 8, mixed)); !errors.Is(err, runner.ErrQueueFull) {
+	if _, err := p.Submit(context.Background(), suite(t, 8, mixed)); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("oversized submit: err = %v, want ErrQueueFull", err)
 	}
 	p.BeginDrain()
-	if _, err := eng.Submit(context.Background(), suite(t, 1, mixed)); !errors.Is(err, runner.ErrDraining) {
+	if _, err := p.Submit(context.Background(), suite(t, 1, mixed)); !errors.Is(err, ErrDraining) {
 		t.Errorf("draining submit: err = %v, want ErrDraining", err)
 	}
 }

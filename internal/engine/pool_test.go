@@ -1,4 +1,4 @@
-package runner
+package engine
 
 import (
 	"context"
@@ -14,7 +14,7 @@ func TestPoolRunsAllAndReleasesInOrder(t *testing.T) {
 	defer p.Close()
 	const n = 32
 	var results [n]int
-	tk, err := p.Submit(context.Background(), n, func(_ context.Context, i int) error {
+	tk, err := p.submit(context.Background(), n, func(_ context.Context, i int) error {
 		results[i] = i * i
 		return nil
 	})
@@ -51,16 +51,16 @@ func TestPoolRunsAllAndReleasesInOrder(t *testing.T) {
 func TestPoolQueueFull(t *testing.T) {
 	p := NewPool(1, 1)
 	defer p.Close()
-	_, err := p.Submit(context.Background(), 2, func(context.Context, int) error { return nil })
+	_, err := p.submit(context.Background(), 2, func(context.Context, int) error { return nil })
 	if !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("Submit(2) on depth-1 pool: err = %v, want ErrQueueFull", err)
+		t.Fatalf("submit(2) on depth-1 pool: err = %v, want ErrQueueFull", err)
 	}
 	st := p.Stats()
 	if st.Rejected != 1 || st.Submitted != 0 || st.Queued != 0 {
 		t.Errorf("stats after rejection = %+v", st)
 	}
 	// The queue is untouched: a fitting submission still goes through.
-	tk, err := p.Submit(context.Background(), 1, func(context.Context, int) error { return nil })
+	tk, err := p.submit(context.Background(), 1, func(context.Context, int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestPoolDrainWaitsForInflight(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var finished atomic.Bool
-	tk, err := p.Submit(context.Background(), 1, func(context.Context, int) error {
+	tk, err := p.submit(context.Background(), 1, func(context.Context, int) error {
 		close(started)
 		<-release
 		finished.Store(true)
@@ -90,8 +90,8 @@ func TestPoolDrainWaitsForInflight(t *testing.T) {
 	<-started
 
 	p.BeginDrain()
-	if _, err := p.Submit(context.Background(), 1, func(context.Context, int) error { return nil }); !errors.Is(err, ErrDraining) {
-		t.Fatalf("Submit on draining pool: err = %v, want ErrDraining", err)
+	if _, err := p.submit(context.Background(), 1, func(context.Context, int) error { return nil }); !errors.Is(err, ErrDraining) {
+		t.Fatalf("submit on draining pool: err = %v, want ErrDraining", err)
 	}
 
 	drained := make(chan error, 1)
@@ -121,7 +121,7 @@ func TestPoolDrainTimeout(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	_, err := p.Submit(context.Background(), 1, func(context.Context, int) error {
+	_, err := p.submit(context.Background(), 1, func(context.Context, int) error {
 		close(started)
 		<-release
 		return nil
@@ -137,13 +137,14 @@ func TestPoolDrainTimeout(t *testing.T) {
 	}
 }
 
-// TestTicketWaitReportsLowestFailure mirrors Do's error contract: Wait
-// returns the lowest-indexed failure regardless of completion order, and
-// a panic inside fn is converted to an error rather than killing a shard.
+// TestTicketWaitReportsLowestFailure pins the error contract Run
+// reports: Wait returns the lowest-indexed failure regardless of
+// completion order, and a panic inside fn is converted to an error
+// rather than killing a shard.
 func TestTicketWaitReportsLowestFailure(t *testing.T) {
 	p := NewPool(4, 64)
 	defer p.Close()
-	tk, err := p.Submit(context.Background(), 8, func(_ context.Context, i int) error {
+	tk, err := p.submit(context.Background(), 8, func(_ context.Context, i int) error {
 		switch i {
 		case 2:
 			return fmt.Errorf("boom %d", i)
@@ -164,7 +165,7 @@ func TestTicketWaitReportsLowestFailure(t *testing.T) {
 		t.Errorf("stats = %+v, want 2 failed / 6 completed", st)
 	}
 	// The pool is still serviceable after a panic.
-	tk2, err := p.Submit(context.Background(), 1, func(context.Context, int) error { return nil })
+	tk2, err := p.submit(context.Background(), 1, func(context.Context, int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestPoolSubmissionCtxCancelSkipsQueued(t *testing.T) {
 	defer p.Close()
 	started := make(chan struct{})
 	release := make(chan struct{})
-	blocker, err := p.Submit(context.Background(), 1, func(context.Context, int) error {
+	blocker, err := p.submit(context.Background(), 1, func(context.Context, int) error {
 		close(started)
 		<-release
 		return nil
@@ -191,7 +192,7 @@ func TestPoolSubmissionCtxCancelSkipsQueued(t *testing.T) {
 	}
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
-	tk, err := p.Submit(ctx, 3, func(context.Context, int) error { return nil })
+	tk, err := p.submit(ctx, 3, func(context.Context, int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +210,11 @@ func TestPoolSubmissionCtxCancelSkipsQueued(t *testing.T) {
 func TestPoolRejectsEmptySubmission(t *testing.T) {
 	p := NewPool(1, 4)
 	defer p.Close()
-	if _, err := p.Submit(context.Background(), 0, func(context.Context, int) error { return nil }); err == nil {
-		t.Error("Submit(0) should fail")
+	if _, err := p.submit(context.Background(), 0, func(context.Context, int) error { return nil }); err == nil {
+		t.Error("submit(0) should fail")
+	}
+	if _, err := p.Submit(context.Background(), nil); err == nil {
+		t.Error("Submit of no jobs should fail")
 	}
 }
 
@@ -218,7 +222,7 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	p := NewPool(2, 4)
 	p.Close()
 	p.Close()
-	if _, err := p.Submit(context.Background(), 1, func(context.Context, int) error { return nil }); !errors.Is(err, ErrDraining) {
-		t.Fatalf("Submit after Close: err = %v, want ErrDraining", err)
+	if _, err := p.submit(context.Background(), 1, func(context.Context, int) error { return nil }); !errors.Is(err, ErrDraining) {
+		t.Fatalf("submit after Close: err = %v, want ErrDraining", err)
 	}
 }

@@ -1,4 +1,4 @@
-package runner
+package engine
 
 import (
 	"bytes"
@@ -52,7 +52,7 @@ func TestParallelReplayDeterminism(t *testing.T) {
 	report := func(workers int) []byte {
 		col := telemetry.NewCollector()
 		col.Begin("replay-sweep")
-		if _, err := Run(context.Background(), replayJobs(), Options{Workers: workers, Telemetry: col}); err != nil {
+		if _, err := Runner().Run(context.Background(), replayJobs(), Options{Workers: workers, Telemetry: col}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		rep, err := col.Report(telemetry.Meta{Generator: "replay-sweep", Missions: 6, Seed: base.Seed})

@@ -1,4 +1,4 @@
-package runner
+package engine
 
 import (
 	"context"
@@ -45,11 +45,11 @@ func resultKey(r sim.Result) string {
 
 func TestRunPreservesSubmissionOrder(t *testing.T) {
 	jobs := tinyJobs(6)
-	serial, err := Run(context.Background(), jobs, Options{Workers: 1})
+	serial, err := Runner().Run(context.Background(), jobs, Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("serial run: %v", err)
 	}
-	parallel, err := Run(context.Background(), jobs, Options{Workers: 4})
+	parallel, err := Runner().Run(context.Background(), jobs, Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("parallel run: %v", err)
 	}
@@ -80,7 +80,7 @@ func TestRunConvertsWorkerPanicToLabeledError(t *testing.T) {
 	jobs := tinyJobs(4)
 	jobs[2].Label = "tiny/poisoned"
 	jobs[2].Cfg.Detector = panicDetector{}
-	_, err := Run(context.Background(), jobs, Options{Workers: 2})
+	_, err := Runner().Run(context.Background(), jobs, Options{Workers: 2})
 	if err == nil {
 		t.Fatal("panicking job did not surface an error")
 	}
@@ -91,65 +91,83 @@ func TestRunConvertsWorkerPanicToLabeledError(t *testing.T) {
 	}
 }
 
+// TestDoReturnsLowestIndexedError: a ticket's Wait reports the
+// lowest-indexed failure regardless of scheduling, unwrapping to the
+// callback's own error.
 func TestDoReturnsLowestIndexedError(t *testing.T) {
 	sentinel := errors.New("boom")
-	err := Do(context.Background(), 10, Options{Workers: 4}, func(_ context.Context, i int) error {
+	p := sweepPool(4, 10)
+	defer p.Close()
+	tk, err := p.submit(context.Background(), 10, func(_ context.Context, i int) error {
 		if i >= 2 {
 			return fmt.Errorf("i=%d: %w", i, sentinel)
 		}
 		return nil
 	})
-	var de *doError
-	if !errors.As(err, &de) {
-		t.Fatalf("err = %v, want *doError", err)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if de.index != 2 {
-		t.Errorf("error index = %d, want 2 (lowest failure regardless of scheduling)", de.index)
+	err = tk.Wait()
+	var je *jobError
+	if !errors.As(err, &je) {
+		t.Fatalf("err = %v, want *jobError", err)
+	}
+	if je.index != 2 {
+		t.Errorf("error index = %d, want 2 (lowest failure regardless of scheduling)", je.index)
 	}
 	if !errors.Is(err, sentinel) {
-		t.Error("doError does not unwrap to the original error")
+		t.Error("jobError does not unwrap to the original error")
 	}
 }
 
+// TestDoCancellationStopsDispatch: cancelling a sweep's ctx mid-flight
+// skips the items still queued instead of running them.
 func TestDoCancellationStopsDispatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var executed atomic.Int64
 	const n = 50
-	err := Do(ctx, n, Options{Workers: 2}, func(ctx context.Context, i int) error {
+	p := sweepPool(2, n)
+	defer p.Close()
+	tk, err := p.submit(ctx, n, func(ctx context.Context, i int) error {
 		executed.Add(1)
 		if i == 0 {
 			cancel()
 			return nil
 		}
-		// Later jobs block until the cancellation propagates, pinning the
-		// workers so the dispatcher must observe ctx.Done.
+		// Later items block until the cancellation propagates, pinning
+		// the shards so the queued rest must observe ctx.Done.
 		<-ctx.Done()
 		return ctx.Err()
 	})
-	if !errors.Is(err, context.Canceled) {
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tk.Wait(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if got := executed.Load(); got >= n {
-		t.Errorf("all %d jobs executed despite mid-sweep cancellation", got)
+		t.Errorf("all %d items executed despite mid-sweep cancellation", got)
 	}
 }
 
 func TestRunCancelledContextInterruptsMissions(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, tinyJobs(3), Options{Workers: 2})
+	_, err := Runner().Run(ctx, tinyJobs(3), Options{Workers: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
+// TestDoProgressMonotonicAndComplete: Progress counts released jobs —
+// serialized, 1..n, each with the sweep's total.
 func TestDoProgressMonotonicAndComplete(t *testing.T) {
 	var calls [][2]int
-	opt := Options{Workers: 3, Progress: func(completed, total int) {
-		calls = append(calls, [2]int{completed, total}) // serialized by the runner
+	opt := Options{Workers: 3, Progress: func(released, total int) {
+		calls = append(calls, [2]int{released, total}) // serialized by Run
 	}}
-	if err := Do(context.Background(), 7, opt, func(context.Context, int) error { return nil }); err != nil {
+	if _, err := Runner().Run(context.Background(), tinyJobs(7), opt); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) != 7 {
@@ -163,22 +181,31 @@ func TestDoProgressMonotonicAndComplete(t *testing.T) {
 }
 
 func TestDoZeroJobs(t *testing.T) {
-	if err := Do(context.Background(), 0, Options{}, func(context.Context, int) error {
-		t.Error("fn called for empty sweep")
-		return nil
-	}); err != nil {
-		t.Errorf("err = %v", err)
+	res, err := Runner().Run(context.Background(), nil, Options{Progress: func(int, int) {
+		t.Error("progress called for empty sweep")
+	}})
+	if err != nil || len(res) != 0 {
+		t.Errorf("Run(nil) = %d results, %v; want none, nil", len(res), err)
 	}
 }
 
+// TestWorkersDefaultsAndCaps: a sweep's pool has Workers shards, all CPUs
+// by default, capped at the job count, over a queue that holds the
+// whole sweep.
 func TestWorkersDefaultsAndCaps(t *testing.T) {
-	if got := (Options{}).workers(4); got < 1 || got > 4 {
-		t.Errorf("default workers = %d, want within [1, 4]", got)
-	}
-	if got := (Options{Workers: 8}).workers(3); got != 3 {
-		t.Errorf("workers capped = %d, want 3", got)
-	}
-	if got := (Options{Workers: 2}).workers(100); got != 2 {
-		t.Errorf("workers = %d, want 2", got)
+	for _, c := range []struct{ workers, n, lo, hi int }{
+		{0, 4, 1, 4},
+		{8, 3, 3, 3},
+		{2, 100, 2, 2},
+	} {
+		p := sweepPool(c.workers, c.n)
+		st := p.Stats()
+		p.Close()
+		if st.Shards < c.lo || st.Shards > c.hi {
+			t.Errorf("sweepPool(%d, %d) shards = %d, want within [%d, %d]", c.workers, c.n, st.Shards, c.lo, c.hi)
+		}
+		if st.QueueDepth != c.n {
+			t.Errorf("sweepPool(%d, %d) queue depth = %d, want %d", c.workers, c.n, st.QueueDepth, c.n)
+		}
 	}
 }

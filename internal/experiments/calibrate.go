@@ -8,7 +8,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/diagnosis"
-	"repro/internal/runner"
+	"repro/internal/engine"
 	"repro/internal/sensors"
 	"repro/internal/stat"
 	"repro/internal/vehicle"
@@ -41,12 +41,12 @@ func Calibrate(ctx context.Context, p vehicle.Profile, opt Options) (Calibration
 	out := CalibrationResult{Profile: p.Name, Missions: opt.Missions}
 
 	heldMissions := opt.Missions/2 + 1
-	var jobs []runner.Job
+	var jobs []engine.Job
 	for i := 0; i < opt.Missions+heldMissions; i++ {
 		sc := drawScenario(p, rng, opt.Wind)
 		cfg := sc.simConfig(p, core.StrategyNone, core.DefaultDelta(p), 15)
 		cfg.CollectErrors = true
-		jobs = append(jobs, runner.Job{
+		jobs = append(jobs, engine.Job{
 			Label: fmt.Sprintf("calibrate/%s/mission=%d/seed=%d", p.Name, i, sc.seed),
 			Cfg:   cfg,
 		})
@@ -116,7 +116,7 @@ func StealthyWindow(ctx context.Context, p vehicle.Profile, opt Options) (Stealt
 	out := StealthyWindowResult{Profile: p.Name, DetectedAll: true}
 
 	const attackDur = 30.0
-	var jobs []runner.Job
+	var jobs []engine.Job
 	starts := make([]float64, 0, opt.Missions)
 	for i := 0; i < opt.Missions; i++ {
 		sc := drawScenario(p, rng, opt.Wind)
@@ -130,7 +130,7 @@ func StealthyWindow(ctx context.Context, p vehicle.Profile, opt Options) (Stealt
 		cfg := sc.simConfig(p, core.StrategyDeLorean, core.DefaultDelta(p), 60)
 		cfg.Attacks = attack.NewSchedule(sda)
 		cfg.TraceEvery = 5
-		jobs = append(jobs, runner.Job{
+		jobs = append(jobs, engine.Job{
 			Label: fmt.Sprintf("fig8b/%s/mission=%d/seed=%d", p.Name, i, sc.seed),
 			Cfg:   cfg,
 		})
@@ -207,18 +207,18 @@ func Overheads(ctx context.Context, p vehicle.Profile, delta diagnosis.Delta, wi
 	rng := rand.New(rand.NewSource(opt.Seed + 13))
 	out := OverheadResult{Profile: p.Name, WindowSec: window}
 
-	var jobs []runner.Job
+	var jobs []engine.Job
 	for i := 0; i < opt.Missions; i++ {
 		sc := drawScenario(p, rng, opt.Wind)
 		atk := sc.buildAttack(rng, 1+rng.Intn(2))
 		cfg := sc.simConfig(p, core.StrategyDeLorean, delta, window)
 		cfg.Attacks = atk
 		jobs = append(jobs,
-			runner.Job{
+			engine.Job{
 				Label: fmt.Sprintf("overheads/%s/mission=%d/seed=%d", p.Name, i, sc.seed),
 				Cfg:   cfg,
 			},
-			runner.Job{
+			engine.Job{
 				Label: fmt.Sprintf("overheads/%s/gt/mission=%d/seed=%d", p.Name, i, sc.seed),
 				Cfg:   sc.simConfig(p, core.StrategyDeLorean, delta, window),
 			})

@@ -9,9 +9,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/diagnosis"
+	"repro/internal/engine"
 	"repro/internal/floats"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/sensors"
 )
 
@@ -72,7 +72,7 @@ func Table4(ctx context.Context, opt Options) (Table4Result, error) {
 	}
 
 	for _, fac := range diagnoserFactories() {
-		var jobs []runner.Job
+		var jobs []engine.Job
 		var wantTargets []sensors.TypeSet
 		// Identical attack draws across techniques: re-seed per technique
 		// with the same master seed (§6.1: "We launched the same attacks
@@ -92,7 +92,7 @@ func Table4(ctx context.Context, opt Options) (Table4Result, error) {
 				cfg := sc.simConfig(p, core.StrategyDeLorean, delta, 15)
 				cfg.Diagnoser = fac.build(delta)
 				cfg.Attacks = attack.NewSchedule(sda)
-				jobs = append(jobs, runner.Job{
+				jobs = append(jobs, engine.Job{
 					Label: fmt.Sprintf("table4/%s/k=%d/mission=%d/seed=%d", fac.name, k, i, sc.seed),
 					Cfg:   cfg,
 				})
@@ -121,7 +121,7 @@ func Table4(ctx context.Context, opt Options) (Table4Result, error) {
 				{sc.attackStart, sc.attackStart + 2},
 				{sc.attackStart + 8, sc.attackStart + 10},
 			}}
-			jobs = append(jobs, runner.Job{
+			jobs = append(jobs, engine.Job{
 				Label: fmt.Sprintf("table4/%s/fp/mission=%d/seed=%d", fac.name, i, sc.seed),
 				Cfg:   cfg,
 			})

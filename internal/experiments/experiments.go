@@ -9,7 +9,7 @@
 // the unified execution seam (internal/engine), reducing the results in
 // submission order. Randomness is therefore fixed before fan-out and the
 // rendered tables are byte-identical at any worker count and on any
-// engine (the parallel runner or the service pool).
+// engine (a per-sweep pool or the service's long-lived one).
 //
 // The registry (registry.go) exposes each experiment behind the
 // Experiment interface; cmd/experiments drives them and renders the
@@ -27,7 +27,6 @@ import (
 	"repro/internal/diagnosis"
 	"repro/internal/engine"
 	"repro/internal/mission"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/vehicle"
@@ -47,16 +46,17 @@ type Options struct {
 	// uses a 0–3 m/s draw to keep the LQR-O baseline within its
 	// paper-reported operating regime (see DESIGN.md substitution notes).
 	Wind float64
-	// Workers sizes the parallel mission runner's pool; <= 0 uses all
-	// CPUs. Worker count affects wall-clock time only — experiment
-	// output is byte-identical at any setting.
+	// Workers sizes each sweep's mission pool; <= 0 uses all CPUs.
+	// Worker count affects wall-clock time only — experiment output is
+	// byte-identical at any setting.
 	Workers int
-	// Progress, when non-nil, receives mission-completion counts from
+	// Progress, when non-nil, receives released-mission counts from
 	// each sweep an experiment submits (the count restarts at every
-	// sweep). Calls are serialized by the runner.
-	Progress func(completed, total int)
+	// sweep). Missions are released in submission order, so calls are
+	// serialized.
+	Progress func(released, total int)
 	// Collector, when non-nil, aggregates every mission's telemetry into
-	// the run report. Experiments run sequentially and the runner feeds
+	// the run report. Experiments run sequentially and the executor feeds
 	// the collector in submission order, so the report is byte-identical
 	// at any Workers setting. The δ-calibration sweeps behind DeltaFor are
 	// excluded: they are memoized across experiments, so attributing them
@@ -86,7 +86,7 @@ func (o Options) engineOptions() engine.Options {
 
 // sweep executes pre-drawn jobs on the runner engine, returning results
 // in submission order. Every experiment funnels through here.
-func sweep(ctx context.Context, jobs []runner.Job, opt Options) ([]sim.Result, error) {
+func sweep(ctx context.Context, jobs []engine.Job, opt Options) ([]sim.Result, error) {
 	return engine.Runner().Run(ctx, jobs, opt.engineOptions())
 }
 

@@ -6,8 +6,8 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/sensors"
 	"repro/internal/vehicle"
 )
@@ -51,7 +51,7 @@ func Table5(ctx context.Context, opt Options) (Table5Result, error) {
 	profiles := simProfiles()
 	strategies := table5Strategies()
 
-	var jobs []runner.Job
+	var jobs []engine.Job
 	for _, strat := range strategies {
 		out.Techniques = append(out.Techniques, strat.String())
 		rng := rand.New(rand.NewSource(opt.Seed)) // same draws per technique
@@ -66,7 +66,7 @@ func Table5(ctx context.Context, opt Options) (Table5Result, error) {
 				}
 				cfg := sc.simConfig(p, strat, delta, 15)
 				cfg.Attacks = atk
-				jobs = append(jobs, runner.Job{
+				jobs = append(jobs, engine.Job{
 					Label: fmt.Sprintf("table5/%s/k=%d/mission=%d/seed=%d", strat, k, i, sc.seed),
 					Cfg:   cfg,
 				})
@@ -140,7 +140,7 @@ func Table6(ctx context.Context, opt Options) (Table6Result, error) {
 	profiles := simProfiles()
 	strategies := []core.Strategy{core.StrategyLQRO, core.StrategyDeLorean}
 
-	var jobs []runner.Job
+	var jobs []engine.Job
 	for _, strat := range strategies {
 		rng := rand.New(rand.NewSource(opt.Seed))
 		for k := 1; k <= 5; k++ {
@@ -155,11 +155,11 @@ func Table6(ctx context.Context, opt Options) (Table6Result, error) {
 				cfg := sc.simConfig(p, strat, delta, 15)
 				cfg.Attacks = atk
 				jobs = append(jobs,
-					runner.Job{
+					engine.Job{
 						Label: fmt.Sprintf("table6/%s/k=%d/mission=%d/seed=%d", strat, k, i, sc.seed),
 						Cfg:   cfg,
 					},
-					runner.Job{
+					engine.Job{
 						Label: fmt.Sprintf("table6/gt/k=%d/mission=%d/seed=%d", k, i, sc.seed),
 						Cfg:   sc.simConfig(p, core.StrategyNone, delta, 15),
 					})
@@ -274,7 +274,7 @@ func Table7(ctx context.Context, opt Options) (Table7Result, error) {
 		fpMissions = 4
 	}
 
-	var jobs []runner.Job
+	var jobs []engine.Job
 	// wantTargets[j] holds, for attacked job j, the mounted target set
 	// for exact-identification scoring (empty for FP-probe jobs).
 	var wantTargets []sensors.TypeSet
@@ -291,7 +291,7 @@ func Table7(ctx context.Context, opt Options) (Table7Result, error) {
 				atk := sc.buildAttack(rng, k)
 				cfg := sc.simConfig(p, core.StrategyDeLorean, delta, 15)
 				cfg.Attacks = atk
-				jobs = append(jobs, runner.Job{
+				jobs = append(jobs, engine.Job{
 					Label: fmt.Sprintf("table7/%s/k=%d/mission=%d/seed=%d", name, k, i, sc.seed),
 					Cfg:   cfg,
 				})
@@ -302,7 +302,7 @@ func Table7(ctx context.Context, opt Options) (Table7Result, error) {
 		// a diagnosis FP.
 		for i := 0; i < fpMissions; i++ {
 			sc := drawScenario(p, rng, opt.Wind)
-			jobs = append(jobs, runner.Job{
+			jobs = append(jobs, engine.Job{
 				Label: fmt.Sprintf("table7/%s/fp/mission=%d/seed=%d", name, i, sc.seed),
 				Cfg:   sc.simConfig(p, core.StrategyDeLorean, delta, 15),
 			})

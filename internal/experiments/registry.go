@@ -9,7 +9,7 @@ import (
 // Experiment is one runnable table or figure of the paper's evaluation.
 // Run regenerates the experiment at the given scale and renders its
 // markdown to w. Implementations draw all randomness from opt.Seed before
-// fanning missions out to the parallel runner, so output is byte-identical
+// fanning missions out to the executor, so output is byte-identical
 // at any opt.Workers setting.
 type Experiment interface {
 	Name() string

@@ -7,9 +7,9 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/mission"
-	"repro/internal/runner"
 	"repro/internal/sensors"
 	"repro/internal/sim"
 	"repro/internal/vehicle"
@@ -67,7 +67,7 @@ func fig2Scenario(ctx context.Context, strategy core.Strategy, opt Options) (Tra
 	gtCfg.Attacks = nil
 	gtCfg.TraceEvery = 0
 
-	results, err := sweep(ctx, []runner.Job{
+	results, err := sweep(ctx, []engine.Job{
 		{Label: fmt.Sprintf("fig2/%s/attacked", strategy), Cfg: cfg},
 		{Label: fmt.Sprintf("fig2/%s/gt", strategy), Cfg: gtCfg},
 	}, opt)
@@ -176,7 +176,7 @@ func Fig10(ctx context.Context, opt Options) ([]Fig10Result, error) {
 	}
 
 	const start, dur = 10.0, 25.0
-	var jobs []runner.Job
+	var jobs []engine.Job
 	for _, ep := range episodes {
 		// Derived per-episode rng: the master stream advances by exactly
 		// one Int63 per episode regardless of how many draws the SDA
@@ -198,8 +198,8 @@ func Fig10(ctx context.Context, opt Options) ([]Fig10Result, error) {
 		gtCfg.Attacks = nil
 		gtCfg.TraceEvery = 5
 		jobs = append(jobs,
-			runner.Job{Label: fmt.Sprintf("fig10/%s/attacked", ep.name), Cfg: cfg},
-			runner.Job{Label: fmt.Sprintf("fig10/%s/gt", ep.name), Cfg: gtCfg})
+			engine.Job{Label: fmt.Sprintf("fig10/%s/attacked", ep.name), Cfg: cfg},
+			engine.Job{Label: fmt.Sprintf("fig10/%s/gt", ep.name), Cfg: gtCfg})
 	}
 
 	results, err := sweep(ctx, jobs, opt)

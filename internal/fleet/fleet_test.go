@@ -1,4 +1,4 @@
-package fleet
+package fleet_test
 
 import (
 	"bytes"
@@ -10,8 +10,9 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/fleet"
 	"repro/internal/mission"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/vehicle"
@@ -22,18 +23,18 @@ import (
 // periods get distinct caches.
 func TestSharedForMemoizes(t *testing.T) {
 	p := vehicle.MustProfile(vehicle.ArduCopter)
-	a, err := SharedFor(p, 0.01)
+	a, err := fleet.SharedFor(p, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SharedFor(p, 0)
+	b, err := fleet.SharedFor(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("dt=0 did not share the 0.01-default cache")
 	}
-	c, err := SharedFor(p, 0.02)
+	c, err := fleet.SharedFor(p, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,10 +50,10 @@ func TestSharedForMemoizes(t *testing.T) {
 // missions, attacked and clean, every draw derived from one master seed.
 // Each call builds fresh stateful collaborators (attack schedules), so
 // the same suite can be executed more than once.
-func shardSuite(n int) []runner.Job {
+func shardSuite(n int) []engine.Job {
 	rng := rand.New(rand.NewSource(42))
 	p := vehicle.MustProfile(vehicle.ArduCopter)
-	jobs := make([]runner.Job, n)
+	jobs := make([]engine.Job, n)
 	for i := range jobs {
 		cfg := sim.Config{
 			Profile:   p,
@@ -73,20 +74,14 @@ func shardSuite(n int) []runner.Job {
 		if i%3 == 0 {
 			cfg.Attacks = attack.NewSchedule(sda)
 		}
-		jobs[i] = runner.Job{Label: fmt.Sprintf("shard/%d", i), Cfg: cfg}
+		jobs[i] = engine.Job{Label: fmt.Sprintf("shard/%d", i), Cfg: cfg}
 	}
 	return jobs
 }
 
-// runShard executes jobs on runner.Run and renders the telemetry report.
-func runShard(t *testing.T, jobs []runner.Job, workers int) ([]sim.Result, []byte) {
+// reportBytes renders a collector's telemetry report.
+func reportBytes(t *testing.T, col *telemetry.Collector) []byte {
 	t.Helper()
-	col := telemetry.NewCollector()
-	col.Begin("equiv")
-	res, err := runner.Run(context.Background(), jobs, runner.Options{Workers: workers, Telemetry: col})
-	if err != nil {
-		t.Fatalf("runner: %v", err)
-	}
 	rep, err := col.Report(telemetry.Meta{Generator: "fleet-test"})
 	if err != nil {
 		t.Fatalf("report: %v", err)
@@ -95,22 +90,54 @@ func runShard(t *testing.T, jobs []runner.Job, workers int) ([]sim.Result, []byt
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatalf("write report: %v", err)
 	}
-	return res, buf.Bytes()
+	return buf.Bytes()
+}
+
+// runBare executes jobs serially on sim.RunContext — no executor, and no
+// caches unless a job carries them — and renders the telemetry report.
+func runBare(t *testing.T, jobs []engine.Job) ([]sim.Result, []byte) {
+	t.Helper()
+	col := telemetry.NewCollector()
+	col.Begin("equiv")
+	res := make([]sim.Result, len(jobs))
+	for i := range jobs {
+		r, err := sim.RunContext(context.Background(), jobs[i].Cfg)
+		if err != nil {
+			t.Fatalf("bare %s: %v", jobs[i].Label, err)
+		}
+		res[i] = r
+		col.Add(r.Telemetry)
+	}
+	return res, reportBytes(t, col)
+}
+
+// runShard executes jobs on engine.Runner() and renders the telemetry
+// report.
+func runShard(t *testing.T, jobs []engine.Job, workers int) ([]sim.Result, []byte) {
+	t.Helper()
+	col := telemetry.NewCollector()
+	col.Begin("equiv")
+	res, err := engine.Runner().Run(context.Background(), jobs, engine.Options{Workers: workers, Telemetry: col})
+	if err != nil {
+		t.Fatalf("runner: %v", err)
+	}
+	return res, reportBytes(t, col)
 }
 
 // TestFleetShardSweepMatchesRunner is the registry's headline contract
 // on the shape of a campaign shard — one profile, attacked and clean
 // missions: with every job on the SharedFor caches, results and the
-// telemetry report are byte-identical to a bare runner sweep in which
-// each mission builds its own caches, at worker counts 1 and 4.
+// telemetry report of an engine.Runner() sweep are byte-identical to a
+// bare serial loop in which each mission builds its own caches, at
+// worker counts 1 and 4.
 func TestFleetShardSweepMatchesRunner(t *testing.T) {
 	const n = 6
-	wantRes, wantReport := runShard(t, shardSuite(n), 2)
+	wantRes, wantReport := runBare(t, shardSuite(n))
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			jobs := shardSuite(n)
 			for i := range jobs {
-				sh, err := SharedFor(jobs[i].Cfg.Profile, jobs[i].Cfg.DT)
+				sh, err := fleet.SharedFor(jobs[i].Cfg.Profile, jobs[i].Cfg.DT)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -122,11 +149,11 @@ func TestFleetShardSweepMatchesRunner(t *testing.T) {
 			}
 			for i := range wantRes {
 				if !reflect.DeepEqual(gotRes[i], wantRes[i]) {
-					t.Errorf("job %d: result on shared caches diverged from the bare runner", i)
+					t.Errorf("job %d: result on shared caches diverged from the bare serial reference", i)
 				}
 			}
 			if !bytes.Equal(gotReport, wantReport) {
-				t.Errorf("telemetry report differs from the bare runner reference (workers=%d)", workers)
+				t.Errorf("telemetry report differs from the bare serial reference (workers=%d)", workers)
 			}
 		})
 	}

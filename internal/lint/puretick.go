@@ -9,7 +9,7 @@ import (
 type PuretickConfig struct {
 	// Roots are the FuncRefs whose transitive callees must be free of
 	// nondeterminism sources: the per-tick defense pipeline entry and the
-	// runner's deterministic reduce path.
+	// executor's deterministic reduce path.
 	Roots []FuncRef
 	// ClockPath is the sanctioned wall-clock seam named in diagnostics.
 	ClockPath string

@@ -10,7 +10,7 @@ import (
 // SharedWriteConfig scopes the sharedwrite analyzer.
 type SharedWriteConfig struct {
 	// Runners are FuncRefs of pool primitives whose func-typed arguments
-	// execute on worker goroutines (e.g. the runner package's Do), so the
+	// execute on worker goroutines (e.g. the engine pool's submit), so the
 	// closures passed to them are held to the same confinement rules as
 	// go-statement bodies.
 	Runners []FuncRef

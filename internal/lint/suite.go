@@ -13,7 +13,6 @@ const (
 	clockPath     = modulePath + "/internal/clock"
 	telemetryPath = modulePath + "/internal/telemetry"
 	corePath      = modulePath + "/internal/core"
-	runnerPath    = modulePath + "/internal/runner"
 	fleetPath     = modulePath + "/internal/fleet"
 	enginePath    = modulePath + "/internal/engine"
 	campaignPath  = modulePath + "/internal/campaign"
@@ -61,10 +60,9 @@ func DefaultAnalyzers() []*Analyzer {
 				modulePath + "/internal/experiments",
 				modulePath + "/internal/mission",
 				corePath,
-				runnerPath,
 				// The process-wide shared-cache registry every mission
 				// reads is part of the same byte-identity surface as the
-				// runner.
+				// engine.
 				fleetPath,
 				telemetryPath,
 				// The trace codec and the replay/bus sources are part of
@@ -77,7 +75,7 @@ func DefaultAnalyzers() []*Analyzer {
 				// the clock seam (quota refill) and randomness through
 				// explicitly seeded rngs (experiment seed pre-draw).
 				servicePath,
-				// The engine seam fans any engine's results back into
+				// The executor releases and reduces every sweep's results in
 				// submission order; the campaign layer draws its job list
 				// from the spec seed and merges shard reports byte-exactly.
 				// Neither may consult the wall clock or unseeded rand, or
@@ -90,9 +88,8 @@ func DefaultAnalyzers() []*Analyzer {
 		Puretick(PuretickConfig{
 			Roots: []FuncRef{
 				corePath + ":Pipeline.Tick",
-				// The in-order reduce is the one place every engine's
-				// results flow through on their way into a report.
-				runnerPath + ":ReduceTelemetry",
+				// The executor's in-order telemetry reduce.
+				enginePath + ":ReduceTelemetry",
 				// One control period: the whole in-mission step path,
 				// which every executor reaches through RunContext (whose
 				// cancellation select sits outside Step): no select, no
@@ -105,11 +102,10 @@ func DefaultAnalyzers() []*Analyzer {
 		MapIter(MapIterConfig{Sinks: defaultSinks()}),
 		SharedWrite(SharedWriteConfig{
 			Runners: []FuncRef{
-				runnerPath + ":Do",
-				// Pool.Submit's callback runs on the service pool's
-				// shards; its writes are held to the same per-index-slot
-				// confinement as Do's.
-				runnerPath + ":Pool.Submit",
+				// The pool's callback primitive: every mission callback
+				// runs on its shards, so its writes are held to the
+				// per-index-slot confinement.
+				enginePath + ":Pool.submit",
 			},
 		}),
 	}

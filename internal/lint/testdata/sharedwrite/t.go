@@ -1,5 +1,5 @@
 // Package sharedwrite is golden-test input for the sharedwrite analyzer.
-// pool stands in for the runner package's Do primitive (named in the
+// pool stands in for the engine pool's submit primitive (named in the
 // test's Runners config), so closures passed to it are held to the same
 // confinement rules as go-statement bodies.
 package sharedwrite

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/runner"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -147,7 +146,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 // "accepted" record, one "mission" record per mission in submission
 // order, and — when every mission succeeded — the versioned run report
 // as the final line. The stream's bytes are a pure function of the
-// request body: the engine seam releases results in submission order
+// request body: the pool releases results in submission order
 // regardless of shard count, and no record carries a timestamp, worker
 // id, or completion order.
 func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, b batch) {
@@ -167,13 +166,13 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, b batch) {
 			fmt.Sprintf("tenant %q over quota", tenant))
 		return
 	}
-	stream, err := s.eng.Submit(r.Context(), b.jobs)
+	ticket, err := s.pool.Submit(r.Context(), b.jobs)
 	if err != nil {
 		switch {
-		case errors.Is(err, runner.ErrDraining):
+		case errors.Is(err, engine.ErrDraining):
 			s.count(func(c *RunCounters) { c.RejectedDraining++ })
 			s.reject(w, http.StatusServiceUnavailable, 0, err.Error())
-		case errors.Is(err, runner.ErrQueueFull):
+		case errors.Is(err, engine.ErrQueueFull):
 			s.count(func(c *RunCounters) { c.RejectedQueue++ })
 			st := s.pool.Stats()
 			// Coarse hint: one queue's worth of missions per shard round.
@@ -190,13 +189,13 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, b batch) {
 	out := newStream(w)
 	out.record(acceptedRecord{Type: "accepted", Name: b.name, Missions: n})
 	failed := 0
-	for idx := range stream.Ready() {
-		if err := stream.Err(idx); err != nil {
+	for idx := range ticket.Ready() {
+		if err := ticket.Err(idx); err != nil {
 			failed++
 			out.record(errorRecord{Type: "error", Index: idx, Label: b.jobs[idx].Label, Error: err.Error()})
 			continue
 		}
-		res := stream.Result(idx)
+		res := ticket.Result(idx)
 		out.record(missionRecord{
 			Type:                "mission",
 			Index:               idx,
@@ -220,7 +219,7 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, b batch) {
 	// shard count.
 	tels := make([]*telemetry.Mission, n)
 	for i := 0; i < n; i++ {
-		tels[i] = stream.Result(i).Telemetry
+		tels[i] = ticket.Result(i).Telemetry
 	}
 	rep, err := BatchReport(b.name, b.meta, tels)
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/engine"
-	"repro/internal/runner"
 )
 
 // Config sizes one mission server.
@@ -52,19 +51,17 @@ type RunCounters struct {
 type Status struct {
 	Service  string           `json:"service"`
 	Draining bool             `json:"draining"`
-	Pool     runner.PoolStats `json:"pool"`
+	Pool     engine.PoolStats `json:"pool"`
 	Quota    QuotaStatus      `json:"quota"`
 	Runs     RunCounters      `json:"runs"`
 }
 
-// Server is the mission service: an HTTP JSON API over the pool engine
-// (a sharded runner.Pool behind the internal/engine seam). Create with
-// New, expose via Handler, stop with BeginDrain/Drain (SIGTERM path)
-// and Close.
+// Server is the mission service: an HTTP JSON API over one long-lived,
+// sharded engine.Pool. Create with New, expose via Handler, stop with
+// BeginDrain/Drain (SIGTERM path) and Close.
 type Server struct {
 	cfg      Config
-	pool     *runner.Pool
-	eng      *engine.Pool
+	pool     *engine.Pool
 	quota    *quota
 	draining atomic.Bool
 	mux      *http.ServeMux
@@ -81,11 +78,9 @@ func New(cfg Config) *Server {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 8 << 20
 	}
-	pool := runner.NewPool(cfg.Shards, cfg.QueueDepth)
 	s := &Server{
 		cfg:   cfg,
-		pool:  pool,
-		eng:   engine.NewPool(pool),
+		pool:  engine.NewPool(cfg.Shards, cfg.QueueDepth),
 		quota: newQuota(cfg.QuotaRate, cfg.QuotaBurst),
 		mux:   http.NewServeMux(),
 	}

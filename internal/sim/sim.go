@@ -167,7 +167,7 @@ func Run(cfg Config) (Result, error) {
 // RunContext is Run with cooperative cancellation: the mission loop polls
 // ctx every cancelCheckTicks control periods (about one simulated second)
 // and abandons the mission with ctx.Err() once the context is done. The
-// parallel runner (internal/runner) uses this to stop a sweep mid-flight.
+// executor (internal/engine) uses this to stop a sweep mid-flight.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	m, err := NewMission(cfg)
 	if err != nil {

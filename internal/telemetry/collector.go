@@ -3,8 +3,8 @@ package telemetry
 import "sync"
 
 // Collector folds per-job Missions into per-experiment aggregates. The
-// parallel runner feeds it after its deterministic reduce, in submission
-// order, and experiments run sequentially, so aggregation order — and
+// executor (internal/engine) feeds it in its deterministic reduce, in
+// submission order, and experiments run sequentially, so aggregation order — and
 // therefore every float sum in the report — is independent of the worker
 // count. A nil *Collector is a valid no-op sink.
 //

@@ -1,7 +1,7 @@
 // Package telemetry is the deterministic observability layer of the
 // detect→diagnose→recover pipeline: per-mission event traces, pipeline
 // counters, fixed-bucket histograms, and per-stage cost-model totals that
-// the runner aggregates into a versioned machine-readable run report.
+// the executor aggregates into a versioned machine-readable run report.
 //
 // Everything in this package is keyed by simulation ticks — never the
 // wall clock — and aggregation follows job submission order, so a run

@@ -5,11 +5,11 @@
 # The package-wide race pass runs with -short: the full experiment suite
 # already takes ~2 minutes natively and the race detector multiplies that
 # by ~20×, so the heavy mission sweeps (which honor testing.Short) are
-# skipped there. The parallel runner and the engine seam are the
-# places where races would silently corrupt results, so they get
-# dedicated un-short race passes: every internal/runner test, the
-# engine equivalence suite, and the workers=1-vs-8 byte-identical
-# determinism sweep in internal/experiments. A full
+# skipped there. The executor (internal/engine) is the place where
+# races would silently corrupt results, so it gets dedicated un-short
+# race passes: every internal/engine test (the pool, the runner
+# engine, the engine equivalence suite), and the workers=1-vs-8
+# byte-identical determinism sweep in internal/experiments. A full
 # `go test -race -timeout 60m ./...` remains available for release
 # verification.
 set -eu
@@ -27,11 +27,10 @@ echo "== test =="
 go test ./...
 echo "== race (short) =="
 go test -race -short ./...
-echo "== race (runner + parallel determinism) =="
-go test -race -timeout 1800s ./internal/runner
-go test -race -timeout 1800s -run 'TestParallelDeterminism|TestDeltaForSingleflight|TestReportDeterminism' ./internal/experiments
-echo "== race (engine equivalence) =="
+echo "== race (engine: pool, runner, equivalence) =="
 go test -race -timeout 1800s ./internal/engine
+echo "== race (parallel determinism) =="
+go test -race -timeout 1800s -run 'TestParallelDeterminism|TestDeltaForSingleflight|TestReportDeterminism' ./internal/experiments
 echo "== race (pipeline FSM + legacy equivalence) =="
 go test -race -timeout 1800s -run 'TestPipelineEquivalence|TestLegalTransition|TestTransition|TestModeSides' ./internal/core
 go test -race -timeout 1800s -run 'TestTraceTransitions' ./internal/sim
