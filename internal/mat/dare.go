@@ -3,6 +3,7 @@ package mat
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrNoConvergence is returned when an iterative solver exceeds its
@@ -63,7 +64,13 @@ func SolveDARE(a, b, q, r *Mat, maxIter int, tol float64) (*Mat, error) {
 		SubInto(atpa, atpa, atpbm)
 		AddInto(atpa, atpa, q)
 		SymmetrizeInto(next, atpa)
-		if next.MaxAbsDiff(p) < tol {
+		d := next.MaxAbsDiff(p)
+		if math.IsNaN(d) {
+			// An unstabilizable system overflows and a NaN input spreads;
+			// either way no later iterate can converge.
+			return nil, fmt.Errorf("riccati step %d: non-finite iterate: %w", iter, ErrNoConvergence)
+		}
+		if d < tol {
 			return next, nil
 		}
 		p, next = next, p

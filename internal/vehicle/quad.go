@@ -34,15 +34,21 @@ func (q Quadcopter) HoverThrust() float64 {
 
 // Derivative returns d(state)/dt for the current state, input, and wind.
 func (q Quadcopter) Derivative(s State, u Input, w Wind) State {
-	cf, sf := math.Cos(s.Roll), math.Sin(s.Roll)
-	ct, st := math.Cos(s.Pitch), math.Sin(s.Pitch)
-	cp, sp := math.Cos(s.Yaw), math.Sin(s.Yaw)
+	var d State
+	q.deriv(&d, &s, &u, &w)
+	return d
+}
+
+// deriv writes Derivative into *d; d must not alias s.
+func (q *Quadcopter) deriv(d, s *State, u *Input, w *Wind) {
+	sf, cf := math.Sincos(s.Roll)
+	st, ct := math.Sincos(s.Pitch)
+	sp, cp := math.Sincos(s.Yaw)
 
 	// Air-relative velocity for drag.
 	rx, ry, rz := s.VX-w.VX, s.VY-w.VY, s.VZ-w.VZ
 	kd := q.DragCoef / q.Mass
 
-	var d State
 	d.X, d.Y, d.Z = s.VX, s.VY, s.VZ
 	d.VX = u.Thrust/q.Mass*(cf*st*cp+sf*sp) - kd*rx
 	d.VY = u.Thrust/q.Mass*(cf*st*sp-sf*cp) - kd*ry
@@ -51,7 +57,6 @@ func (q Quadcopter) Derivative(s State, u Input, w Wind) State {
 	d.WRoll = u.MRoll/q.IX + s.WPitch*s.WYaw*(q.IY-q.IZ)/q.IX - q.AngularDrag/q.IX*s.WRoll
 	d.WPitch = u.MPitch/q.IY + s.WRoll*s.WYaw*(q.IZ-q.IX)/q.IY - q.AngularDrag/q.IY*s.WPitch
 	d.WYaw = u.MYaw/q.IZ + s.WRoll*s.WPitch*(q.IX-q.IY)/q.IZ - q.AngularDrag/q.IZ*s.WYaw
-	return d
 }
 
 // Step advances the quadcopter state by dt seconds with classic RK4 and
@@ -59,10 +64,7 @@ func (q Quadcopter) Derivative(s State, u Input, w Wind) State {
 // below ground — the sim layer classifies a hard ground contact as a
 // crash).
 func (q Quadcopter) Step(s State, u Input, w Wind, dt float64) State {
-	// Bound once to a local so the closure provably stays on the stack —
-	// Step runs inside the zero-allocation tick path.
-	deriv := func(x State) State { return q.Derivative(x, u, w) }
-	out := rk4(s, dt, deriv)
+	out := rk4(&stage{quad: &q, u: &u, w: &w}, &s, dt)
 	out.Roll = wrapAngle(out.Roll)
 	out.Pitch = wrapAngle(out.Pitch)
 	out.Yaw = wrapAngle(out.Yaw)
@@ -75,13 +77,40 @@ func (q Quadcopter) Step(s State, u Input, w Wind, dt float64) State {
 	return out
 }
 
-// rk4 performs one classic Runge-Kutta step of the state ODE.
-func rk4(s State, dt float64, f func(State) State) State {
-	k1 := f(s)
-	k2 := f(addScaled(s, k1, dt/2))
-	k3 := f(addScaled(s, k2, dt/2))
-	k4 := f(addScaled(s, k3, dt))
-	out := s
+// stage is the right-hand side rk4 integrates: one vehicle's derivative
+// under an input and wind held fixed over the step. Exactly one of quad
+// and rover is set. The rover's slip angle depends only on the input, so
+// Step computes β and sin β once and every stage reuses them.
+type stage struct {
+	quad          *Quadcopter
+	rover         *Rover
+	u             *Input
+	w             *Wind
+	beta, sinBeta float64
+}
+
+// deriv writes the derivative at s into *d.
+func (st *stage) deriv(d, s *State) {
+	if st.quad != nil {
+		st.quad.deriv(d, s, st.u, st.w)
+		return
+	}
+	st.rover.deriv(d, s, st.u, st.w, st.beta, st.sinBeta)
+}
+
+// rk4 performs one classic Runge-Kutta step of the state ODE. The stage
+// states live in this frame and reach deriv by pointer, so no 96-byte
+// State is copied in or out of a stage.
+func rk4(st *stage, s *State, dt float64) State {
+	var k1, k2, k3, k4, x State
+	st.deriv(&k1, s)
+	addScaled(&x, s, &k1, dt/2)
+	st.deriv(&k2, &x)
+	addScaled(&x, s, &k2, dt/2)
+	st.deriv(&k3, &x)
+	addScaled(&x, s, &k3, dt)
+	st.deriv(&k4, &x)
+	out := *s
 	c := dt / 6
 	out.X += c * (k1.X + 2*k2.X + 2*k3.X + k4.X)
 	out.Y += c * (k1.Y + 2*k2.Y + 2*k3.Y + k4.Y)
@@ -98,13 +127,12 @@ func rk4(s State, dt float64, f func(State) State) State {
 	return out
 }
 
-func addScaled(s, d State, h float64) State {
-	return State{
-		X: s.X + h*d.X, Y: s.Y + h*d.Y, Z: s.Z + h*d.Z,
-		VX: s.VX + h*d.VX, VY: s.VY + h*d.VY, VZ: s.VZ + h*d.VZ,
-		Roll: s.Roll + h*d.Roll, Pitch: s.Pitch + h*d.Pitch, Yaw: s.Yaw + h*d.Yaw,
-		WRoll: s.WRoll + h*d.WRoll, WPitch: s.WPitch + h*d.WPitch, WYaw: s.WYaw + h*d.WYaw,
-	}
+// addScaled sets *x = s + h·d.
+func addScaled(x, s, d *State, h float64) {
+	x.X, x.Y, x.Z = s.X+h*d.X, s.Y+h*d.Y, s.Z+h*d.Z
+	x.VX, x.VY, x.VZ = s.VX+h*d.VX, s.VY+h*d.VY, s.VZ+h*d.VZ
+	x.Roll, x.Pitch, x.Yaw = s.Roll+h*d.Roll, s.Pitch+h*d.Pitch, s.Yaw+h*d.Yaw
+	x.WRoll, x.WPitch, x.WYaw = s.WRoll+h*d.WRoll, s.WPitch+h*d.WPitch, s.WYaw+h*d.WYaw
 }
 
 // wrapAngle wraps an angle to (−π, π].

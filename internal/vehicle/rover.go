@@ -37,38 +37,44 @@ func (r Rover) SlipAngle(delta float64) float64 {
 
 // Derivative returns d(state)/dt for the rover.
 func (r Rover) Derivative(s State, u Input, w Wind) State {
-	delta := clamp(u.MYaw, -r.MaxSteer, r.MaxSteer)
-	beta := r.SlipAngle(delta)
-	v := s.Speed2D()
-
+	beta := r.SlipAngle(clamp(u.MYaw, -r.MaxSteer, r.MaxSteer))
 	var d State
-	d.X = v*math.Cos(s.Yaw+beta) + r.WindFactor*w.VX
-	d.Y = v*math.Sin(s.Yaw+beta) + r.WindFactor*w.VY
-	d.Yaw = v / r.LR * math.Sin(beta)
+	r.deriv(&d, &s, &u, &w, beta, math.Sin(beta))
+	return d
+}
+
+// deriv writes Derivative into *d, given the slip angle β of the clamped
+// steering and sin β; d must not alias s.
+func (r *Rover) deriv(d, s *State, u *Input, w *Wind, beta, sinBeta float64) {
+	v := s.Speed2D()
+	sh, ch := math.Sincos(s.Yaw + beta)
+
+	d.X = v*ch + r.WindFactor*w.VX
+	d.Y = v*sh + r.WindFactor*w.VY
+	d.Yaw = v / r.LR * sinBeta
 	// Longitudinal acceleration minus rolling resistance, decomposed back
 	// onto the world frame through the heading.
 	a := u.Thrust - r.DragCoef*v
-	d.VX = a*math.Cos(s.Yaw+beta) - v*d.Yaw*math.Sin(s.Yaw+beta)
-	d.VY = a*math.Sin(s.Yaw+beta) + v*d.Yaw*math.Cos(s.Yaw+beta)
+	d.VX = a*ch - v*d.Yaw*sh
+	d.VY = a*sh + v*d.Yaw*ch
+	d.Z, d.VZ = 0, 0
+	d.Roll, d.Pitch = 0, 0
+	d.WRoll, d.WPitch = 0, 0
 	d.WYaw = 0 // kinematic model: yaw rate is algebraic, not a state
-	return d
 }
 
 // Step advances the rover state by dt seconds with RK4 and enforces the
 // speed limit.
 func (r Rover) Step(s State, u Input, w Wind, dt float64) State {
-	// Bound once to a local so the closure provably stays on the stack —
-	// Step runs inside the zero-allocation tick path.
-	deriv := func(x State) State { return r.Derivative(x, u, w) }
-	out := rk4(s, dt, deriv)
+	beta := r.SlipAngle(clamp(u.MYaw, -r.MaxSteer, r.MaxSteer))
+	sinBeta := math.Sin(beta)
+	out := rk4(&stage{rover: &r, u: &u, w: &w, beta: beta, sinBeta: sinBeta}, &s, dt)
 	out.Yaw = wrapAngle(out.Yaw)
 	out.Z, out.VZ = 0, 0
 	out.Roll, out.Pitch = 0, 0
 	out.WRoll, out.WPitch = 0, 0
 	// Record the algebraic yaw rate so sensors observe it.
-	delta := clamp(u.MYaw, -r.MaxSteer, r.MaxSteer)
-	beta := r.SlipAngle(delta)
-	out.WYaw = out.Speed2D() / r.LR * math.Sin(beta)
+	out.WYaw = out.Speed2D() / r.LR * sinBeta
 	if v := out.Speed2D(); v > r.MaxSpeed {
 		scale := r.MaxSpeed / v
 		out.VX *= scale
