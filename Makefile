@@ -68,9 +68,9 @@ record-corpus:
 check:
 	sh scripts/check.sh
 
-# Layer micro-benchmarks (vehicle step, Riccati solve, tick, EKF, factor
-# graph, whole mission), five samples each. The end-to-end benchmark is
-# bench/ (see BENCHMARK.json).
+# Layer micro-benchmarks (vehicle step, generic and rover Riccati solves,
+# tick, EKF, factor graph, whole mission), five samples each. The
+# end-to-end benchmark is bench/ (see BENCHMARK.json).
 bench:
-	$(GO) test -run '^$$' -bench 'Step|SolveDARE|Tick|EKF|FG|Mission' -benchmem -count 5 \
-		./. ./internal/core/ ./internal/ekf/ ./internal/fg/ ./internal/mat/ ./internal/vehicle/
+	$(GO) test -run '^$$' -bench 'Step|SolveDARE|RoverGain|Tick|EKF|FG|Mission' -benchmem -count 5 \
+		./. ./internal/core/ ./internal/ekf/ ./internal/fg/ ./internal/mat/ ./internal/recovery/ ./internal/vehicle/

@@ -141,8 +141,7 @@ func defaultHotalloc() HotallocConfig {
 		// Episodic or one-time paths sanctioned to allocate. Each runs per
 		// alert episode or per configuration change, never per tick, and
 		// owns the pipeline's cold allocations (triage snapshots, widened
-		// diagnosis graphs, lazy workspace growth, gain refresh on
-		// operating-point drift).
+		// diagnosis graphs, lazy workspace growth).
 		Cold: []FuncRef{
 			corePath + ":Pipeline.triage",
 			corePath + ":Pipeline.widenDiagnosis",
@@ -152,7 +151,6 @@ func defaultHotalloc() HotallocConfig {
 			ekfPath + ":Filter.refreshDT",
 			modulePath + "/internal/mat:LU.grow",
 			fgPath + ":Graph.growScratch",
-			modulePath + "/internal/recovery:LQR.refreshRoverGain",
 			// Shared-schedule cold paths: extending the covariance
 			// schedule clones each new step once per (profile, dt, cycle)
 			// process-wide, and falling off the shared path reconstructs

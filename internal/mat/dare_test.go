@@ -45,11 +45,13 @@ func TestSolveDARENonFiniteIterate(t *testing.T) {
 	}
 }
 
-// BenchmarkSolveDARE times the recovery controller's Riccati solves at the
-// 100 Hz control period, on the systems internal/recovery builds: the
-// rover linearized at ψ = 0.7, v = 1.3 m/s, re-solved whenever its
-// operating point drifts, and the quadcopter at hover, solved once per
-// profile.
+// BenchmarkSolveDARE times the generic Riccati solve at the 100 Hz control
+// period on the systems internal/recovery builds: the quadcopter at hover,
+// solved once per profile, and the rover linearized at ψ = 0.7,
+// v = 1.3 m/s. The recovery controller re-solves the rover's system on its
+// own straight-line path (BenchmarkRoverGain in internal/recovery), so the
+// rover case here is the generic-path baseline that a faster solver is
+// measured against.
 func BenchmarkSolveDARE(b *testing.B) {
 	const dt = 0.01
 	bench := func(name string, a, bm, q, r *mat.Mat) {

@@ -44,11 +44,13 @@ type LQR struct {
 	// Quadcopter gain (12 states × 4 inputs) around hover.
 	kQuad *mat.Mat
 
-	// Rover gain (4 states × 2 inputs) around the last linearization
-	// point.
-	kRover   *mat.Mat
-	roverYaw float64
-	roverVel float64
+	// Rover gain (2 inputs × 4 states) around the last linearization
+	// point: nil until the first synthesis succeeds, then kRoverBuf, which
+	// every refresh overwrites in place.
+	kRover    *mat.Mat
+	kRoverBuf *mat.Mat
+	roverYaw  float64
+	roverVel  float64
 
 	// Workspaces: Update runs every recovery tick on the zero-allocation
 	// hot path, so the error and action vectors are preallocated here and
@@ -62,22 +64,29 @@ type LQR struct {
 // NewLQR synthesizes the recovery controller for a profile at control
 // period dt.
 func NewLQR(p vehicle.Profile, dt float64) (*LQR, error) {
-	l := &LQR{
-		profile:  p,
-		dt:       dt,
-		errQuad:  mat.NewVec(12),
-		duQuad:   mat.NewVec(4),
-		errRover: mat.NewVec(4),
-		duRover:  mat.NewVec(2),
-	}
+	var kQuad *mat.Mat
 	if p.IsQuad() {
 		k, err := quadGain(p.Quad, dt)
 		if err != nil {
 			return nil, fmt.Errorf("recovery lqr (%s): %w", p.Name, err)
 		}
-		l.kQuad = k
+		kQuad = k
 	}
-	return l, nil
+	return newLQR(p, dt, kQuad), nil
+}
+
+// newLQR allocates the controller and its Update workspaces.
+func newLQR(p vehicle.Profile, dt float64, kQuad *mat.Mat) *LQR {
+	return &LQR{
+		profile:   p,
+		dt:        dt,
+		kQuad:     kQuad,
+		kRoverBuf: mat.New(2, 4),
+		errQuad:   mat.NewVec(12),
+		duQuad:    mat.NewVec(4),
+		errRover:  mat.NewVec(4),
+		duRover:   mat.NewVec(2),
+	}
 }
 
 // QuadGain synthesizes the hover LQR gain for a quad profile at control
@@ -105,15 +114,7 @@ func NewLQRShared(p vehicle.Profile, dt float64, kQuad *mat.Mat) (*LQR, error) {
 	if p.IsQuad() && kQuad == nil {
 		return NewLQR(p, dt)
 	}
-	return &LQR{
-		profile:  p,
-		dt:       dt,
-		kQuad:    kQuad,
-		errQuad:  mat.NewVec(12),
-		duQuad:   mat.NewVec(4),
-		errRover: mat.NewVec(4),
-		duRover:  mat.NewVec(2),
-	}, nil
+	return newLQR(p, dt, kQuad), nil
 }
 
 // Name implements Controller.
@@ -262,44 +263,13 @@ func (l *LQR) updateRover(est vehicle.State, target mission.Waypoint) vehicle.In
 }
 
 // refreshRoverGain re-linearizes the rover model about the current
-// operating point and replaces the cached gain. It runs only when the
-// operating point drifts, so it is a sanctioned cold allocation site
-// (declared in the hotalloc analyzer's cold list). A synthesis failure
+// operating point and overwrites the cached gain in place, so it allocates
+// nothing although it runs on the recovery tick. A synthesis failure
 // keeps the previous gain.
 func (l *LQR) refreshRoverGain(yaw, v float64) {
-	k, err := roverGain(l.profile.Rover, yaw, v, l.dt)
-	if err == nil {
-		l.kRover = k
+	if roverGain(l.kRoverBuf, l.profile.Rover, yaw, v, l.dt) == nil {
+		l.kRover = l.kRoverBuf
 		l.roverYaw = yaw
 		l.roverVel = v
 	}
-}
-
-// roverGain linearizes the kinematic bicycle about (yaw, v) and solves the
-// DARE for states [x y ψ v], inputs [a δ].
-func roverGain(r vehicle.Rover, yaw, v float64, dt float64) (*mat.Mat, error) {
-	if v < 0.5 {
-		v = 0.5 // keep the steering channel controllable
-	}
-	wheelbase := r.LF + r.LR
-	c, s := math.Cos(yaw), math.Sin(yaw)
-
-	ac := mat.New(4, 4)
-	// ẋ = v cosψ ; ẏ = v sinψ
-	ac.Set(0, 2, -v*s)
-	ac.Set(0, 3, c)
-	ac.Set(1, 2, v*c)
-	ac.Set(1, 3, s)
-	// v̇ = a − drag·v
-	ac.Set(3, 3, -r.DragCoef)
-
-	bc := mat.New(4, 2)
-	bc.Set(3, 0, 1)           // a → v̇
-	bc.Set(2, 1, v/wheelbase) // δ → ψ̇
-
-	a := mat.Identity(4).Add(ac.Scale(dt))
-	b := bc.Scale(dt)
-	qCost := mat.Diag([]float64{2, 2, 4, 1})
-	rCost := mat.Diag([]float64{1, 2})
-	return mat.LQRGain(a, b, qCost, rCost)
 }
