@@ -70,9 +70,8 @@ func (r *Recorder) Record(rec Record) {
 		// Window w_i completed with no alert: it becomes the trusted
 		// window; w_{i−1} is discarded (Fig. 6a). The discarded window's
 		// buffer is recycled as the new current window, so steady-state
-		// recording stops allocating once both buffers have grown to the
-		// window length.
-		r.prev, r.cur = r.cur, r.prev[:0]
+		// recording stops allocating once both buffers hold a window.
+		r.prev, r.cur = r.cur, recycle(r.prev, r.cur)
 		r.curStart = rec.T
 	}
 	r.cur = append(r.cur, rec)
@@ -93,9 +92,22 @@ func (r *Recorder) OnAlert() {
 		return
 	}
 	if len(r.prev) == 0 && len(r.cur) > 0 {
-		r.prev, r.cur = r.cur, r.prev[:0]
+		r.prev, r.cur = r.cur, recycle(r.prev, r.cur)
 	}
 	r.stopped = true
+}
+
+// recycle empties buf for reuse as the current window. Before the first
+// promotion there is no buffer to recycle, so it allocates one with the
+// capacity of the window being promoted: the next window (or the
+// input-only records after an alert) then fills it without growing from
+// empty. Cold path: it allocates at most once per recorder (declared in
+// the hotalloc analyzer's cold list).
+func recycle(buf, promoted []Record) []Record {
+	if buf == nil {
+		return make([]Record, 0, cap(promoted))
+	}
+	return buf[:0]
 }
 
 // Resume restarts recording after the attack subsides; a fresh current

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -278,5 +279,60 @@ func TestPropertyAlignmentShape(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// mallocs counts the heap allocations f makes, the way
+// testing.AllocsPerRun does but without its warm-up call.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestRecordZeroAllocSecondWindow: the first rotation has no
+// buffer to recycle, so it allocates the new current window at the
+// capacity of the window it promotes. Filling that second window then
+// appends without growing.
+func TestRecordZeroAllocSecondWindow(t *testing.T) {
+	const dt = 0.01
+	r := NewRecorder(1.0)
+	i := 0
+	for ; r.Trusted() == nil; i++ {
+		r.Record(rec(float64(i) * dt))
+	}
+	first := len(r.Trusted())
+	if n := mallocs(func() {
+		for k := 1; k < first; k++ {
+			r.Record(rec(float64(i+k-1) * dt))
+		}
+	}); n != 0 {
+		t.Errorf("filling the second window allocated %d times, want 0", n)
+	}
+	if got := len(r.Trusted()); got != first {
+		t.Fatalf("second window rotated early: trusted has %d records, want %d", got, first)
+	}
+}
+
+// TestRecordInputZeroAllocAfterFirstWindowAlert: an alert in the
+// first window promotes it with no buffer to recycle; the input-only
+// records that follow go into a buffer of the promoted window's capacity.
+func TestRecordInputZeroAllocAfterFirstWindowAlert(t *testing.T) {
+	const dt = 0.01
+	r := NewRecorder(1.0)
+	for i := 0; i < 50; i++ {
+		r.Record(rec(float64(i) * dt))
+	}
+	r.OnAlert()
+	promoted := len(r.Trusted())
+	if n := mallocs(func() {
+		for k := 0; k < promoted; k++ {
+			r.RecordInput(float64(50+k)*dt, vehicle.Input{Thrust: 1})
+		}
+	}); n != 0 {
+		t.Errorf("%d input-only records allocated %d times, want 0", promoted, n)
 	}
 }

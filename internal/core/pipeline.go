@@ -71,6 +71,7 @@ type Pipeline struct {
 	// Telemetry.
 	tel                 *telemetry.Recorder
 	lastDiagnosis       sensors.TypeSet
+	verdicts            int // verdicts installed into lastDiagnosis since New
 	diagnosisRan        bool
 	recoveryActivations int
 	lastErr             sensors.PhysState
@@ -156,7 +157,7 @@ func (p *Pipeline) Init(start vehicle.State) {
 	p.ssrState = start
 	p.fsm.Reset()
 	p.compromised = sensors.NewTypeSet()
-	p.lastDiagnosis = sensors.NewTypeSet()
+	p.setVerdict(sensors.NewTypeSet())
 	p.diagnosisRan = false
 	p.alertPrev = false
 	p.havePrev = false
@@ -185,6 +186,18 @@ func (p *Pipeline) AlertActive() bool { return p.detector.Alert() }
 // Compromised returns the latest diagnosis outcome (empty until diagnosis
 // has run).
 func (p *Pipeline) Compromised() sensors.TypeSet { return p.lastDiagnosis.Clone() }
+
+// Verdicts counts the diagnosis verdicts installed since New, Init's empty
+// one included. A verdict is only ever replaced, never mutated, so a clone
+// of Compromised stays current for as long as the count is unchanged.
+func (p *Pipeline) Verdicts() int { return p.verdicts }
+
+// setVerdict installs a new diagnosis verdict. v must be a set no one else
+// holds.
+func (p *Pipeline) setVerdict(v sensors.TypeSet) {
+	p.lastDiagnosis = v
+	p.verdicts++
+}
 
 // DiagnosisRan reports whether diagnosis has produced at least one
 // verdict since Init.
@@ -425,7 +438,7 @@ func (p *Pipeline) defenseTick(t float64, meas sensors.PhysState, target mission
 func (p *Pipeline) triage(t float64, meas sensors.PhysState) {
 	p.chargeDiagnosis()
 	diagnosed, isolate := p.comp.Diagnose.Triage()
-	p.lastDiagnosis = diagnosed.Clone()
+	p.setVerdict(diagnosed.Clone())
 	p.diagnosisRan = true
 	p.tel.DiagnosisPass(p.ticks, diagnosed.Len() == 0, p.diagnosisDetail(diagnosed))
 	if diagnosed.Len() == 0 {
@@ -478,7 +491,7 @@ func (p *Pipeline) widenDiagnosis(t float64, meas sensors.PhysState) {
 		}
 	}
 	if grew {
-		p.lastDiagnosis = p.compromised.Clone()
+		p.setVerdict(p.compromised.Clone())
 		p.tel.Event(p.ticks, telemetry.KindDiagnosis, "widened isolated="+p.compromised.String())
 		p.widenReconstruction(t, meas)
 	}
@@ -552,7 +565,7 @@ func (p *Pipeline) revalidateSensors(t float64, meas sensors.PhysState) {
 		if t-p.sensorQuiet[typ] >= 2.0 {
 			delete(p.compromised, typ)
 			p.sensorQuiet[typ] = 0
-			p.lastDiagnosis = p.compromised.Clone()
+			p.setVerdict(p.compromised.Clone())
 			p.tel.SensorReadmitted(p.ticks, typ.String())
 		}
 	}

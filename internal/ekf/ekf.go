@@ -16,7 +16,6 @@
 package ekf
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/mat"
@@ -70,8 +69,8 @@ type Filter struct {
 	isQuad  bool
 	x       vehicle.State
 	p       *mat.Mat
-	q       *mat.Mat
-	obs     []obsChannel
+	q       [nx]float64 // diagonal of the process noise Q
+	obs     [nobs]obsChannel
 	magYawN float64
 
 	// sched, when non-nil, is the shared covariance/gain schedule this
@@ -88,76 +87,58 @@ type Filter struct {
 	ws workspace
 }
 
+// nobs is the number of observation rows with every sensor active (see
+// New); the Correct scratch is sized for it, so masking sensors never
+// reallocates.
+const nobs = 10
+
 // workspace holds the filter's preallocated scratch so the steady-state
-// Predict/Correct cycle allocates nothing. All matrices are sized at New
-// for the filter's maximum observation count; the Correct scratch is
-// reshaped (never grown) to the active row count each call. The scratch
-// is strictly call-local — no state survives in it between steps — so
-// reusing it cannot change results; delint's hotalloc analyzer keeps the
-// hot functions from quietly reverting to the allocating kernels.
+// Predict/Correct cycle allocates nothing. The scratch is strictly
+// call-local — no state survives in it between steps — so reusing it
+// cannot change results; delint's hotalloc analyzer keeps the hot
+// functions from quietly reverting to allocating code.
 type workspace struct {
-	// fkin is the kinematic transition Jacobian used for covariance
-	// propagation. Because the prediction is strapdown (measurement
-	// driven), attitude errors do not couple into velocity through the
-	// dynamics model; the only structural coupling is position ← velocity.
+	// kinDT is h, the period of the kinematic transition Jacobian
+	// F = I + h·(pos ← vel, angle ← rate) used for covariance propagation.
+	// Because the prediction is strapdown (measurement driven), attitude
+	// errors do not couple into velocity through the dynamics model; the
+	// only structural couplings are position ← velocity and angle ← rate.
 	// Using the full model Jacobian here would let GPS innovations leak
-	// into the attitude estimate through spurious cross-covariances.
-	// It is built lazily on the first covariance propagation after Init
-	// (dt is fixed per mission) together with its cached transpose.
-	fkin  *mat.Mat
-	fkinT *mat.Mat
-	// qdt caches q·dt for the dt of the most recent propagation.
-	qdt   *mat.Mat
+	// into the attitude estimate through spurious cross-covariances. h is
+	// the first dt after Init (dt is fixed per mission); hasKin reports
+	// whether it is set.
+	kinDT  float64
+	hasKin bool
+	// qdt caches the diagonal of Q·dt for the dt of the most recent
+	// propagation.
+	qdt   [nx]float64
 	qdtDT float64
 
-	// nx×nx scratch for covariance propagation and the Joseph-form-style
-	// update, plus the cached identity.
-	nxA, nxB *mat.Mat
-	ident    *mat.Mat
+	// prod holds F·P·Fᵀ + Q·dt or (I − K·H)·P before it is symmetrized
+	// into P.
+	prod [nx][nx]float64
 
-	// Correct scratch, reshaped to the active row count m each call.
+	// Correct scratch for m ≤ nobs active rows.
 	rows  []obsChannel
 	z     []float64
-	h     *mat.Mat  // m×nx observation matrix
-	ht    *mat.Mat  // nx×m
-	ph    *mat.Mat  // nx×m
-	pht   *mat.Mat  // m×nx
-	hph   *mat.Mat  // m×m
-	rmat  *mat.Mat  // m×m measurement-noise diagonal
-	s     *mat.Mat  // m×m innovation covariance
-	st    *mat.Mat  // m×m
-	kt    *mat.Mat  // m×nx gain transpose
-	k     *mat.Mat  // nx×m gain
-	gates []float64 // per-row innovation gate half-widths
+	lu    [nobs][nobs]float64 // LU factors of Sᵀ, leading m×m block
+	kt    [nobs][nx]float64   // Kᵀ, leading m rows
+	k     *mat.Mat            // nx×m gain, reshaped each call
+	gates []float64           // per-row innovation gate half-widths
 	xvec  mat.Vec
 	innov mat.Vec
 	dx    mat.Vec
-	lu    mat.LU
 }
 
-// newWorkspace preallocates scratch for a filter with maxM observation
-// rows.
-func newWorkspace(maxM int) workspace {
+// newWorkspace preallocates the filter's scratch.
+func newWorkspace() workspace {
 	return workspace{
-		qdt:   mat.New(nx, nx),
-		nxA:   mat.New(nx, nx),
-		nxB:   mat.New(nx, nx),
-		ident: mat.Identity(nx),
-		rows:  make([]obsChannel, 0, maxM),
-		z:     make([]float64, 0, maxM),
-		h:     mat.New(maxM, nx),
-		ht:    mat.New(nx, maxM),
-		ph:    mat.New(nx, maxM),
-		pht:   mat.New(maxM, nx),
-		hph:   mat.New(maxM, maxM),
-		rmat:  mat.New(maxM, maxM),
-		s:     mat.New(maxM, maxM),
-		st:    mat.New(maxM, maxM),
-		kt:    mat.New(maxM, nx),
-		k:     mat.New(nx, maxM),
-		gates: make([]float64, 0, maxM),
+		rows:  make([]obsChannel, 0, nobs),
+		z:     make([]float64, 0, nobs),
+		k:     mat.New(nx, nobs),
+		gates: make([]float64, 0, nobs),
 		xvec:  mat.NewVec(nx),
-		innov: mat.NewVec(maxM),
+		innov: mat.NewVec(nobs),
 		dx:    mat.NewVec(nx),
 	}
 }
@@ -173,7 +154,7 @@ func reshape(m *mat.Mat, r, c int) {
 // the profile's sensor noise floor.
 func New(p vehicle.Profile) *Filter {
 	n := p.Noise
-	obs := []obsChannel{
+	obs := [nobs]obsChannel{
 		{sensor: sensors.GPS, state: 0, noise: nz(n.GPSPos)},
 		{sensor: sensors.GPS, state: 1, noise: nz(n.GPSPos)},
 		{sensor: sensors.GPS, state: 2, noise: nz(n.GPSPos)},
@@ -197,19 +178,8 @@ func New(p vehicle.Profile) *Filter {
 		obs:      obs,
 		magYawN:  nz(10 * n.Mag),
 		schedIdx: -1,
-		ws:       newWorkspace(len(obs)),
+		ws:       newWorkspace(),
 	}
-}
-
-// kinematicJacobian builds the constant position←velocity transition
-// Jacobian for covariance propagation at period dt.
-func kinematicJacobian(dt float64) *mat.Mat {
-	f := mat.Identity(nx)
-	for i := 0; i < 3; i++ {
-		f.Set(i, 3+i, dt)   // pos ← vel
-		f.Set(6+i, 9+i, dt) // angle ← rate
-	}
-	return f
 }
 
 // nz guards against a zero noise floor (singular R).
@@ -220,15 +190,16 @@ func nz(v float64) float64 {
 	return v
 }
 
-func defaultProcessNoise() *mat.Mat {
-	d := make([]float64, nx)
+// defaultProcessNoise returns the diagonal of the process noise Q.
+func defaultProcessNoise() [nx]float64 {
+	var d [nx]float64
 	for i := 0; i < 3; i++ {
 		d[i] = 0.01   // position
 		d[3+i] = 0.05 // velocity (wind is unmodelled)
 		d[6+i] = 0.005
 		d[9+i] = 0.01
 	}
-	return mat.Diag(d)
+	return d
 }
 
 // Init seeds the filter state. If a schedule is attached, Init (re)arms
@@ -236,8 +207,7 @@ func defaultProcessNoise() *mat.Mat {
 func (f *Filter) Init(s vehicle.State) {
 	f.x = s
 	f.p = mat.Identity(nx).Scale(0.1)
-	f.ws.fkin = nil
-	f.ws.fkinT = nil
+	f.ws.hasKin = false
 	f.predPending = false
 	if f.sched != nil {
 		f.schedIdx = 0
@@ -331,11 +301,11 @@ func (f *Filter) PredictHybrid(u vehicle.Input, meas sensors.PhysState, active s
 		if !f.predPending && f.sched.covers(dt) && active.Len() == sensors.NumTypes {
 			// Nominal path: the covariance propagation is deferred and
 			// consumed (together with the correction) from the shared
-			// schedule in Correct. The dt-keyed scratch is still built on
+			// schedule in Correct. The dt-keyed scratch is still set on
 			// the first tick so that a later detach sees exactly the
-			// caches a private filter would have (fkin is keyed to the
+			// caches a private filter would have (F is keyed to the
 			// mission's first dt).
-			if f.ws.fkin == nil {
+			if !f.ws.hasKin {
 				f.refreshDT(dt)
 			}
 			f.predPending = true
@@ -384,39 +354,6 @@ func (f *Filter) PredictHybrid(u vehicle.Input, meas sensors.PhysState, active s
 		next.Z = 0
 	}
 	f.x = next
-}
-
-// propagateCovariance advances P ← sym(F·P·Fᵀ + Q·dt) entirely in the
-// preallocated workspace. The arithmetic and its evaluation order are the
-// same as the allocating chain fj.Mul(p).Mul(fj.T()).Add(q.Scale(dt)).
-// Symmetrize() it replaced, so covariances stay bit-identical.
-func (f *Filter) propagateCovariance(_ vehicle.Input, dt float64) {
-	ws := &f.ws
-	//lint:ignore floatcmp dt is a cache key: any bit change must rebuild Q·dt
-	if ws.fkin == nil || ws.qdtDT != dt {
-		f.refreshDT(dt)
-	}
-	mat.MulInto(ws.nxA, ws.fkin, f.p)
-	mat.MulInto(ws.nxB, ws.nxA, ws.fkinT)
-	mat.AddInto(ws.nxB, ws.nxB, ws.qdt)
-	mat.SymmetrizeInto(f.p, ws.nxB)
-}
-
-// refreshDT rebuilds the dt-dependent scratch: the kinematic transition
-// Jacobian (built once per Init — dt is fixed within a mission) and the
-// scaled process noise Q·dt (re-derived whenever dt changes). Cold path:
-// it allocates, so it is deliberately outside the hotalloc-gated set.
-func (f *Filter) refreshDT(dt float64) {
-	ws := &f.ws
-	if ws.fkin == nil {
-		ws.fkin = kinematicJacobian(dt)
-		ws.fkinT = ws.fkin.T()
-	}
-	//lint:ignore floatcmp dt is a cache key: any bit change must rebuild Q·dt
-	if ws.qdtDT != dt {
-		mat.ScaleInto(ws.qdt, dt, f.q)
-		ws.qdtDT = dt
-	}
 }
 
 // MagYaw derives the yaw observation from a magnetometer field
@@ -472,7 +409,7 @@ func (f *Filter) selectRows(meas sensors.PhysState, active sensors.TypeSet) ([]o
 	ws := &f.ws
 	rows := ws.rows[:0]
 	z := ws.z[:0]
-	for _, ch := range f.obs {
+	for _, ch := range &f.obs {
 		if !active.Has(ch.sensor) {
 			continue
 		}
@@ -488,69 +425,6 @@ func (f *Filter) selectRows(meas sensors.PhysState, active sensors.TypeSet) ([]o
 	}
 	ws.rows, ws.z = rows, z
 	return rows, z
-}
-
-// covGain runs the measurement-independent half of the correction: it
-// builds H and R for the row set, forms S = H·P·Hᵀ + R, derives the
-// innovation gate half-widths, solves for the Kalman gain K = P·Hᵀ·S⁻¹,
-// and advances P ← sym((I − K·H)·P). The returned gain and gates alias
-// the workspace and stay valid until the next covGain call.
-func (f *Filter) covGain(rows []obsChannel) (*mat.Mat, []float64, error) {
-	ws := &f.ws
-	m := len(rows)
-	reshape(ws.h, m, nx)
-	reshape(ws.rmat, m, m)
-	ws.h.Zero()
-	ws.rmat.Zero()
-	for i, ch := range rows {
-		ws.h.Set(i, ch.state, 1)
-		ws.rmat.Set(i, i, ch.noise*ch.noise)
-	}
-	reshape(ws.ht, nx, m)
-	mat.TransposeInto(ws.ht, ws.h)
-	reshape(ws.ph, nx, m)
-	mat.MulInto(ws.ph, f.p, ws.ht)
-	// S = H·P·Hᵀ + R. The addition runs over the full m×m matrices (R is
-	// zero off the diagonal), matching the element order of the allocating
-	// Add(Diag(rdiag)) it replaced.
-	reshape(ws.hph, m, m)
-	mat.MulInto(ws.hph, ws.h, ws.ph)
-	reshape(ws.s, m, m)
-	mat.AddInto(ws.s, ws.hph, ws.rmat)
-	// Innovation gates: ±gateSigma·√S_ii, the standard EKF defense against
-	// implausible jumps. A deception bias larger than the gate is admitted
-	// gradually (a few gates per correction cycle) rather than
-	// instantaneously — which bounds how far a single corrupted correction
-	// can drag the estimate while still letting persistent spoofing take
-	// effect, as observed on real autopilot stacks.
-	const gateSigma = 5.0
-	gates := ws.gates[:m]
-	for i := range gates {
-		gates[i] = gateSigma * math.Sqrt(ws.s.At(i, i))
-	}
-	// K = P Hᵀ S⁻¹  ⇒  solve Sᵀ Kᵀ = (P Hᵀ)ᵀ.
-	reshape(ws.st, m, m)
-	mat.TransposeInto(ws.st, ws.s)
-	reshape(ws.pht, m, nx)
-	mat.TransposeInto(ws.pht, ws.ph)
-	reshape(ws.kt, m, nx)
-	if err := ws.lu.Refactor(ws.st); err != nil {
-		return nil, nil, fmt.Errorf("ekf correct: %w", err)
-	}
-	if err := ws.lu.SolveInto(ws.kt, ws.pht); err != nil {
-		return nil, nil, fmt.Errorf("ekf correct: %w", err)
-	}
-	reshape(ws.k, nx, m)
-	mat.TransposeInto(ws.k, ws.kt)
-	// P ← sym((I − K·H)·P), in the same evaluation order as the allocating
-	// Identity(nx).Sub(k.Mul(h)).Mul(p).Symmetrize() chain it replaced.
-	// The update reads only K, H, and the prior P, none of which the state
-	// half touches, so running it before the state update is bit-exact.
-	mat.MulInto(ws.nxA, ws.k, ws.h)
-	mat.SubInto(ws.nxA, ws.ident, ws.nxA)
-	mat.MulInto(ws.nxB, ws.nxA, f.p)
-	mat.SymmetrizeInto(f.p, ws.nxB)
-	return ws.k, gates, nil
 }
 
 // applyGain runs the state half of the correction: the innovation against

@@ -148,9 +148,10 @@ func defaultHotalloc() HotallocConfig {
 			corePath + ":Pipeline.revalidateSensors",
 			corePath + ":Pipeline.exitRecovery",
 			corePath + ":Pipeline.triggerDetail",
-			ekfPath + ":Filter.refreshDT",
-			modulePath + "/internal/mat:LU.grow",
 			fgPath + ":Graph.growScratch",
+			// The first window promotion allocates the next window's
+			// buffer, once per checkpoint recorder.
+			modulePath + "/internal/checkpoint:recycle",
 			// Shared-schedule cold paths: extending the covariance
 			// schedule clones each new step once per (profile, dt, cycle)
 			// process-wide, and falling off the shared path reconstructs

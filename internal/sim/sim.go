@@ -217,6 +217,11 @@ type Mission struct {
 	latencyRecorded bool
 	over            bool
 	res             Result
+
+	// verdict is a clone of the pipeline's diagnosis verdict, taken when
+	// the pipeline's verdict count was verdictN.
+	verdict  sensors.TypeSet
+	verdictN int
 }
 
 // NewMission validates and defaults the configuration and assembles the
@@ -371,18 +376,26 @@ func (m *Mission) Step() (bool, error) {
 }
 
 // noteDiagnosis captures the pipeline's diagnosis verdict into the
-// result while an attack or a recovery episode is in progress. The
-// clones it takes happen only on attacked or recovering ticks, so it is
-// a declared hotalloc cold cut point of the per-step path.
+// result while an attack or a recovery episode is in progress. It clones
+// the verdict only when the pipeline has installed a new one, and only on
+// attacked or recovering ticks, so it is a declared hotalloc cold cut
+// point of the per-step path. The result's sets may share the clone;
+// nothing mutates them.
 func (m *Mission) noteDiagnosis(attackActive bool) {
-	if attackActive && m.fw.DiagnosisRan() {
-		m.res.DiagnosedDuringAttack = m.fw.Compromised()
+	attacked := attackActive && m.fw.DiagnosisRan()
+	recovering := m.fw.Recovering()
+	if !attacked && !recovering {
+		return
+	}
+	if n := m.fw.Verdicts(); m.verdict == nil || n != m.verdictN {
+		m.verdict, m.verdictN = m.fw.Compromised(), n
+	}
+	if attacked {
+		m.res.DiagnosedDuringAttack = m.verdict
 		m.res.DiagnosisRanDuringAttack = true
 	}
-	if m.fw.Recovering() {
-		if c := m.fw.Compromised(); c.Len() > 0 {
-			m.res.LastRecoveryDiagnosis = c
-		}
+	if recovering && m.verdict.Len() > 0 {
+		m.res.LastRecoveryDiagnosis = m.verdict
 	}
 }
 
