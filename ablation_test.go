@@ -43,7 +43,7 @@ func ablationMission(seed int64, th detect.Thresholds) (exact bool, success bool
 	if err != nil {
 		return false, false
 	}
-	return res.DiagnosisRanDuringAttack && res.DiagnosedDuringAttack.Equal(targets), res.Success
+	return res.DiagnosisRanDuringAttack && res.DiagnosedDuringAttack == targets, res.Success
 }
 
 // positionOnlyThresholds reproduces the ablated detector that monitors

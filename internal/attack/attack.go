@@ -102,7 +102,7 @@ type SDA struct {
 // sign per axis), using rng for all draws.
 func New(rng *rand.Rand, p Params, targets sensors.TypeSet, start, end float64) *SDA {
 	a := &SDA{
-		Targets: targets.Clone(),
+		Targets: targets,
 		Start:   start,
 		End:     end,
 		Mode:    Persistent,
@@ -251,19 +251,6 @@ func (s *Schedule) ActiveAt(t float64) bool {
 	return false
 }
 
-// TargetsAt returns the union of targets of attacks active at t.
-func (s *Schedule) TargetsAt(t float64) sensors.TypeSet {
-	out := sensors.NewTypeSet()
-	for _, a := range s.Attacks {
-		if a.ActiveAt(t) {
-			for _, typ := range a.Targets.List() {
-				out.Add(typ)
-			}
-		}
-	}
-	return out
-}
-
 // Combinations returns every k-subset of the five sensor types, in a
 // deterministic order. The experiments iterate these to mount SDAs
 // "targeting any combination of sensors" (§2.2).
@@ -292,5 +279,5 @@ func RandomTargets(rng *rand.Rand, k int) sensors.TypeSet {
 	if len(combos) == 0 {
 		return sensors.NewTypeSet()
 	}
-	return combos[rng.Intn(len(combos))].Clone()
+	return combos[rng.Intn(len(combos))]
 }

@@ -111,7 +111,7 @@ func runEquiv(t *testing.T, profile vehicle.ProfileName, strategy Strategy) {
 		if p.AlertActive() != legacy.AlertActive() {
 			t.Fatalf("step %d: AlertActive %v vs %v", i, p.AlertActive(), legacy.AlertActive())
 		}
-		if !p.Compromised().Equal(legacy.Compromised()) {
+		if p.Compromised() != legacy.Compromised() {
 			t.Fatalf("step %d: Compromised %v vs %v", i, p.Compromised(), legacy.Compromised())
 		}
 		eN, eO := p.LastError(), legacy.LastError()

@@ -177,7 +177,7 @@ func (f *legacyFramework) AlertActive() bool { return f.detector.Alert() }
 
 // Compromised returns the latest diagnosis outcome (empty until diagnosis
 // has run).
-func (f *legacyFramework) Compromised() sensors.TypeSet { return f.lastDiagnosis.Clone() }
+func (f *legacyFramework) Compromised() sensors.TypeSet { return f.lastDiagnosis }
 
 // DiagnosisRan reports whether diagnosis has produced at least one
 // verdict since Init.
@@ -203,7 +203,7 @@ func (f *legacyFramework) active() sensors.TypeSet {
 	if f.mode != legacyModeRecovery {
 		return f.allActive
 	}
-	clear(f.activeBuf)
+	f.activeBuf = 0
 	for _, t := range f.allTypes {
 		if !f.compromised.Has(t) {
 			f.activeBuf.Add(t)
@@ -364,7 +364,7 @@ func (f *legacyFramework) defenseTick(t float64, meas sensors.PhysState, target 
 			}
 		}
 		if grew {
-			f.lastDiagnosis = f.compromised.Clone()
+			f.lastDiagnosis = f.compromised
 			f.tel.Event(f.ticks, telemetry.KindDiagnosis, "widened isolated="+f.compromised.String())
 			if rec, ok := f.recorder.LatestTrusted(); ok && t-rec.T <= 2*f.cfg.WindowSec+5 {
 				f.chargeReconstruction()
@@ -452,7 +452,7 @@ func (f *legacyFramework) defenseTick(t float64, meas sensors.PhysState, target 
 func (f *legacyFramework) runDiagnosisAndMaybeRecover(t float64, meas sensors.PhysState) {
 	f.chargeDiagnosis()
 	diagnosed := f.diagnoser.Diagnose()
-	f.lastDiagnosis = diagnosed.Clone()
+	f.lastDiagnosis = diagnosed
 	f.diagnosisRan = true
 	f.tel.DiagnosisPass(f.ticks, diagnosed.Len() == 0, f.diagnosisDetail(diagnosed))
 	if diagnosed.Len() == 0 {
@@ -464,7 +464,7 @@ func (f *legacyFramework) runDiagnosisAndMaybeRecover(t float64, meas sensors.Ph
 		// Worst-case assumption: isolate everything.
 		f.compromised = sensors.NewTypeSet(sensors.AllTypes()...)
 	case StrategyDeLorean:
-		f.compromised = diagnosed.Clone()
+		f.compromised = diagnosed
 	default:
 		// SSR and PID-Piper neither diagnose nor isolate; they tolerate.
 		f.compromised = sensors.NewTypeSet()
@@ -604,9 +604,9 @@ func (f *legacyFramework) revalidateSensors(t float64, meas sensors.PhysState) {
 			continue
 		}
 		if t-f.sensorQuiet[typ] >= 2.0 {
-			delete(f.compromised, typ)
+			f.compromised.Remove(typ)
 			f.sensorQuiet[typ] = 0
-			f.lastDiagnosis = f.compromised.Clone()
+			f.lastDiagnosis = f.compromised
 			f.tel.SensorReadmitted(f.ticks, typ.String())
 		}
 	}

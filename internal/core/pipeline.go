@@ -47,12 +47,6 @@ type Pipeline struct {
 	compromised sensors.TypeSet
 	alertPrev   bool
 
-	// Per-tick scratch: the canonical sensor list, the full trusted set
-	// served on the (steady-state) non-recovery path, and a reused buffer
-	// for the recovery-mode subset — so active() allocates nothing.
-	allTypes   []sensors.Type
-	allActive  sensors.TypeSet
-	activeBuf  sensors.TypeSet
 	monitorBuf []sensors.StateIndex // reused by monitoredChannels each recovery tick
 
 	recoveryStart   float64
@@ -63,7 +57,7 @@ type Pipeline struct {
 	graceUntil      float64
 	lastExit        float64
 	alertSince      float64
-	sensorQuiet     map[sensors.Type]float64
+	sensorQuiet     [sensors.NumTypes + 1]float64 // by sensors.Type: when an isolated sensor began agreeing (0: not yet)
 	prevMeas        sensors.PhysState
 	prevEst         sensors.PhysState
 	havePrev        bool
@@ -71,7 +65,6 @@ type Pipeline struct {
 	// Telemetry.
 	tel                 *telemetry.Recorder
 	lastDiagnosis       sensors.TypeSet
-	verdicts            int // verdicts installed into lastDiagnosis since New
 	diagnosisRan        bool
 	recoveryActivations int
 	lastErr             sensors.PhysState
@@ -103,18 +96,14 @@ func New(cfg Config, strategy Strategy) (*Pipeline, error) {
 			cfg.Shared.profile, cfg.Profile.Name, cfg.DT)
 	}
 	p := &Pipeline{
-		cfg:         cfg,
-		strategy:    strategy,
-		tel:         cfg.Telemetry,
-		autopilot:   control.ForProfile(cfg.Profile),
-		filter:      ekf.New(cfg.Profile),
-		recorder:    checkpoint.NewRecorder(cfg.WindowSec),
-		step:        ekf.StepForProfile(cfg.Profile),
-		fsm:         NewFSM(cfg.Telemetry),
-		compromised: sensors.NewTypeSet(),
-		allTypes:    sensors.AllTypes(),
-		allActive:   sensors.NewTypeSet(sensors.AllTypes()...),
-		activeBuf:   sensors.NewTypeSet(),
+		cfg:       cfg,
+		strategy:  strategy,
+		tel:       cfg.Telemetry,
+		autopilot: control.ForProfile(cfg.Profile),
+		filter:    ekf.New(cfg.Profile),
+		recorder:  checkpoint.NewRecorder(cfg.WindowSec),
+		step:      ekf.StepForProfile(cfg.Profile),
+		fsm:       NewFSM(cfg.Telemetry),
 	}
 	p.detector = cfg.Detector
 	if p.detector == nil {
@@ -156,8 +145,8 @@ func (p *Pipeline) Init(start vehicle.State) {
 	p.shadow = start
 	p.ssrState = start
 	p.fsm.Reset()
-	p.compromised = sensors.NewTypeSet()
-	p.setVerdict(sensors.NewTypeSet())
+	p.compromised = 0
+	p.lastDiagnosis = 0
 	p.diagnosisRan = false
 	p.alertPrev = false
 	p.havePrev = false
@@ -185,19 +174,7 @@ func (p *Pipeline) AlertActive() bool { return p.detector.Alert() }
 
 // Compromised returns the latest diagnosis outcome (empty until diagnosis
 // has run).
-func (p *Pipeline) Compromised() sensors.TypeSet { return p.lastDiagnosis.Clone() }
-
-// Verdicts counts the diagnosis verdicts installed since New, Init's empty
-// one included. A verdict is only ever replaced, never mutated, so a clone
-// of Compromised stays current for as long as the count is unchanged.
-func (p *Pipeline) Verdicts() int { return p.verdicts }
-
-// setVerdict installs a new diagnosis verdict. v must be a set no one else
-// holds.
-func (p *Pipeline) setVerdict(v sensors.TypeSet) {
-	p.lastDiagnosis = v
-	p.verdicts++
-}
+func (p *Pipeline) Compromised() sensors.TypeSet { return p.lastDiagnosis }
 
 // DiagnosisRan reports whether diagnosis has produced at least one
 // verdict since Init.
@@ -216,20 +193,13 @@ func (p *Pipeline) MemoryBytes() int { return p.recorder.MemoryBytes() }
 
 // The Table 3 CPU-overhead accounting lives in costmodel.go (Overhead).
 
-// active returns the sensor set currently trusted by the fusion. The
-// returned set is pipeline-owned scratch, rebuilt (not reallocated) per
-// tick; callers must not mutate or retain it.
+// active returns the sensor set currently trusted by the fusion: every
+// sensor but the isolated ones while recovering, every sensor otherwise.
 func (p *Pipeline) active() sensors.TypeSet {
 	if !p.fsm.Mode().Recovery() {
-		return p.allActive
+		return sensors.All
 	}
-	clear(p.activeBuf)
-	for _, t := range p.allTypes {
-		if !p.compromised.Has(t) {
-			p.activeBuf.Add(t)
-		}
-	}
-	return p.activeBuf
+	return sensors.All &^ p.compromised
 }
 
 // Tick runs one control period: fuse, detect, diagnose, reconstruct,
@@ -438,7 +408,7 @@ func (p *Pipeline) defenseTick(t float64, meas sensors.PhysState, target mission
 func (p *Pipeline) triage(t float64, meas sensors.PhysState) {
 	p.chargeDiagnosis()
 	diagnosed, isolate := p.comp.Diagnose.Triage()
-	p.setVerdict(diagnosed.Clone())
+	p.lastDiagnosis = diagnosed
 	p.diagnosisRan = true
 	p.tel.DiagnosisPass(p.ticks, diagnosed.Len() == 0, p.diagnosisDetail(diagnosed))
 	if diagnosed.Len() == 0 {
@@ -472,7 +442,7 @@ func (p *Pipeline) triage(t float64, meas sensors.PhysState) {
 	p.endEdgeSeen = false
 	p.quietSince = t
 	p.residQuietSince = 0
-	p.sensorQuiet = nil
+	p.sensorQuiet = [sensors.NumTypes + 1]float64{}
 	p.tel.RecoveryEngaged(p.ticks, p.recoveryDetail())
 }
 
@@ -491,7 +461,7 @@ func (p *Pipeline) widenDiagnosis(t float64, meas sensors.PhysState) {
 		}
 	}
 	if grew {
-		p.setVerdict(p.compromised.Clone())
+		p.lastDiagnosis = p.compromised
 		p.tel.Event(p.ticks, telemetry.KindDiagnosis, "widened isolated="+p.compromised.String())
 		p.widenReconstruction(t, meas)
 	}
@@ -541,9 +511,6 @@ func (p *Pipeline) recoveryDetail() string {
 // revalidateSensors re-admits isolated sensors whose channels have all
 // stayed within 0.7δ of the internal estimate for 2 s.
 func (p *Pipeline) revalidateSensors(t float64, meas sensors.PhysState) {
-	if p.sensorQuiet == nil {
-		p.sensorQuiet = make(map[sensors.Type]float64, sensors.NumTypes)
-	}
 	estPS := p.estimatePS()
 	resid := meas.AbsDiff(estPS)
 	for _, typ := range p.compromised.List() {
@@ -563,9 +530,9 @@ func (p *Pipeline) revalidateSensors(t float64, meas sensors.PhysState) {
 			continue
 		}
 		if t-p.sensorQuiet[typ] >= 2.0 {
-			delete(p.compromised, typ)
+			p.compromised.Remove(typ)
 			p.sensorQuiet[typ] = 0
-			p.setVerdict(p.compromised.Clone())
+			p.lastDiagnosis = p.compromised
 			p.tel.SensorReadmitted(p.ticks, typ.String())
 		}
 	}
@@ -579,7 +546,7 @@ func (p *Pipeline) revalidateSensors(t float64, meas sensors.PhysState) {
 func (p *Pipeline) exitRecovery(t float64, meas sensors.PhysState) {
 	wasCompromised := p.compromised
 	p.fsm.Transition(p.ticks, ModeExiting, telemetry.StageRecoveryMonitor)
-	p.compromised = sensors.NewTypeSet()
+	p.compromised = 0
 	p.lastExit = t
 	p.recorder.Resume(t)
 	p.autopilot.Reset()

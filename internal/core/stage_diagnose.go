@@ -24,7 +24,7 @@ type targetedTriage struct{ techniqueTriage }
 
 func (s targetedTriage) Triage() (diagnosed, isolate sensors.TypeSet) {
 	diagnosed = s.p.diagnoser.Diagnose()
-	return diagnosed, diagnosed.Clone()
+	return diagnosed, diagnosed
 }
 
 // worstCaseTriage isolates every sensor on any non-empty verdict
@@ -34,9 +34,9 @@ type worstCaseTriage struct{ techniqueTriage }
 func (s worstCaseTriage) Triage() (diagnosed, isolate sensors.TypeSet) {
 	diagnosed = s.p.diagnoser.Diagnose()
 	if diagnosed.Len() == 0 {
-		return diagnosed, nil
+		return diagnosed, 0
 	}
-	return diagnosed, sensors.NewTypeSet(sensors.AllTypes()...)
+	return diagnosed, sensors.All
 }
 
 // toleratingTriage never isolates: SSR and PID-Piper tolerate the attack
@@ -44,9 +44,5 @@ func (s worstCaseTriage) Triage() (diagnosed, isolate sensors.TypeSet) {
 type toleratingTriage struct{ techniqueTriage }
 
 func (s toleratingTriage) Triage() (diagnosed, isolate sensors.TypeSet) {
-	diagnosed = s.p.diagnoser.Diagnose()
-	if diagnosed.Len() == 0 {
-		return diagnosed, nil
-	}
-	return diagnosed, sensors.NewTypeSet()
+	return s.p.diagnoser.Diagnose(), 0
 }

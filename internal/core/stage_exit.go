@@ -84,16 +84,15 @@ func (s subsidenceExit) ShouldExit(t float64, meas sensors.PhysState) bool {
 // monitoredChannels returns the channels whose residuals/edges govern
 // recovery exit: the compromised sensors' states for the isolating
 // strategies, every monitored state for the tolerating ones.
-// It runs every recovery tick, so it iterates the canonical type list
-// against the preallocated full set and reuses the pipeline's channel
-// buffer instead of materializing set.List().
+// It runs every recovery tick, so it reuses the pipeline's channel buffer
+// instead of materializing set.List().
 func (p *Pipeline) monitoredChannels() []sensors.StateIndex {
 	set := p.compromised
 	if set.Len() == 0 {
-		set = p.allActive
+		set = sensors.All
 	}
 	out := p.monitorBuf[:0]
-	for _, typ := range p.allTypes {
+	for _, typ := range sensors.AllTypes() {
 		if !set.Has(typ) {
 			continue
 		}

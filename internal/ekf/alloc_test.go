@@ -46,8 +46,8 @@ func TestEKFCorrectZeroAlloc(t *testing.T) {
 // sized for the full observation set up front.
 func TestEKFCorrectZeroAllocAfterReshape(t *testing.T) {
 	f, meas, all := benchFilter()
-	masked := all.Clone()
-	delete(masked, sensors.GPS)
+	masked := all
+	masked.Remove(sensors.GPS)
 	sets := [2]sensors.TypeSet{masked, all}
 	i := 0
 	if n := testing.AllocsPerRun(100, func() {

@@ -48,8 +48,7 @@ var benchCases = []struct {
 func benchCaseFilter(id vehicle.ProfileName, maskGPS bool) (*ekf.Filter, sensors.PhysState, sensors.TypeSet) {
 	f, meas, active := benchFilterFor(id)
 	if maskGPS {
-		active = active.Clone()
-		delete(active, sensors.GPS)
+		active.Remove(sensors.GPS)
 	}
 	return f, meas, active
 }

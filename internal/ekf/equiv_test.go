@@ -153,8 +153,8 @@ func TestWorkspaceMatchesAllocatingReference(t *testing.T) {
 			fkin := kinematicJacobian(dt)
 
 			all := sensors.NewTypeSet(sensors.AllTypes()...)
-			masked := all.Clone()
-			delete(masked, sensors.GPS)
+			masked := all
+			masked.Remove(sensors.GPS)
 
 			rng := rand.New(rand.NewSource(7))
 			u := vehicle.Input{Thrust: 9.0}

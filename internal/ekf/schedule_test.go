@@ -43,8 +43,8 @@ func runPair(t *testing.T, prof vehicle.Profile, sched *Schedule, steps, maskFro
 	private.Init(start)
 
 	all := sensors.NewTypeSet(sensors.AllTypes()...)
-	masked := all.Clone()
-	delete(masked, sensors.GPS)
+	masked := all
+	masked.Remove(sensors.GPS)
 
 	rng := rand.New(rand.NewSource(seed))
 	u := vehicle.Input{Thrust: 9.0}
@@ -265,8 +265,8 @@ func runPairErr(t *testing.T, prof vehicle.Profile, sched *Schedule, steps, mask
 	private.Init(start)
 
 	all := sensors.NewTypeSet(sensors.AllTypes()...)
-	masked := all.Clone()
-	delete(masked, sensors.GPS)
+	masked := all
+	masked.Remove(sensors.GPS)
 
 	rng := rand.New(rand.NewSource(seed))
 	u := vehicle.Input{Thrust: 9.0}

@@ -56,7 +56,7 @@ func suite(t testing.TB, n int, profiles []vehicle.ProfileName) []Job {
 			// Keep the master rng draw count independent of which jobs
 			// carry attacks.
 			_ = attack.RandomTargets(rng, 1)
-			_ = attack.New(rng, attack.DefaultParams(), nil, 1.0, 2.5)
+			_ = attack.New(rng, attack.DefaultParams(), 0, 1.0, 2.5)
 		}
 		jobs[i] = Job{Label: fmt.Sprintf("suite/%d", i), Cfg: cfg}
 	}

@@ -139,7 +139,7 @@ func Table4(ctx context.Context, opt Options) (Table4Result, error) {
 			var hits int
 			for i := 0; i < opt.Missions; i++ {
 				res := results[j]
-				if res.DiagnosisRanDuringAttack && res.DiagnosedDuringAttack.Equal(wantTargets[j]) {
+				if res.DiagnosisRanDuringAttack && res.DiagnosedDuringAttack == wantTargets[j] {
 					hits++
 				}
 				j++

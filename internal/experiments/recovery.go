@@ -324,7 +324,7 @@ func Table7(ctx context.Context, opt Options) (Table7Result, error) {
 				res := results[j]
 				want := wantTargets[j]
 				j++
-				if res.DiagnosisRanDuringAttack && res.DiagnosedDuringAttack.Equal(want) {
+				if res.DiagnosisRanDuringAttack && res.DiagnosedDuringAttack == want {
 					tp++
 				}
 				if res.Success {

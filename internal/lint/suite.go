@@ -159,16 +159,11 @@ func defaultHotalloc() HotallocConfig {
 			ekfPath + ":Schedule.extendTo",
 			ekfPath + ":Schedule.seedPost",
 			ekfPath + ":Filter.detachShared",
-			// Episodic telemetry captures and terminal error paths of the
-			// step path: each runs only inside an attack/recovery episode
-			// or once per mission, never on the nominal per-tick path.
-			simPath + ":Mission.noteDiagnosis",
+			// Terminal error paths of the step path: each runs at most
+			// once per mission, never on the nominal per-tick path.
 			simPath + ":srcErr",
 			sourcePath + ":exhaustedErr",
 			sourcePath + ":desyncErr",
-			// Failure injection trips at most once per mission: the
-			// armed flag flips off after the first SetDropout.
-			sensorsPath + ":Suite.SetDropout",
 		},
 	}
 }

@@ -1,6 +1,7 @@
 package sensors
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -77,18 +78,46 @@ func TestTypeSetBasics(t *testing.T) {
 	}
 }
 
-func TestTypeSetEqualAndClone(t *testing.T) {
+func TestTypeSetValueSemantics(t *testing.T) {
 	a := NewTypeSet(GPS, Mag)
-	b := a.Clone()
-	if !a.Equal(b) {
-		t.Error("clone not equal")
+	b := a
+	if b != a {
+		t.Error("copy not equal")
 	}
 	b.Add(Baro)
-	if a.Equal(b) {
+	if a == b {
 		t.Error("sets with different members compare equal")
 	}
 	if a.Has(Baro) {
-		t.Error("Clone shares storage")
+		t.Error("a copy shares storage")
+	}
+	if NewTypeSet(Mag, GPS, GPS) != a {
+		t.Error("== depends on insertion order or repeats")
+	}
+	b.Remove(GPS)
+	b.Remove(Gyro) // not a member: no change
+	if b != NewTypeSet(Mag, Baro) || b.Len() != 2 {
+		t.Errorf("after Remove: %v (Len %d)", b, b.Len())
+	}
+	if All != NewTypeSet(AllTypes()...) || All.Len() != NumTypes {
+		t.Errorf("All = %v (Len %d)", All, All.Len())
+	}
+	var out TypeSet
+	out.Add(Type(0))
+	out.Add(Baro + 1)
+	out.Add(Type(-3))
+	if out != 0 || out.Len() != 0 || out.Has(Type(0)) || out.Has(Baro+1) {
+		t.Errorf("out-of-range types were added: %v", out)
+	}
+	if NewTypeSet(Type(9), GPS) != NewTypeSet(GPS) {
+		t.Error("NewTypeSet kept an out-of-range type")
+	}
+	var empty TypeSet
+	if empty.Len() != 0 || len(empty.List()) != 0 || empty.String() != "{}" {
+		t.Errorf("empty set: Len %d, List %v, String %q", empty.Len(), empty.List(), empty.String())
+	}
+	if got := fmt.Sprintf("%v", NewTypeSet(Gyro, GPS)); got != "{GPS, gyroscope}" {
+		t.Errorf("%%v = %q", got)
 	}
 }
 
@@ -121,7 +150,7 @@ func TestBiasTargets(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.give.Targets(); !got.Equal(tt.want) {
+			if got := tt.give.Targets(); got != tt.want {
 				t.Errorf("Targets = %v, want %v", got, tt.want)
 			}
 		})
@@ -311,7 +340,7 @@ func TestPropertyMergeExtremes(t *testing.T) {
 func TestPropertyScalePreservesTargets(t *testing.T) {
 	f := func(gx, gy, gz, ax float64, baro float64) bool {
 		b := Bias{GPSPos: [3]float64{gx, gy, gz}, Accel: [3]float64{ax, 0, 0}, Baro: baro}
-		return b.Scale(0.5).Targets().Equal(b.Targets())
+		return b.Scale(0.5).Targets() == b.Targets()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -1,90 +1,6 @@
 package sensors
 
-import (
-	"repro/internal/floats"
-	"repro/internal/vehicle"
-)
-
-// TypeMask is an allocation-free set of sensor types: one bit per Type.
-// It is the trace-format and hot-path counterpart of TypeSet (which is a
-// map and therefore allocates). The zero mask is empty.
-type TypeMask uint8
-
-// MaskOf builds a mask from the listed types.
-func MaskOf(types ...Type) TypeMask {
-	var m TypeMask
-	for _, t := range types {
-		m = m.With(t)
-	}
-	return m
-}
-
-// With returns the mask with t added.
-func (m TypeMask) With(t Type) TypeMask {
-	if t < GPS || t > Baro {
-		return m
-	}
-	return m | 1<<(uint(t)-1)
-}
-
-// Has reports membership.
-func (m TypeMask) Has(t Type) bool {
-	if t < GPS || t > Baro {
-		return false
-	}
-	return m&(1<<(uint(t)-1)) != 0
-}
-
-// IsEmpty reports whether no type is set.
-func (m TypeMask) IsEmpty() bool { return m == 0 }
-
-// Set expands the mask into a TypeSet (allocates; not for the hot path).
-func (m TypeMask) Set() TypeSet {
-	s := make(TypeSet, NumTypes)
-	for _, t := range AllTypes() {
-		if m.Has(t) {
-			s.Add(t)
-		}
-	}
-	return s
-}
-
-// Mask compresses the set into a TypeMask.
-func (s TypeSet) Mask() TypeMask {
-	var m TypeMask
-	for _, t := range AllTypes() {
-		if s.Has(t) {
-			m = m.With(t)
-		}
-	}
-	return m
-}
-
-// String renders the mask like TypeSet.String, e.g. "{GPS, gyroscope}".
-func (m TypeMask) String() string { return m.Set().String() }
-
-// TargetMask returns the sensor types carrying a non-zero injection as a
-// mask. It is the allocation-free counterpart of Targets, used on the
-// per-tick recording path.
-func (b Bias) TargetMask() TypeMask {
-	var m TypeMask
-	if b.GPSPos != [3]float64{} || b.GPSVel != [3]float64{} {
-		m = m.With(GPS)
-	}
-	if b.Gyro != [3]float64{} {
-		m = m.With(Gyro)
-	}
-	if b.Accel != [3]float64{} {
-		m = m.With(Accel)
-	}
-	if !floats.Zero(b.MagYaw) {
-		m = m.With(Mag)
-	}
-	if !floats.Zero(b.Baro) {
-		m = m.With(Baro)
-	}
-	return m
-}
+import "repro/internal/vehicle"
 
 // Tick is the per-tick context the mission loop offers a Source. Sources
 // that synthesize measurements from simulated physics (the simulator
@@ -116,7 +32,7 @@ type Reading struct {
 	// AttackTargets annotates which sensor types carry an injection this
 	// tick (may be empty while AttackActive if the injection is in an
 	// off-phase of an intermittent attack).
-	AttackTargets TypeMask
+	AttackTargets TypeSet
 }
 
 // Source is the sensor-ingestion seam: the mission loop pulls one Reading

@@ -41,7 +41,7 @@ func (b Bias) IsZero() bool {
 
 // Targets returns the sensor types that carry a non-zero injection.
 func (b Bias) Targets() TypeSet {
-	s := make(TypeSet, NumTypes)
+	var s TypeSet
 	if b.GPSPos != [3]float64{} || b.GPSVel != [3]float64{} {
 		s.Add(GPS)
 	}
@@ -110,7 +110,7 @@ func (s *Suite) Profile() vehicle.Profile { return s.profile }
 // hold their last value instead of refreshing. Pass an empty set to
 // restore all sensors.
 func (s *Suite) SetDropout(failed TypeSet) {
-	s.dropout = failed.Clone()
+	s.dropout = failed
 }
 
 // due reports whether a sensor with the given rate should refresh at time

@@ -5,7 +5,10 @@
 // compromised sensors.
 package sensors
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Type identifies one of the five sensor types of Table 1.
 type Type int
@@ -140,68 +143,53 @@ func SensorOf(i StateIndex) Type {
 }
 
 // TypeSet is a set of sensor types, used to describe which sensors an SDA
-// targets or which a diagnosis flags.
-type TypeSet map[Type]bool
+// targets, which a diagnosis flags, and which the fusion trusts: one bit
+// per Type, GPS in bit 0. It is a value, so a copy is an independent set,
+// == compares membership, and the zero value is the empty set. A type
+// outside GPS…Baro has no bit: adding it adds nothing.
+type TypeSet uint8
+
+// All is the set of every sensor type.
+const All TypeSet = 1<<NumTypes - 1
 
 // NewTypeSet builds a set from the listed types.
 func NewTypeSet(types ...Type) TypeSet {
-	s := make(TypeSet, len(types))
+	var s TypeSet
 	for _, t := range types {
-		s[t] = true
+		s.Add(t)
 	}
 	return s
 }
 
-// Clone returns a copy of the set.
-func (s TypeSet) Clone() TypeSet {
-	out := make(TypeSet, len(s))
-	for t, v := range s {
-		if v {
-			out[t] = true
-		}
+// bit returns t's member bit, or 0 for a type outside GPS…Baro.
+func bit(t Type) TypeSet {
+	if t < GPS || t > Baro {
+		return 0
 	}
-	return out
+	return 1 << uint(t-GPS)
 }
 
 // Has reports membership.
-func (s TypeSet) Has(t Type) bool { return s[t] }
+func (s TypeSet) Has(t Type) bool { return s&bit(t) != 0 }
 
 // Add inserts t.
-func (s TypeSet) Add(t Type) { s[t] = true }
+func (s *TypeSet) Add(t Type) { *s |= bit(t) }
+
+// Remove deletes t.
+func (s *TypeSet) Remove(t Type) { *s &^= bit(t) }
 
 // Len returns the number of members.
-func (s TypeSet) Len() int {
-	var n int
-	for _, v := range s {
-		if v {
-			n++
-		}
-	}
-	return n
-}
+func (s TypeSet) Len() int { return bits.OnesCount8(uint8(s)) }
 
 // List returns the members in canonical order.
 func (s TypeSet) List() []Type {
-	out := make([]Type, 0, len(s))
+	out := make([]Type, 0, s.Len())
 	for _, t := range AllTypes() {
-		if s[t] {
+		if s.Has(t) {
 			out = append(out, t)
 		}
 	}
 	return out
-}
-
-// Equal reports whether two sets have identical membership.
-func (s TypeSet) Equal(o TypeSet) bool {
-	if s.Len() != o.Len() {
-		return false
-	}
-	for _, t := range AllTypes() {
-		if s[t] != o[t] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the set for traces, e.g. "{GPS, gyroscope}".

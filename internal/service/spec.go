@@ -344,7 +344,7 @@ func ParseTargets(s string) (sensors.TypeSet, error) {
 		case "baro", "barometer":
 			out.Add(sensors.Baro)
 		default:
-			return nil, &SpecError{Field: "Attack", Reason: fmt.Sprintf("unknown sensor %q", name)}
+			return 0, &SpecError{Field: "Attack", Reason: fmt.Sprintf("unknown sensor %q", name)}
 		}
 	}
 	return out, nil

@@ -69,7 +69,7 @@ func TestParseTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := sensors.NewTypeSet(sensors.GPS, sensors.Gyro, sensors.Accel)
-	if !got.Equal(want) {
+	if got != want {
 		t.Errorf("ParseTargets = %v, want %v", got, want)
 	}
 	if _, err := ParseTargets("lidar"); err == nil {

@@ -50,9 +50,10 @@ type Config struct {
 	Attacks *attack.Schedule
 
 	// DropoutAt fails the DropoutSensors at the given mission time
-	// (failure injection; zero disables).
+	// (failure injection; zero disables). DropoutSensors lists the
+	// sensors that fail, nil for none.
 	DropoutAt      float64
-	DropoutSensors sensors.TypeSet
+	DropoutSensors []sensors.Type
 
 	// WindMean/WindGust/WindDir parameterize the wind model.
 	WindMean, WindGust, WindDir float64
@@ -118,10 +119,6 @@ type Result struct {
 	DiagnosisRanDuringAttack bool
 	// RecoveryActivations counts recovery episodes.
 	RecoveryActivations int
-	// LastRecoveryDiagnosis is the diagnosis verdict of the most recent
-	// recovery activation (attack or not — used by the FP experiments to
-	// see what a gratuitous activation flagged).
-	LastRecoveryDiagnosis sensors.TypeSet
 
 	// AttitudeSeries holds decimated [roll pitch yaw] samples for RMSD.
 	AttitudeSeries [][3]float64
@@ -217,11 +214,6 @@ type Mission struct {
 	latencyRecorded bool
 	over            bool
 	res             Result
-
-	// verdict is a clone of the pipeline's diagnosis verdict, taken when
-	// the pipeline's verdict count was verdictN.
-	verdict  sensors.TypeSet
-	verdictN int
 }
 
 // NewMission validates and defaults the configuration and assembles the
@@ -376,27 +368,13 @@ func (m *Mission) Step() (bool, error) {
 }
 
 // noteDiagnosis captures the pipeline's diagnosis verdict into the
-// result while an attack or a recovery episode is in progress. It clones
-// the verdict only when the pipeline has installed a new one, and only on
-// attacked or recovering ticks, so it is a declared hotalloc cold cut
-// point of the per-step path. The result's sets may share the clone;
-// nothing mutates them.
+// result on attacked ticks once diagnosis has run.
 func (m *Mission) noteDiagnosis(attackActive bool) {
-	attacked := attackActive && m.fw.DiagnosisRan()
-	recovering := m.fw.Recovering()
-	if !attacked && !recovering {
+	if !attackActive || !m.fw.DiagnosisRan() {
 		return
 	}
-	if n := m.fw.Verdicts(); m.verdict == nil || n != m.verdictN {
-		m.verdict, m.verdictN = m.fw.Compromised(), n
-	}
-	if attacked {
-		m.res.DiagnosedDuringAttack = m.verdict
-		m.res.DiagnosisRanDuringAttack = true
-	}
-	if recovering && m.verdict.Len() > 0 {
-		m.res.LastRecoveryDiagnosis = m.verdict
-	}
+	m.res.DiagnosedDuringAttack = m.fw.Compromised()
+	m.res.DiagnosisRanDuringAttack = true
 }
 
 // srcErr wraps a sensor-source failure with its mission time. Kept out

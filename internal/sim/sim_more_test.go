@@ -157,7 +157,7 @@ func TestGPSDropoutFailureInjection(t *testing.T) {
 	// isolate it, and finish the mission on the remaining sensors.
 	cfg := baseCfg(core.StrategyDeLorean, 33)
 	cfg.DropoutAt = 15
-	cfg.DropoutSensors = sensors.NewTypeSet(sensors.GPS)
+	cfg.DropoutSensors = []sensors.Type{sensors.GPS}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

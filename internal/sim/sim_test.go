@@ -66,7 +66,7 @@ func TestGPSAttackDeLoreanRecovers(t *testing.T) {
 	if !res.DiagnosisRanDuringAttack {
 		t.Fatal("diagnosis never ran during the attack")
 	}
-	if !res.DiagnosedDuringAttack.Equal(sensors.NewTypeSet(sensors.GPS)) {
+	if res.DiagnosedDuringAttack != sensors.NewTypeSet(sensors.GPS) {
 		t.Errorf("diagnosis = %v, want {GPS}", res.DiagnosedDuringAttack)
 	}
 	if res.RecoveryActivations == 0 {

@@ -22,9 +22,9 @@ type SourceConfig struct {
 	// nil means attack-free.
 	Attacks *attack.Schedule
 	// DropoutAt / DropoutSensors inject a sensor failure at the given
-	// mission time (zero disables).
+	// mission time (zero disables): the listed sensors fail, nil for none.
 	DropoutAt      float64
-	DropoutSensors sensors.TypeSet
+	DropoutSensors []sensors.Type
 }
 
 // SimSource synthesizes sensor readings from simulated physics: the
@@ -50,13 +50,14 @@ func NewSimSource(c SourceConfig) *SimSource {
 
 // newSimSource is the seeded core shared with RunContext: suiteSeed is
 // the first Int63 draw of the mission's master rng.
-func newSimSource(p vehicle.Profile, suiteSeed int64, attacks *attack.Schedule, dropoutAt float64, dropoutSensors sensors.TypeSet) *SimSource {
+func newSimSource(p vehicle.Profile, suiteSeed int64, attacks *attack.Schedule, dropoutAt float64, dropoutSensors []sensors.Type) *SimSource {
+	failed := sensors.NewTypeSet(dropoutSensors...)
 	return &SimSource{
 		suite:          sensors.NewSuite(p, rand.New(rand.NewSource(suiteSeed))),
 		attacks:        attacks,
 		dropoutAt:      dropoutAt,
-		dropoutSensors: dropoutSensors,
-		dropoutArmed:   dropoutAt > 0 && dropoutSensors.Len() > 0,
+		dropoutSensors: failed,
+		dropoutArmed:   dropoutAt > 0 && failed != 0,
 	}
 }
 
@@ -75,7 +76,7 @@ func (s *SimSource) Sample(tick sensors.Tick) (sensors.Reading, error) {
 		// physically inside the emitters' range (Table 2).
 		bias = s.attacks.BiasAtPos(tick.T, tick.Truth.X, tick.Truth.Y)
 		rd.AttackActive = s.attacks.InRangeAt(tick.T, tick.Truth.X, tick.Truth.Y)
-		rd.AttackTargets = bias.TargetMask()
+		rd.AttackTargets = bias.Targets()
 	}
 	rd.State = s.suite.Sample(tick.T, tick.DT, tick.Truth, tick.TruthAccel, bias)
 	return rd, nil

@@ -59,7 +59,7 @@ func (cfg Config) Validate() error {
 		if cfg.Attacks != nil {
 			return &ConfigError{Field: "Attacks", Reason: "conflicts with Source: an external source already carries its injections (bake the schedule into the source)"}
 		}
-		if cfg.DropoutAt > 0 || cfg.DropoutSensors.Len() > 0 {
+		if cfg.DropoutAt > 0 || len(cfg.DropoutSensors) > 0 {
 			return &ConfigError{Field: "DropoutAt", Reason: "conflicts with Source: failure injection is simulator-side (bake the dropout into the source)"}
 		}
 	}

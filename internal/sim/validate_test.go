@@ -38,7 +38,7 @@ func TestValidateNamesTheField(t *testing.T) {
 		}},
 		{"DropoutAt", func(c *Config) {
 			c.Source = NewSimSource(SourceConfig{Profile: c.Profile, Seed: c.Seed})
-			c.DropoutAt, c.DropoutSensors = 10, sensors.NewTypeSet(sensors.GPS)
+			c.DropoutAt, c.DropoutSensors = 10, []sensors.Type{sensors.GPS}
 		}},
 	} {
 		cfg := baseCfg(0, 1)

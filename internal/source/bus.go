@@ -27,7 +27,7 @@ type Stream struct {
 // sensor types it targets.
 type Window struct {
 	Start, End float64
-	Targets    sensors.TypeMask
+	Targets    sensors.TypeSet
 }
 
 // Bus time-aligns multiple independent per-sensor streams into per-tick
@@ -58,7 +58,7 @@ func NewBus(streams []Stream, attacks []Window) (*Bus, error) {
 		return nil, fmt.Errorf("source: bus needs at least one stream")
 	}
 	byChannel := make(map[string][]checkpoint.Sample, len(streams)*4)
-	seen := sensors.TypeMask(0)
+	var seen sensors.TypeSet
 	for _, st := range streams {
 		channels := sensors.StatesOf(st.Type)
 		if channels == nil {
@@ -67,7 +67,7 @@ func NewBus(streams []Stream, attacks []Window) (*Bus, error) {
 		if seen.Has(st.Type) {
 			return nil, fmt.Errorf("source: duplicate bus stream for %v", st.Type)
 		}
-		seen = seen.With(st.Type)
+		seen.Add(st.Type)
 		if len(st.Samples) == 0 {
 			return nil, fmt.Errorf("source: bus stream for %v is empty", st.Type)
 		}

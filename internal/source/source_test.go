@@ -19,7 +19,7 @@ func testTrace(n int, dt float64) *trace.Trace {
 		f.State[sensors.SBaroAlt] = 10 + float64(i)*0.5
 		if i >= n/2 {
 			f.Flags = trace.FlagAttackActive
-			f.Targets = sensors.MaskOf(sensors.GPS)
+			f.Targets = sensors.NewTypeSet(sensors.GPS)
 		}
 		tr.Frames = append(tr.Frames, f)
 		t += dt
@@ -79,7 +79,7 @@ func (f *fixedSource) Sample(tick sensors.Tick) (sensors.Reading, error) {
 	var rd sensors.Reading
 	rd.State[sensors.SY] = float64(f.n)
 	rd.AttackActive = f.n > 2
-	rd.AttackTargets = sensors.MaskOf(sensors.Baro)
+	rd.AttackTargets = sensors.NewTypeSet(sensors.Baro)
 	return rd, nil
 }
 
@@ -146,7 +146,7 @@ func TestBusAlignsMultiRateStreams(t *testing.T) {
 		})
 	}
 	bus, err := NewBus([]Stream{gps, baro}, []Window{
-		{Start: 1.0, End: 2.0, Targets: sensors.MaskOf(sensors.GPS)},
+		{Start: 1.0, End: 2.0, Targets: sensors.NewTypeSet(sensors.GPS)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestBusAlignsMultiRateStreams(t *testing.T) {
 		// Bus cursors are single-mission; rebuild to probe out of order.
 		// Ticks are computed as k*dt (not accumulated) so probe times land
 		// on exact grid values, mirroring how sim.RunContext steps time.
-		b, err := NewBus([]Stream{gps, baro}, []Window{{Start: 1.0, End: 2.0, Targets: sensors.MaskOf(sensors.GPS)}})
+		b, err := NewBus([]Stream{gps, baro}, []Window{{Start: 1.0, End: 2.0, Targets: sensors.NewTypeSet(sensors.GPS)}})
 		if err != nil {
 			t.Fatal(err)
 		}

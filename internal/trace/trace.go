@@ -90,7 +90,7 @@ type Frame struct {
 	T       float64
 	State   sensors.PhysState
 	Flags   uint8
-	Targets sensors.TypeMask
+	Targets sensors.TypeSet
 }
 
 // AttackActive reports the FlagAttackActive bit.
@@ -169,7 +169,8 @@ func (tr *Trace) encodePayload(w io.Writer) error {
 
 // Decode reads a trace written by Encode. Corruption anywhere — damaged
 // magic, unknown version, truncated or bit-flipped payload (caught by the
-// gzip CRC) — yields an error wrapping one of the sentinel classes.
+// gzip CRC), a frame annotation with bits no flag or sensor type defines —
+// yields an error wrapping one of the sentinel classes.
 func Decode(r io.Reader) (*Trace, error) {
 	head := make([]byte, len(magic)+4)
 	if _, err := io.ReadFull(r, head); err != nil {
@@ -231,7 +232,11 @@ func decodePayload(p []byte) (*Trace, error) {
 			f.State[j] = math.Float64frombits(d.u64())
 		}
 		f.Flags = d.u8()
-		f.Targets = sensors.TypeMask(d.u8())
+		f.Targets = sensors.TypeSet(d.u8())
+		if f.Flags&^FlagAttackActive != 0 || f.Targets&^sensors.All != 0 {
+			return nil, fmt.Errorf("%w: frame %d: undefined annotation bits (flags %#02x, targets %#02x)",
+				ErrCorrupt, i, f.Flags, uint8(f.Targets))
+		}
 	}
 	if d.err != nil {
 		return nil, d.fail("frames")

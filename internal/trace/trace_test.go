@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sensors"
@@ -35,7 +36,7 @@ func sample() *Trace {
 		f.State[1] = math.SmallestNonzeroFloat64 // subnormal must survive
 		if i >= 3 {
 			f.Flags = FlagAttackActive
-			f.Targets = sensors.MaskOf(sensors.GPS, sensors.Gyro)
+			f.Targets = sensors.NewTypeSet(sensors.GPS, sensors.Gyro)
 		}
 		tr.Frames = append(tr.Frames, f)
 	}
@@ -159,17 +160,7 @@ func TestDecodeRejectsStateCountMismatch(t *testing.T) {
 	}
 	p := payload.Bytes()
 	p[0]++ // NumStates+1
-	var out bytes.Buffer
-	out.WriteString(magic)
-	out.Write([]byte{Version, 0, 0, 0})
-	gz := gzip.NewWriter(&out)
-	if _, err := gz.Write(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := gz.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decode(bytes.NewReader(out.Bytes())); !errors.Is(err, ErrVersion) {
+	if _, err := Decode(bytes.NewReader(envelope(t, p))); !errors.Is(err, ErrVersion) {
 		t.Errorf("got %v, want ErrVersion (layout mismatch)", err)
 	}
 }
@@ -184,6 +175,48 @@ func TestDecodeRejectsOversizedFrameCount(t *testing.T) {
 	}
 	p := payload.Bytes()
 	p[len(p)-1] = 0xFF // frame count low byte: 255 frames, zero payload
+	if _, err := Decode(bytes.NewReader(envelope(t, p))); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDecodeRejectsUndefinedAnnotationBits: a frame whose flags or
+// targets byte sets a bit no flag or sensor type defines is corrupt, so a
+// hostile trace cannot hand replay a target set whose Len disagrees with
+// its members.
+func TestDecodeRejectsUndefinedAnnotationBits(t *testing.T) {
+	var payload bytes.Buffer
+	if err := sample().encodePayload(&payload); err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []struct {
+		name  string
+		at    int // offset from the payload's end: 2 flags, 1 targets
+		value byte
+	}{
+		{"flags 0x02", 2, 0x02},
+		{"flags 0x81", 2, FlagAttackActive | 0x80},
+		{"targets 0x20", 1, 0x20},
+		{"targets 0x80", 1, 0x80},
+		{"targets 0x3f", 1, byte(sensors.All) | 0x20},
+	} {
+		p := bytes.Clone(payload.Bytes())
+		p[len(p)-tt.at] = tt.value
+		_, err := Decode(bytes.NewReader(envelope(t, p)))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "frame 6") {
+			t.Errorf("%s: got %v, want ErrCorrupt naming frame 6", tt.name, err)
+		}
+	}
+	p := bytes.Clone(payload.Bytes())
+	p[len(p)-1] = byte(sensors.All)
+	if _, err := Decode(bytes.NewReader(envelope(t, p))); err != nil {
+		t.Errorf("every defined target bit: %v", err)
+	}
+}
+
+// envelope wraps a raw payload in the magic, version and gzip envelope.
+func envelope(t *testing.T, p []byte) []byte {
+	t.Helper()
 	var out bytes.Buffer
 	out.WriteString(magic)
 	out.Write([]byte{Version, 0, 0, 0})
@@ -194,9 +227,7 @@ func TestDecodeRejectsOversizedFrameCount(t *testing.T) {
 	if err := gz.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(bytes.NewReader(out.Bytes())); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("got %v, want ErrCorrupt", err)
-	}
+	return out.Bytes()
 }
 
 func TestFileRoundTrip(t *testing.T) {
