@@ -192,7 +192,8 @@ func TestPropertyTargetsConsistent(t *testing.T) {
 		k := 1 + int(k0)%5
 		targets := RandomTargets(rng, k)
 		a := New(rng, DefaultParams(), targets, 0, 10)
-		return a.Base().Targets() == targets
+		base := a.Base()
+		return base.Targets() == targets
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

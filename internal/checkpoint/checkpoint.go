@@ -55,26 +55,37 @@ func NewRecorder(windowSec float64) *Recorder {
 // Window returns the configured window length.
 func (r *Recorder) Window() float64 { return r.window }
 
-// Record appends one sample. It is a no-op while recording is stopped
-// (attack in progress). Completed quiet windows rotate into the trusted
-// slot (Fig. 6a).
-func (r *Recorder) Record(rec Record) {
+// Record appends the sample at time t: the measured states, the fused
+// estimate and the control input. It is a no-op while recording is
+// stopped (attack in progress). Completed quiet windows rotate into the
+// trusted slot (Fig. 6a). The states come by pointer and are copied once,
+// into the window.
+func (r *Recorder) Record(t float64, ps *sensors.PhysState, est *vehicle.State, u vehicle.Input) {
 	if r.stopped {
 		return
 	}
 	if !r.started {
-		r.curStart = rec.T
+		r.curStart = t
 		r.started = true
 	}
-	if rec.T-r.curStart >= r.window && len(r.cur) > 0 {
+	if t-r.curStart >= r.window && len(r.cur) > 0 {
 		// Window w_i completed with no alert: it becomes the trusted
 		// window; w_{i−1} is discarded (Fig. 6a). The discarded window's
 		// buffer is recycled as the new current window, so steady-state
 		// recording stops allocating once both buffers hold a window.
 		r.prev, r.cur = r.cur, recycle(r.prev, r.cur)
-		r.curStart = rec.T
+		r.curStart = t
 	}
-	r.cur = append(r.cur, rec)
+	// Fill the new slot field by field: appending a Record literal would
+	// build it in a temporary and copy all of it again.
+	n := len(r.cur)
+	if n < cap(r.cur) {
+		r.cur = r.cur[:n+1]
+	} else {
+		r.cur = append(r.cur, Record{})
+	}
+	rec := &r.cur[n]
+	rec.T, rec.PS, rec.Est, rec.Input, rec.InputOnly = t, *ps, *est, u, false
 }
 
 // OnAlert stops recording and invalidates the current window's states,

@@ -16,10 +16,13 @@ func rec(t float64) Record {
 	return Record{T: t, PS: ps, Est: vehicle.State{X: t}, Input: vehicle.Input{Thrust: t}}
 }
 
+// record appends rec's fields to r.
+func record(r *Recorder, rec Record) { r.Record(rec.T, &rec.PS, &rec.Est, rec.Input) }
+
 func TestWindowRotation(t *testing.T) {
 	r := NewRecorder(1.0)
 	for i := 0; i < 25; i++ {
-		r.Record(rec(float64(i) * 0.1)) // 2.5 s of samples, 1 s windows
+		record(r, rec(float64(i)*0.1)) // 2.5 s of samples, 1 s windows
 	}
 	trusted := r.Trusted()
 	if trusted == nil {
@@ -42,7 +45,7 @@ func TestWindowRotation(t *testing.T) {
 func TestAlertDiscardsCurrentWindow(t *testing.T) {
 	r := NewRecorder(1.0)
 	for i := 0; i < 15; i++ {
-		r.Record(rec(float64(i) * 0.1))
+		record(r, rec(float64(i)*0.1))
 	}
 	// At t=1.4 the current window (started at 1.0) may be corrupted.
 	r.OnAlert()
@@ -58,14 +61,14 @@ func TestAlertDiscardsCurrentWindow(t *testing.T) {
 func TestAlertStopsRecording(t *testing.T) {
 	r := NewRecorder(1.0)
 	for i := 0; i < 15; i++ {
-		r.Record(rec(float64(i) * 0.1))
+		record(r, rec(float64(i)*0.1))
 	}
 	r.OnAlert()
 	if !r.Stopped() {
 		t.Error("recorder should be stopped after alert")
 	}
 	n := r.Len()
-	r.Record(rec(2.0))
+	record(r, rec(2.0))
 	if r.Len() != n {
 		t.Error("record accepted while stopped")
 	}
@@ -76,7 +79,7 @@ func TestAlertInFirstWindowPromotesPrefix(t *testing.T) {
 	// rotation, the quiet prefix becomes the trusted window.
 	r := NewRecorder(10.0)
 	for i := 0; i < 5; i++ {
-		r.Record(rec(float64(i) * 0.1))
+		record(r, rec(float64(i)*0.1))
 	}
 	r.OnAlert()
 	last, ok := r.LatestTrusted()
@@ -91,7 +94,7 @@ func TestAlertInFirstWindowPromotesPrefix(t *testing.T) {
 func TestResumeRestartsRecording(t *testing.T) {
 	r := NewRecorder(1.0)
 	for i := 0; i < 15; i++ {
-		r.Record(rec(float64(i) * 0.1))
+		record(r, rec(float64(i)*0.1))
 	}
 	r.OnAlert()
 	oldTrusted, _ := r.LatestTrusted()
@@ -105,7 +108,7 @@ func TestResumeRestartsRecording(t *testing.T) {
 		t.Error("trusted window should survive resume until replaced")
 	}
 	for i := 0; i < 25; i++ {
-		r.Record(rec(3.0 + float64(i)*0.1))
+		record(r, rec(3.0+float64(i)*0.1))
 	}
 	fresh, _ := r.LatestTrusted()
 	if fresh.T <= oldTrusted.T {
@@ -116,7 +119,7 @@ func TestResumeRestartsRecording(t *testing.T) {
 func TestInputsSinceSpansWindows(t *testing.T) {
 	r := NewRecorder(1.0)
 	for i := 0; i < 25; i++ {
-		r.Record(rec(float64(i) * 0.1))
+		record(r, rec(float64(i)*0.1))
 	}
 	anchor, _ := r.LatestTrusted()
 	inputs := r.InputsSince(anchor.T)
@@ -140,7 +143,7 @@ func TestMemoryAccounting(t *testing.T) {
 	if r.MemoryBytes() != 0 {
 		t.Error("empty recorder should report zero memory")
 	}
-	r.Record(rec(0))
+	record(r, rec(0))
 	if r.MemoryBytes() <= 0 {
 		t.Error("memory should grow with records")
 	}
@@ -156,7 +159,7 @@ func TestPropertyTrustedPredatesAlert(t *testing.T) {
 		var alertAt float64 = -1
 		for i := 0; i < 200; i++ {
 			tm += 0.02 + rng.Float64()*0.05
-			r.Record(rec(tm))
+			record(r, rec(tm))
 			if alertAt < 0 && i > 20 && rng.Float64() < 0.02 {
 				alertAt = tm
 				r.OnAlert()
@@ -188,7 +191,7 @@ func TestPropertyMemoryBounded(t *testing.T) {
 		dt := 0.01
 		n := 500 + rng.Intn(500)
 		for i := 0; i < n; i++ {
-			r.Record(rec(float64(i) * dt))
+			record(r, rec(float64(i)*dt))
 		}
 		maxPerWindow := int(window/dt) + 2
 		return r.Len() <= 2*maxPerWindow
@@ -302,12 +305,12 @@ func TestRecordZeroAllocSecondWindow(t *testing.T) {
 	r := NewRecorder(1.0)
 	i := 0
 	for ; r.Trusted() == nil; i++ {
-		r.Record(rec(float64(i) * dt))
+		record(r, rec(float64(i)*dt))
 	}
 	first := len(r.Trusted())
 	if n := mallocs(func() {
 		for k := 1; k < first; k++ {
-			r.Record(rec(float64(i+k-1) * dt))
+			record(r, rec(float64(i+k-1)*dt))
 		}
 	}); n != 0 {
 		t.Errorf("filling the second window allocated %d times, want 0", n)
@@ -324,7 +327,7 @@ func TestRecordInputZeroAllocAfterFirstWindowAlert(t *testing.T) {
 	const dt = 0.01
 	r := NewRecorder(1.0)
 	for i := 0; i < 50; i++ {
-		r.Record(rec(float64(i) * dt))
+		record(r, rec(float64(i)*dt))
 	}
 	r.OnAlert()
 	promoted := len(r.Trusted())

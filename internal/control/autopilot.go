@@ -13,7 +13,9 @@ import (
 // recovery setpoints.
 type Autopilot interface {
 	// Update computes the actuation for the current estimate and target.
-	Update(est vehicle.State, target mission.Waypoint, dt float64) vehicle.Input
+	// The estimate is passed by pointer (a call through an interface
+	// copies every value argument) and is only read.
+	Update(est *vehicle.State, target mission.Waypoint, dt float64) vehicle.Input
 	// Reset clears controller memory (integral states etc.).
 	Reset()
 }
@@ -66,7 +68,7 @@ func (a *QuadAutopilot) Reset() {
 }
 
 // Update runs one control tick.
-func (a *QuadAutopilot) Update(est vehicle.State, target mission.Waypoint, dt float64) vehicle.Input {
+func (a *QuadAutopilot) Update(est *vehicle.State, target mission.Waypoint, dt float64) vehicle.Input {
 	q := a.profile.Quad
 
 	// Position → desired velocity.
@@ -145,7 +147,7 @@ func (a *RoverAutopilot) Reset() {
 }
 
 // Update runs one control tick.
-func (a *RoverAutopilot) Update(est vehicle.State, target mission.Waypoint, dt float64) vehicle.Input {
+func (a *RoverAutopilot) Update(est *vehicle.State, target mission.Waypoint, dt float64) vehicle.Input {
 	dx, dy := target.X-est.X, target.Y-est.Y
 	dist := math.Hypot(dx, dy)
 

@@ -89,7 +89,7 @@ func flyTo(t *testing.T, prof vehicle.Profile, plan mission.Plan, budget float64
 	var elapsed float64
 	for elapsed = 0.0; elapsed < budget && !tr.Done(); elapsed += dt {
 		tr.Advance(s.X, s.Y, s.Z)
-		u := ap.Update(s, tr.Target(), dt)
+		u := ap.Update(&s, tr.Target(), dt)
 		if prof.IsQuad() {
 			s = prof.Quad.Step(s, u, vehicle.Wind{}, dt)
 		} else {
@@ -146,7 +146,7 @@ func TestQuadHoldsAltitudeInWind(t *testing.T) {
 	dt := 0.01
 	w := vehicle.Wind{VX: 6}
 	for i := 0; i < 3000; i++ {
-		u := ap.Update(s, target, dt)
+		u := ap.Update(&s, target, dt)
 		s = prof.Quad.Step(s, u, w, dt)
 	}
 	if math.Abs(s.Z-10) > 1 {
@@ -161,7 +161,7 @@ func TestQuadThrustSaturation(t *testing.T) {
 	prof := vehicle.MustProfile(vehicle.Pixhawk)
 	ap := NewQuadAutopilot(prof)
 	// Demand a huge climb; thrust must respect the profile limit.
-	u := ap.Update(vehicle.State{}, mission.Waypoint{Z: 1000}, 0.01)
+	u := ap.Update(&vehicle.State{}, mission.Waypoint{Z: 1000}, 0.01)
 	if u.Thrust > prof.MaxThrust+1e-9 {
 		t.Errorf("thrust %v exceeds max %v", u.Thrust, prof.MaxThrust)
 	}
@@ -179,9 +179,9 @@ func TestForProfileDispatch(t *testing.T) {
 func TestRoverSlowsNearTarget(t *testing.T) {
 	prof := vehicle.MustProfile(vehicle.AionR1)
 	ap := NewRoverAutopilot(prof)
-	far := ap.Update(vehicle.State{}, mission.Waypoint{X: 100}, 0.01)
+	far := ap.Update(&vehicle.State{}, mission.Waypoint{X: 100}, 0.01)
 	ap.Reset()
-	near := ap.Update(vehicle.State{}, mission.Waypoint{X: 0.5}, 0.01)
+	near := ap.Update(&vehicle.State{}, mission.Waypoint{X: 0.5}, 0.01)
 	if near.Thrust >= far.Thrust {
 		t.Errorf("no slowdown near target: near %v, far %v", near.Thrust, far.Thrust)
 	}

@@ -221,8 +221,8 @@ func (f *legacyFramework) Tick(t float64, meas sensors.PhysState, target mission
 
 	// 1. Fusion with the currently trusted sensors.
 	active := f.active()
-	f.filter.PredictHybrid(f.lastInput, meas, active, dt)
-	_ = f.filter.Correct(meas, active) // singularity cannot occur with diagonal R > 0
+	f.filter.PredictHybrid(f.lastInput, &meas, active, dt)
+	_ = f.filter.Correct(&meas, active) // singularity cannot occur with diagonal R > 0
 
 	// 2–4. Defense machinery (charged to the overhead cost model).
 	f.chargeTick()
@@ -230,13 +230,13 @@ func (f *legacyFramework) Tick(t float64, meas sensors.PhysState, target mission
 
 	// 5. Control.
 	if !engaged {
-		u = f.autopilot.Update(f.filter.State(), target, dt)
+		u = f.autopilot.Update(f.filter.Estimate(), target, dt)
 	}
 
 	// 6. Checkpoint recording. While recording is stopped (alert), only
 	// the control inputs are retained, to let reconstruction bridge the
 	// detection gap.
-	f.recorder.Record(checkpoint.Record{T: t, PS: meas, Est: f.filter.State(), Input: u})
+	f.recorder.Record(t, &meas, f.filter.Estimate(), u)
 	f.recorder.RecordInput(t, u)
 
 	f.lastInput = u
@@ -298,7 +298,7 @@ func (f *legacyFramework) defenseTick(t float64, meas sensors.PhysState, target 
 			f.anchorShadow(dt)
 		}
 	} else {
-		f.shadow = f.step(f.shadow, f.lastInput, dt)
+		f.shadow = stepValue(f.step, f.shadow, f.lastInput, dt)
 	}
 	refPS := f.referencePS(f.shadow, f.lastInput)
 	f.lastErr = meas.AbsDiff(refPS)
@@ -309,7 +309,7 @@ func (f *legacyFramework) defenseTick(t float64, meas sensors.PhysState, target 
 	if t < f.graceUntil {
 		f.detector.Reset()
 	} else {
-		alert = f.detector.Update(refPS, meas)
+		alert = f.detector.Update(&refPS, &meas)
 	}
 
 	// Diagnosis observation (reference per technique).
@@ -317,7 +317,7 @@ func (f *legacyFramework) defenseTick(t float64, meas sensors.PhysState, target 
 	if f.diagnoser.Reference() == diagnosis.RefFused {
 		diagRef = f.estimatePS()
 	}
-	f.diagnoser.Observe(diagRef, meas)
+	f.diagnoser.Observe(&diagRef, &meas)
 
 	// Telemetry: alert edges and latched-alert ticks, recorded for every
 	// strategy including the undefended baseline (detection latency is a
@@ -414,14 +414,14 @@ func (f *legacyFramework) defenseTick(t float64, meas sensors.PhysState, target 
 	case StrategySSR:
 		// Virtual sensors: the controller flies on the approximate-model
 		// state.
-		u := f.autopilot.Update(f.ssrState, target, dt)
-		f.ssrState = f.approxStep(f.ssrState, u, dt)
+		u := f.autopilot.Update(&f.ssrState, target, dt)
+		f.ssrState = stepValue(f.approxStep, f.ssrState, u, dt)
 		return u, true
 	case StrategyPIDPiper:
 		// FFC: blend model feed-forward with the (still attacked) fused
 		// feedback.
-		ff := f.autopilot.Update(f.ssrState, target, dt)
-		fb := f.autopilot.Update(f.filter.State(), target, dt)
+		ff := f.autopilot.Update(&f.ssrState, target, dt)
+		fb := f.autopilot.Update(f.filter.Estimate(), target, dt)
 		const alpha = 0.3 // feedback share
 		u := vehicle.Input{
 			Thrust: (1-alpha)*ff.Thrust + alpha*fb.Thrust,
@@ -429,7 +429,7 @@ func (f *legacyFramework) defenseTick(t float64, meas sensors.PhysState, target 
 			MPitch: (1-alpha)*ff.MPitch + alpha*fb.MPitch,
 			MYaw:   (1-alpha)*ff.MYaw + alpha*fb.MYaw,
 		}
-		f.ssrState = f.step(f.ssrState, u, dt)
+		f.ssrState = stepValue(f.step, f.ssrState, u, dt)
 		return u, true
 	case StrategyDeLorean:
 		// Targeted recovery derives its control actions "corresponding to
@@ -438,13 +438,13 @@ func (f *legacyFramework) defenseTick(t float64, meas sensors.PhysState, target 
 		// mission speed, only the isolated sensors being masked; without
 		// it, the conservative LQR flies the dead-reckoned estimate.
 		if !f.compromised.Has(sensors.GPS) {
-			return f.autopilot.Update(f.filter.State(), target, dt), true
+			return f.autopilot.Update(f.filter.Estimate(), target, dt), true
 		}
-		return f.recoveryCtl.Update(f.filter.State(), target, dt), true
+		return f.recoveryCtl.Update(f.filter.Estimate(), target, dt), true
 	default:
 		// LQR-O: LQR on the fully-masked estimate — the pure model
 		// roll-forward.
-		return f.recoveryCtl.Update(f.filter.State(), target, dt), true
+		return f.recoveryCtl.Update(f.filter.Estimate(), target, dt), true
 	}
 }
 
@@ -750,7 +750,7 @@ func (f *legacyFramework) exitRecovery(t float64, meas sensors.PhysState) {
 		est.Z = meas[sensors.SBaroAlt]
 	}
 	if wasCompromised.Has(sensors.Mag) {
-		est.Yaw = ekf.MagYaw(meas)
+		est.Yaw = ekf.MagYaw(&meas)
 	}
 	if wasCompromised.Has(sensors.Gyro) && f.cfg.Profile.IsQuad() {
 		est.Roll, est.Pitch, est.Yaw = meas[sensors.SRoll], meas[sensors.SPitch], meas[sensors.SYaw]
@@ -769,7 +769,7 @@ func (f *legacyFramework) exitRecovery(t float64, meas sensors.PhysState) {
 // accelerometer (e.g. persisting across a premature recovery exit) falls
 // back to the model and implicates only its own channel.
 func (f *legacyFramework) stepShadowStrapdown(s vehicle.State, u vehicle.Input, meas sensors.PhysState, dt float64) vehicle.State {
-	model := f.step(s, u, dt)
+	model := stepValue(f.step, s, u, dt)
 	a := f.modelAccel(s, u)
 	ok := func(idx sensors.StateIndex, modelA float64) bool {
 		d := f.cfg.Delta[idx]
@@ -881,3 +881,9 @@ func (f *legacyFramework) Overhead() (defenseNS, totalNS int64, ticks int) {
 }
 
 func (f *legacyFramework) Stages() telemetry.StageNS { return f.stages }
+
+// stepValue runs a StepFunc in the value form the legacy pipeline used.
+func stepValue(step ekf.StepFunc, s vehicle.State, u vehicle.Input, dt float64) vehicle.State {
+	step(&s, &s, u, dt)
+	return s
+}

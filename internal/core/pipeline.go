@@ -59,8 +59,15 @@ type Pipeline struct {
 	alertSince      float64
 	sensorQuiet     [sensors.NumTypes + 1]float64 // by sensors.Type: when an isolated sensor began agreeing (0: not yet)
 	prevMeas        sensors.PhysState
-	prevEst         sensors.PhysState
+	prevFused       vehicle.State // the fused estimate at the end of the previous tick
 	havePrev        bool
+
+	// Per-tick vectors handed to interface methods. They live here rather
+	// than in a tick's frame: a pointer passed through an interface
+	// escapes, so a local would move to the heap every tick.
+	meas  sensors.PhysState // Tick's frame, copied once from its value parameter
+	refPS sensors.PhysState // the shadow reference expanded into PS
+	estPS sensors.PhysState // the fused estimate expanded into PS, for RefFused diagnosers
 
 	// Telemetry.
 	tel                 *telemetry.Recorder
@@ -163,7 +170,7 @@ func (p *Pipeline) Believed() vehicle.State {
 	if p.comp.VirtualBelieved && p.fsm.Mode().Recovery() {
 		return p.ssrState
 	}
-	return p.filter.State()
+	return *p.filter.Estimate()
 }
 
 // Recovering reports whether the recovery controller is engaged.
@@ -204,8 +211,19 @@ func (p *Pipeline) active() sensors.TypeSet {
 
 // Tick runs one control period: fuse, detect, diagnose, reconstruct,
 // control. meas is the sensor-derived PS vector (possibly attacked);
-// target is the current mission waypoint.
+// target is the current mission waypoint. It is TickFrom for a caller
+// that holds the frame by value: the frame is copied once, into the
+// pipeline.
 func (p *Pipeline) Tick(t float64, meas sensors.PhysState, target mission.Waypoint) vehicle.Input {
+	p.meas = meas
+	return p.TickFrom(t, &p.meas, target)
+}
+
+// TickFrom is Tick on a frame the caller owns: *meas is read, never
+// written, during the call. meas reaches interface methods and so
+// escapes; point it into a long-lived struct (sim.Mission keeps its
+// reading in one), not at a local.
+func (p *Pipeline) TickFrom(t float64, meas *sensors.PhysState, target mission.Waypoint) vehicle.Input {
 	dt := p.cfg.DT
 	p.ticks++
 
@@ -220,18 +238,21 @@ func (p *Pipeline) Tick(t float64, meas sensors.PhysState, target mission.Waypoi
 
 	// 5. Control.
 	if !engaged {
-		u = p.autopilot.Update(p.filter.State(), target, dt)
+		u = p.autopilot.Update(p.filter.Estimate(), target, dt)
 	}
 
 	// 6. Checkpoint recording. While recording is stopped (alert), only
 	// the control inputs are retained, to let reconstruction bridge the
 	// detection gap.
-	p.recorder.Record(checkpoint.Record{T: t, PS: meas, Est: p.filter.State(), Input: u})
+	p.recorder.Record(t, meas, p.filter.Estimate(), u)
 	p.recorder.RecordInput(t, u)
 
+	// The exit policy compares against this tick's measurement and fused
+	// estimate. Only recovery ticks read them, so the estimate is kept as
+	// the 96-byte state and expanded there.
 	p.lastInput = u
-	p.prevMeas = meas
-	p.prevEst = p.estimatePS()
+	p.prevMeas = *meas
+	p.prevFused = *p.filter.Estimate()
 	p.havePrev = true
 	return u
 }
@@ -241,7 +262,7 @@ func (p *Pipeline) Tick(t float64, meas sensors.PhysState, target mission.Waypoi
 // recovery entry/exit via the FSM, and — when recovery is engaged — the
 // recovery-controller stage's control action. It returns (input, true)
 // when the recovery controller owns the loop this tick.
-func (p *Pipeline) defenseTick(t float64, meas sensors.PhysState, target mission.Waypoint) (vehicle.Input, bool) {
+func (p *Pipeline) defenseTick(t float64, meas *sensors.PhysState, target mission.Waypoint) (vehicle.Input, bool) {
 	dt := p.cfg.DT
 
 	// Shadow stage. Attitude evolves by the model; the translational
@@ -270,7 +291,7 @@ func (p *Pipeline) defenseTick(t float64, meas sensors.PhysState, target mission
 		// Hard re-anchor: the reference freewheeled during the stuck
 		// alert; without the snap the stale reference would re-trigger
 		// the detector immediately.
-		p.shadow = p.filter.State()
+		p.shadow = *p.filter.Estimate()
 	}
 	if p.fsm.Mode().Normal() {
 		// The translational channels dead-reckon from measured acceleration
@@ -279,7 +300,7 @@ func (p *Pipeline) defenseTick(t float64, meas sensors.PhysState, target mission
 		// into a GPS diagnosis false positive. A corrupted accelerometer
 		// cannot hide here: its own channel is checked against the
 		// model-implied acceleration and implicates it directly.
-		p.shadow = p.stepShadowStrapdown(p.shadow, p.lastInput, meas, dt)
+		p.stepShadowStrapdown(meas, dt)
 		if !alertNow {
 			// Anchoring stays on even while the CUSUM accumulators are
 			// rising: the translational anchor is weak enough
@@ -289,10 +310,11 @@ func (p *Pipeline) defenseTick(t float64, meas sensors.PhysState, target mission
 			p.anchorShadow(dt)
 		}
 	} else {
-		p.shadow = p.step(p.shadow, p.lastInput, dt)
+		p.step(&p.shadow, &p.shadow, p.lastInput, dt)
 	}
-	refPS := p.referencePS(p.shadow, p.lastInput)
-	p.lastErr = meas.AbsDiff(refPS)
+	refPS := &p.refPS
+	p.expandPS(refPS, &p.shadow)
+	sensors.AbsDiffInto(&p.lastErr, meas, refPS)
 
 	// Detect stage (suppressed during the post-recovery re-acquisition
 	// grace; the reference is re-converging and would self-trigger).
@@ -307,12 +329,14 @@ func (p *Pipeline) defenseTick(t float64, meas sensors.PhysState, target mission
 	diagRef := refPS
 	if p.comp.Diagnose != nil {
 		if p.comp.Diagnose.Reference() == diagnosis.RefFused {
-			diagRef = p.estimatePS()
+			diagRef = &p.estPS
+			p.expandPS(diagRef, p.filter.Estimate())
 		}
 		p.comp.Diagnose.Observe(diagRef, meas)
 	} else {
 		if p.diagnoser.Reference() == diagnosis.RefFused {
-			diagRef = p.estimatePS()
+			diagRef = &p.estPS
+			p.expandPS(diagRef, p.filter.Estimate())
 		}
 		p.diagnoser.Observe(diagRef, meas)
 	}
@@ -405,7 +429,7 @@ func (p *Pipeline) defenseTick(t float64, meas sensors.PhysState, target mission
 // triage is steps 3–4 of Fig. 3: one diagnosis inference pass and — when
 // sensors are implicated — isolation, state reconstruction, and recovery
 // engagement (Suspicious → Diagnosing → Recovering).
-func (p *Pipeline) triage(t float64, meas sensors.PhysState) {
+func (p *Pipeline) triage(t float64, meas *sensors.PhysState) {
 	p.chargeDiagnosis()
 	diagnosed, isolate := p.comp.Diagnose.Triage()
 	p.lastDiagnosis = diagnosed
@@ -449,13 +473,13 @@ func (p *Pipeline) triage(t float64, meas sensors.PhysState) {
 // widenDiagnosis re-runs diagnosis during the settling window and widens
 // the isolated set (and re-seeds reconstruction) when further sensors
 // are implicated.
-func (p *Pipeline) widenDiagnosis(t float64, meas sensors.PhysState) {
+func (p *Pipeline) widenDiagnosis(t float64, meas *sensors.PhysState) {
 	p.chargeDiagnosis()
 	p.tel.QuietDiagnosisPass()
 	extra := p.diagnoser.Diagnose()
 	grew := false
-	for _, typ := range extra.List() {
-		if !p.compromised.Has(typ) {
+	for _, typ := range sensors.AllTypes() {
+		if extra.Has(typ) && !p.compromised.Has(typ) {
 			p.compromised.Add(typ)
 			grew = true
 		}
@@ -509,11 +533,18 @@ func (p *Pipeline) recoveryDetail() string {
 }
 
 // revalidateSensors re-admits isolated sensors whose channels have all
-// stayed within 0.7δ of the internal estimate for 2 s.
-func (p *Pipeline) revalidateSensors(t float64, meas sensors.PhysState) {
-	estPS := p.estimatePS()
-	resid := meas.AbsDiff(estPS)
-	for _, typ := range p.compromised.List() {
+// stayed within 0.7δ of the internal estimate for 2 s. It runs every
+// recovery tick after the first second, so it visits the isolated set
+// through AllTypes and Has (the members of List, in its order) rather than
+// materializing List.
+func (p *Pipeline) revalidateSensors(t float64, meas *sensors.PhysState) {
+	var estPS, resid sensors.PhysState
+	p.expandPS(&estPS, p.filter.Estimate())
+	sensors.AbsDiffInto(&resid, meas, &estPS)
+	for _, typ := range sensors.AllTypes() {
+		if !p.compromised.Has(typ) {
+			continue
+		}
 		quiet := true
 		for _, idx := range sensors.StatesOf(typ) {
 			if d := p.cfg.Delta[idx]; d > 0 && resid[idx] > 0.7*d {
@@ -530,12 +561,18 @@ func (p *Pipeline) revalidateSensors(t float64, meas sensors.PhysState) {
 			continue
 		}
 		if t-p.sensorQuiet[typ] >= 2.0 {
-			p.compromised.Remove(typ)
-			p.sensorQuiet[typ] = 0
-			p.lastDiagnosis = p.compromised
-			p.tel.SensorReadmitted(p.ticks, typ.String())
+			p.readmit(typ)
 		}
 	}
+}
+
+// readmit returns an isolated sensor to the fusion and records the event.
+// It runs once per re-admission, not per tick.
+func (p *Pipeline) readmit(typ sensors.Type) {
+	p.compromised.Remove(typ)
+	p.sensorQuiet[typ] = 0
+	p.lastDiagnosis = p.compromised
+	p.tel.SensorReadmitted(p.ticks, typ.String())
 }
 
 // exitRecovery hands control back to the nominal autopilot (Fig. 3: "once
@@ -543,7 +580,7 @@ func (p *Pipeline) revalidateSensors(t float64, meas sensors.PhysState) {
 // re-seeded from the now-trusted live sensors, and detection is granted a
 // short re-acquisition grace period so that the recovery estimate's
 // residual drift is not itself flagged as a fresh attack.
-func (p *Pipeline) exitRecovery(t float64, meas sensors.PhysState) {
+func (p *Pipeline) exitRecovery(t float64, meas *sensors.PhysState) {
 	wasCompromised := p.compromised
 	p.fsm.Transition(p.ticks, ModeExiting, telemetry.StageRecoveryMonitor)
 	p.compromised = 0
@@ -597,34 +634,41 @@ func (p *Pipeline) exitRecovery(t float64, meas sensors.PhysState) {
 	p.fsm.Transition(p.ticks, ModeNominal, telemetry.StageControl)
 }
 
-// stepShadowStrapdown advances the shadow one tick: attitude and rates by
-// the dynamics model, velocity by integrating the measured acceleration
-// (which sees the wind), position by integrating the velocity. The
-// measured acceleration drives the integration only while it is itself
-// consistent with the model-implied acceleration within δ — a biased
-// accelerometer (e.g. persisting across a premature recovery exit) falls
-// back to the model and implicates only its own channel.
-func (p *Pipeline) stepShadowStrapdown(s vehicle.State, u vehicle.Input, meas sensors.PhysState, dt float64) vehicle.State {
-	model := p.step(s, u, dt)
-	a := p.modelAccel(s, u)
+// stepShadowStrapdown advances the shadow one tick under the last input:
+// attitude and rates by the dynamics model, velocity by integrating the
+// measured acceleration (which sees the wind), position by integrating
+// the velocity. The measured acceleration drives the integration only
+// while it is itself consistent with the model-implied acceleration
+// within δ — a biased accelerometer (e.g. persisting across a premature
+// recovery exit) falls back to the model and implicates only its own
+// channel. The step runs in place, so the strapdown channels are derived
+// from the previous shadow before the model step overwrites it.
+func (p *Pipeline) stepShadowStrapdown(meas *sensors.PhysState, dt float64) {
+	s := &p.shadow
+	a := p.modelAccel(s, &p.lastInput)
 	ok := func(idx sensors.StateIndex, modelA float64) bool {
 		d := p.cfg.Delta[idx]
 		diff := meas[idx] - modelA
 		return d <= 0 || (diff < d && diff > -d)
 	}
-	next := model
-	if ok(sensors.SAX, a[0]) && ok(sensors.SAY, a[1]) && ok(sensors.SAZ, a[2]) {
-		next.VX = s.VX + meas[sensors.SAX]*dt
-		next.VY = s.VY + meas[sensors.SAY]*dt
-		next.VZ = s.VZ + meas[sensors.SAZ]*dt
-		next.X = s.X + next.VX*dt
-		next.Y = s.Y + next.VY*dt
-		next.Z = s.Z + next.VZ*dt
+	strapdown := ok(sensors.SAX, a[0]) && ok(sensors.SAY, a[1]) && ok(sensors.SAZ, a[2])
+	var vx, vy, vz, x, y, z float64
+	if strapdown {
+		vx = s.VX + meas[sensors.SAX]*dt
+		vy = s.VY + meas[sensors.SAY]*dt
+		vz = s.VZ + meas[sensors.SAZ]*dt
+		x = s.X + vx*dt
+		y = s.Y + vy*dt
+		z = s.Z + vz*dt
 	}
-	if next.Z < 0 {
-		next.Z = 0
+	p.step(s, s, p.lastInput, dt)
+	if strapdown {
+		s.VX, s.VY, s.VZ = vx, vy, vz
+		s.X, s.Y, s.Z = x, y, z
 	}
-	return next
+	if s.Z < 0 {
+		s.Z = 0
+	}
 }
 
 // isAngularIdx reports whether a PS channel is an Euler angle.
@@ -648,7 +692,7 @@ func (p *Pipeline) anchorShadow(dt float64) {
 		lambdaAtt = 2.0
 	)
 	gp, gv, ga := lambdaPos*dt, lambdaVel*dt, lambdaAtt*dt
-	est := p.filter.State()
+	est := p.filter.Estimate()
 	p.shadow.X += gp * (est.X - p.shadow.X)
 	p.shadow.Y += gp * (est.Y - p.shadow.Y)
 	p.shadow.Z += gp * (est.Z - p.shadow.Z)
@@ -663,27 +707,23 @@ func (p *Pipeline) anchorShadow(dt float64) {
 	p.shadow.WYaw += ga * (est.WYaw - p.shadow.WYaw)
 }
 
-// referencePS expands a rigid-body reference state into the full PS
-// vector: model-implied acceleration, field from yaw, altitude from z.
-func (p *Pipeline) referencePS(s vehicle.State, u vehicle.Input) sensors.PhysState {
-	accel := p.modelAccel(s, u)
-	return sensors.TruePhysState(s, accel, sensors.BodyField(s.Yaw))
-}
-
-// estimatePS expands the fused estimate into a PS vector.
-func (p *Pipeline) estimatePS() sensors.PhysState {
-	est := p.filter.State()
-	return sensors.TruePhysState(est, p.modelAccel(est, p.lastInput), sensors.BodyField(est.Yaw))
+// expandPS expands a rigid-body state — the shadow reference or the
+// fused estimate — into the full PS vector in *dst, under the last
+// control input: model-implied acceleration, field from yaw, altitude
+// from z.
+func (p *Pipeline) expandPS(dst *sensors.PhysState, s *vehicle.State) {
+	sensors.TruePhysStateInto(dst, s, p.modelAccel(s, &p.lastInput), sensors.BodyField(s.Yaw))
 }
 
 // modelAccel returns the model-implied translational acceleration at
 // state s under input u.
-func (p *Pipeline) modelAccel(s vehicle.State, u vehicle.Input) [3]float64 {
-	prof := p.cfg.Profile
+func (p *Pipeline) modelAccel(s *vehicle.State, u *vehicle.Input) [3]float64 {
+	var d vehicle.State
+	prof := &p.cfg.Profile
 	if prof.IsQuad() {
-		d := prof.Quad.Derivative(s, u, vehicle.Wind{})
+		prof.Quad.DerivativeInto(&d, s, u, &vehicle.Wind{})
 		return [3]float64{d.VX, d.VY, d.VZ}
 	}
-	d := prof.Rover.Derivative(s, u, vehicle.Wind{})
+	prof.Rover.DerivativeInto(&d, s, u, &vehicle.Wind{})
 	return [3]float64{d.VX, d.VY, 0}
 }

@@ -32,8 +32,9 @@ type Detector = detect.Detector
 // (internal/diagnosis) with the strategy's isolation policy.
 type Diagnoser interface {
 	// Observe feeds one (reference, observed) sample into the technique's
-	// observation window.
-	Observe(ref, meas sensors.PhysState)
+	// observation window. The vectors come by pointer: a call through an
+	// interface copies every value argument.
+	Observe(ref, meas *sensors.PhysState)
 	// Reference selects which reference the technique diagnoses against
 	// (the attack-free shadow or the fused estimate).
 	Reference() diagnosis.Reference
@@ -52,7 +53,7 @@ type Diagnoser interface {
 // reconstructors iterate its ring buffer directly.
 type Checkpointer interface {
 	// Record appends one full record (measurement, estimate, input).
-	Record(rec checkpoint.Record)
+	Record(t float64, ps *sensors.PhysState, est *vehicle.State, u vehicle.Input)
 	// RecordInput retains the control input even while recording is
 	// stopped, letting reconstruction bridge the detection gap.
 	RecordInput(t float64, u vehicle.Input)
@@ -78,7 +79,7 @@ type Reconstructor interface {
 	// Seed installs the recovery starting estimate. anchorFresh reports
 	// whether the latest trusted checkpoint is recent enough for a replay
 	// to beat the live estimate.
-	Seed(t float64, meas sensors.PhysState, anchorFresh bool)
+	Seed(t float64, meas *sensors.PhysState, anchorFresh bool)
 }
 
 // RecoveryController is the recovery-mode control stage: it produces the
@@ -95,7 +96,7 @@ type RecoveryController interface {
 // attack has demonstrably ended and control can be handed back.
 type ExitPolicy interface {
 	// ShouldExit reports whether to leave recovery this tick.
-	ShouldExit(t float64, meas sensors.PhysState) bool
+	ShouldExit(t float64, meas *sensors.PhysState) bool
 }
 
 // Composition is a defense strategy stated declaratively: the stage

@@ -15,9 +15,9 @@ type techniqueTriage struct {
 	p *Pipeline
 }
 
-func (s techniqueTriage) Observe(ref, meas sensors.PhysState) { s.p.diagnoser.Observe(ref, meas) }
-func (s techniqueTriage) Reference() diagnosis.Reference      { return s.p.diagnoser.Reference() }
-func (s techniqueTriage) Reset()                              { s.p.diagnoser.Reset() }
+func (s techniqueTriage) Observe(ref, meas *sensors.PhysState) { s.p.diagnoser.Observe(ref, meas) }
+func (s techniqueTriage) Reference() diagnosis.Reference       { return s.p.diagnoser.Reference() }
+func (s techniqueTriage) Reset()                               { s.p.diagnoser.Reset() }
 
 // targetedTriage isolates exactly the diagnosed sensors (DeLorean).
 type targetedTriage struct{ techniqueTriage }

@@ -14,7 +14,7 @@ import (
 // recovery duration cap expires.
 type subsidenceExit struct{ p *Pipeline }
 
-func (s subsidenceExit) ShouldExit(t float64, meas sensors.PhysState) bool {
+func (s subsidenceExit) ShouldExit(t float64, meas *sensors.PhysState) bool {
 	const (
 		holdSec = 1.5
 		// armAfterSec ignores onset-related edges: the attack's first
@@ -28,7 +28,8 @@ func (s subsidenceExit) ShouldExit(t float64, meas sensors.PhysState) bool {
 		return true
 	}
 	channels := p.monitoredChannels()
-	estPS := p.estimatePS()
+	var estPS sensors.PhysState
+	p.expandPS(&estPS, p.filter.Estimate())
 
 	// Edge detection: a super-physical per-tick jump in the attacked
 	// channels (the bias appearing, changing, or being removed). Angular
@@ -36,8 +37,13 @@ func (s subsidenceExit) ShouldExit(t float64, meas sensors.PhysState) bool {
 	// maneuvers are of the same order as a bias edge, and would keep
 	// resetting the quiet timer.
 	if p.havePrev {
-		dMeas := meas.AbsDiff(p.prevMeas)
-		dEst := estPS.AbsDiff(p.prevEst)
+		// The previous tick's estimate is expanded only here, on the
+		// recovery ticks that read it. Tick assigns p.lastInput last, so
+		// it still holds the input that tick's expansion used.
+		var prevEst, dMeas, dEst sensors.PhysState
+		p.expandPS(&prevEst, &p.prevFused)
+		sensors.AbsDiffInto(&dMeas, meas, &p.prevMeas)
+		sensors.AbsDiffInto(&dEst, &estPS, &prevEst)
 		for _, idx := range channels {
 			if idx >= sensors.SWRoll && idx <= sensors.SWYaw {
 				continue
@@ -68,7 +74,8 @@ func (s subsidenceExit) ShouldExit(t float64, meas sensors.PhysState) bool {
 	}
 	// The margin (0.7δ) guards against drifting dead-reckoned estimates
 	// momentarily agreeing with still-biased measurements.
-	resid := meas.AbsDiff(estPS)
+	var resid sensors.PhysState
+	sensors.AbsDiffInto(&resid, meas, &estPS)
 	for _, idx := range channels {
 		if resid[idx] > 0.7*p.cfg.Delta[idx] {
 			p.residQuietSince = t

@@ -17,13 +17,13 @@ import (
 // stale, the live estimate is kept and only isolation applies.
 type hybridReconstruct struct{ p *Pipeline }
 
-func (s hybridReconstruct) Seed(t float64, meas sensors.PhysState, anchorFresh bool) {
+func (s hybridReconstruct) Seed(t float64, meas *sensors.PhysState, anchorFresh bool) {
 	if !anchorFresh {
 		return
 	}
 	p := s.p
 	p.chargeReconstruction()
-	if _, hybrid, stats, err := p.reconstructor.Reconstruct(p.recorder, meas, p.compromised); err == nil {
+	if _, hybrid, stats, err := p.reconstructor.Reconstruct(p.recorder, *meas, p.compromised); err == nil {
 		p.filter.SetState(hybrid)
 		p.tel.Reconstruction(p.ticks, stats.Records)
 	}
@@ -34,7 +34,7 @@ func (s hybridReconstruct) Seed(t float64, meas sensors.PhysState, anchorFresh b
 // trusts no sensor.
 type rollForwardReconstruct struct{ p *Pipeline }
 
-func (s rollForwardReconstruct) Seed(t float64, meas sensors.PhysState, anchorFresh bool) {
+func (s rollForwardReconstruct) Seed(t float64, meas *sensors.PhysState, anchorFresh bool) {
 	if !anchorFresh {
 		return
 	}
@@ -51,15 +51,15 @@ func (s rollForwardReconstruct) Seed(t float64, meas sensors.PhysState, anchorFr
 // pre-engagement corruption of the estimate is carried into recovery.
 type anchorCurrent struct{ p *Pipeline }
 
-func (s anchorCurrent) Seed(t float64, meas sensors.PhysState, anchorFresh bool) {
-	s.p.ssrState = s.p.filter.State()
+func (s anchorCurrent) Seed(t float64, meas *sensors.PhysState, anchorFresh bool) {
+	s.p.ssrState = *s.p.filter.Estimate()
 }
 
 // widenReconstruction re-seeds after a widened verdict during the
 // settling window: same hybrid replay, gated only on anchor freshness
 // relative to the window (the rapid-re-entry staleness rule does not
 // apply mid-episode).
-func (p *Pipeline) widenReconstruction(t float64, meas sensors.PhysState) {
+func (p *Pipeline) widenReconstruction(t float64, meas *sensors.PhysState) {
 	if rec, ok := p.recorder.LatestTrusted(); ok && t-rec.T <= 2*p.cfg.WindowSec+5 {
 		p.comp.Reconstruct.Seed(t, meas, true)
 	}

@@ -21,9 +21,9 @@ type targetedRecovery struct{ p *Pipeline }
 func (s targetedRecovery) Update(t float64, target mission.Waypoint) vehicle.Input {
 	p := s.p
 	if !p.compromised.Has(sensors.GPS) {
-		return p.autopilot.Update(p.filter.State(), target, p.cfg.DT)
+		return p.autopilot.Update(p.filter.Estimate(), target, p.cfg.DT)
 	}
-	return p.recoveryCtl.Update(p.filter.State(), target, p.cfg.DT)
+	return p.recoveryCtl.Update(p.filter.Estimate(), target, p.cfg.DT)
 }
 
 func (s targetedRecovery) Describe(isolated sensors.TypeSet) string {
@@ -39,7 +39,7 @@ type conservativeRecovery struct{ p *Pipeline }
 
 func (s conservativeRecovery) Update(t float64, target mission.Waypoint) vehicle.Input {
 	p := s.p
-	return p.recoveryCtl.Update(p.filter.State(), target, p.cfg.DT)
+	return p.recoveryCtl.Update(p.filter.Estimate(), target, p.cfg.DT)
 }
 
 func (s conservativeRecovery) Describe(isolated sensors.TypeSet) string { return "lqr" }
@@ -51,8 +51,8 @@ type virtualSensorRecovery struct{ p *Pipeline }
 func (s virtualSensorRecovery) Update(t float64, target mission.Waypoint) vehicle.Input {
 	p := s.p
 	dt := p.cfg.DT
-	u := p.autopilot.Update(p.ssrState, target, dt)
-	p.ssrState = p.approxStep(p.ssrState, u, dt)
+	u := p.autopilot.Update(&p.ssrState, target, dt)
+	p.approxStep(&p.ssrState, &p.ssrState, u, dt)
 	return u
 }
 
@@ -68,8 +68,8 @@ type ffcRecovery struct{ p *Pipeline }
 func (s ffcRecovery) Update(t float64, target mission.Waypoint) vehicle.Input {
 	p := s.p
 	dt := p.cfg.DT
-	ff := p.autopilot.Update(p.ssrState, target, dt)
-	fb := p.autopilot.Update(p.filter.State(), target, dt)
+	ff := p.autopilot.Update(&p.ssrState, target, dt)
+	fb := p.autopilot.Update(p.filter.Estimate(), target, dt)
 	const alpha = 0.3 // feedback share
 	u := vehicle.Input{
 		Thrust: (1-alpha)*ff.Thrust + alpha*fb.Thrust,
@@ -77,7 +77,7 @@ func (s ffcRecovery) Update(t float64, target mission.Waypoint) vehicle.Input {
 		MPitch: (1-alpha)*ff.MPitch + alpha*fb.MPitch,
 		MYaw:   (1-alpha)*ff.MYaw + alpha*fb.MYaw,
 	}
-	p.ssrState = p.step(p.ssrState, u, dt)
+	p.step(&p.ssrState, &p.ssrState, u, dt)
 	return u
 }
 

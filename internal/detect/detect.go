@@ -16,8 +16,10 @@ import (
 // tick and reports whether an attack alert is active.
 type Detector interface {
 	// Update ingests one tick of (predicted, observed) states and returns
-	// the alert status after this tick.
-	Update(predicted, observed sensors.PhysState) bool
+	// the alert status after this tick. The states are passed by pointer
+	// (a call through an interface copies every value argument); they
+	// escape, so callers keep them in long-lived structs.
+	Update(predicted, observed *sensors.PhysState) bool
 	// Alert reports the current alert status.
 	Alert() bool
 	// Reset clears detector state (e.g. at mission start).
@@ -109,8 +111,9 @@ func NewResidual(thresh Thresholds) *Residual {
 }
 
 // Update ingests one tick.
-func (d *Residual) Update(predicted, observed sensors.PhysState) bool {
-	diff := predicted.AbsDiff(observed)
+func (d *Residual) Update(predicted, observed *sensors.PhysState) bool {
+	var diff sensors.PhysState
+	sensors.AbsDiffInto(&diff, predicted, observed)
 	fired := false
 	var trig Trigger
 	for i := range diff {
@@ -203,7 +206,7 @@ type ForcedAlert struct {
 var _ Detector = (*ForcedAlert)(nil)
 
 // Update ignores its inputs and returns the forced status.
-func (d *ForcedAlert) Update(_, _ sensors.PhysState) bool { return d.On }
+func (d *ForcedAlert) Update(_, _ *sensors.PhysState) bool { return d.On }
 
 // Alert returns the forced status.
 func (d *ForcedAlert) Alert() bool { return d.On }

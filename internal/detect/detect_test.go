@@ -16,7 +16,7 @@ func TestResidualAlertsAboveThreshold(t *testing.T) {
 	d := NewResidual(mkThresh())
 	var pred, obs sensors.PhysState
 	obs[sensors.SX] = 5 // residual 5 > 2
-	if !d.Update(pred, obs) {
+	if !d.Update(&pred, &obs) {
 		t.Error("expected alert for residual above threshold")
 	}
 	if !d.Alert() {
@@ -28,7 +28,7 @@ func TestResidualQuietBelowThreshold(t *testing.T) {
 	d := NewResidual(mkThresh())
 	var pred, obs sensors.PhysState
 	obs[sensors.SX] = 0.5
-	if d.Update(pred, obs) {
+	if d.Update(&pred, &obs) {
 		t.Error("no alert expected for small residual")
 	}
 }
@@ -37,7 +37,7 @@ func TestResidualIgnoresUnmonitoredStates(t *testing.T) {
 	d := NewResidual(mkThresh())
 	var pred, obs sensors.PhysState
 	obs[sensors.SMagX] = 100 // not monitored
-	if d.Update(pred, obs) {
+	if d.Update(&pred, &obs) {
 		t.Error("unmonitored state should not alert")
 	}
 }
@@ -49,7 +49,7 @@ func TestResidualCUSUMCatchesStealthyBias(t *testing.T) {
 	var alerted bool
 	var ticks int
 	for i := 0; i < 300; i++ {
-		if d.Update(pred, obs) {
+		if d.Update(&pred, &obs) {
 			alerted = true
 			ticks = i
 			break
@@ -69,7 +69,7 @@ func TestResidualCUSUMIgnoresNoise(t *testing.T) {
 	// Residual well below the drift never accumulates.
 	obs[sensors.SX] = 0.3
 	for i := 0; i < 1000; i++ {
-		if d.Update(pred, obs) {
+		if d.Update(&pred, &obs) {
 			t.Fatal("small residual should never alert")
 		}
 	}
@@ -80,14 +80,14 @@ func TestResidualAlertClearsAfterHold(t *testing.T) {
 	d.HoldTicks = 5
 	var pred, obs sensors.PhysState
 	obs[sensors.SX] = 10
-	d.Update(pred, obs)
+	d.Update(&pred, &obs)
 	obs[sensors.SX] = 0
 	for i := 0; i < 4; i++ {
-		if !d.Update(pred, obs) {
+		if !d.Update(&pred, &obs) {
 			t.Fatalf("alert dropped before hold expired at tick %d", i)
 		}
 	}
-	if d.Update(pred, obs) {
+	if d.Update(&pred, &obs) {
 		t.Error("alert should clear after hold ticks")
 	}
 }
@@ -96,7 +96,7 @@ func TestResidualReset(t *testing.T) {
 	d := NewResidual(mkThresh())
 	var pred, obs sensors.PhysState
 	obs[sensors.SX] = 10
-	d.Update(pred, obs)
+	d.Update(&pred, &obs)
 	d.Reset()
 	if d.Alert() {
 		t.Error("Reset should clear alert")
@@ -108,7 +108,7 @@ func TestResidualReset(t *testing.T) {
 
 func TestForcedAlert(t *testing.T) {
 	d := &ForcedAlert{}
-	if d.Update(sensors.PhysState{}, sensors.PhysState{}) {
+	if d.Update(&sensors.PhysState{}, &sensors.PhysState{}) {
 		t.Error("forced alert off should not alert")
 	}
 	d.On = true
@@ -138,7 +138,7 @@ func TestAngularResidualWraps(t *testing.T) {
 	var pred, obs sensors.PhysState
 	pred[sensors.SYaw] = 3.1
 	obs[sensors.SYaw] = -3.1 // only ~0.08 rad apart across the wrap
-	if d.Update(pred, obs) {
+	if d.Update(&pred, &obs) {
 		t.Error("wrapped yaw residual should not alert")
 	}
 }
@@ -152,7 +152,7 @@ func TestSuspiciousEarlyWarning(t *testing.T) {
 	}
 	var becameSuspicious bool
 	for i := 0; i < 300 && !d.Alert(); i++ {
-		d.Update(pred, obs)
+		d.Update(&pred, &obs)
 		if d.Suspicious() && !d.Alert() {
 			becameSuspicious = true
 		}
@@ -166,7 +166,7 @@ func TestTriggerAttributionInstant(t *testing.T) {
 	d := NewResidual(mkThresh())
 	var pred, obs sensors.PhysState
 	obs[sensors.SX] = 5 // residual 5 > 2: instantaneous trip
-	d.Update(pred, obs)
+	d.Update(&pred, &obs)
 	trig := d.Trigger()
 	if trig.Mechanism != TriggerInstant || trig.Channel != sensors.SX {
 		t.Errorf("trigger = %+v, want inst on x", trig)
@@ -180,7 +180,7 @@ func TestTriggerAttributionCUSUM(t *testing.T) {
 	d := NewResidual(mkThresh())
 	var pred, obs sensors.PhysState
 	obs[sensors.SX] = 1.7 // sub-threshold persistent bias
-	for i := 0; i < 300 && !d.Update(pred, obs); i++ {
+	for i := 0; i < 300 && !d.Update(&pred, &obs); i++ {
 	}
 	if !d.Alert() {
 		t.Fatal("CUSUM never alerted")
@@ -198,13 +198,13 @@ func TestTriggerLatchesFirstEpisodeCause(t *testing.T) {
 	d := NewResidual(mkThresh())
 	var pred, obs sensors.PhysState
 	obs[sensors.SX] = 5
-	d.Update(pred, obs)
+	d.Update(&pred, &obs)
 	// While the alert stays latched, later (different) trips must not
 	// overwrite the episode's attribution.
 	var obs2 sensors.PhysState
 	obs2[sensors.SX] = 1.7
 	for i := 0; i < 50; i++ {
-		d.Update(pred, obs2)
+		d.Update(&pred, &obs2)
 	}
 	if trig := d.Trigger(); trig.Mechanism != TriggerInstant {
 		t.Errorf("attribution overwritten mid-episode: %+v", trig)
@@ -218,7 +218,7 @@ func TestTriggerZeroValueAndReset(t *testing.T) {
 	}
 	var pred, obs sensors.PhysState
 	obs[sensors.SX] = 5
-	d.Update(pred, obs)
+	d.Update(&pred, &obs)
 	d.Reset()
 	if trig := d.Trigger(); trig != (Trigger{}) {
 		t.Errorf("Reset left trigger %+v", trig)

@@ -65,8 +65,9 @@ func NewInnovation(monitored Thresholds) *Innovation {
 }
 
 // Update ingests one tick of (predicted, observed) states.
-func (d *Innovation) Update(predicted, observed sensors.PhysState) bool {
-	diff := predicted.AbsDiff(observed)
+func (d *Innovation) Update(predicted, observed *sensors.PhysState) bool {
+	var diff sensors.PhysState
+	sensors.AbsDiffInto(&diff, predicted, observed)
 	d.ticks++
 	learning := d.ticks <= d.Warmup
 	fired := false

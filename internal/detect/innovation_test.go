@@ -18,7 +18,7 @@ func feedNoise(d *Innovation, rng *rand.Rand, sigma float64, n int) {
 	var pred, obs sensors.PhysState
 	for i := 0; i < n; i++ {
 		obs[sensors.SX] = sigma * rng.NormFloat64()
-		d.Update(pred, obs)
+		d.Update(&pred, &obs)
 	}
 }
 
@@ -37,7 +37,7 @@ func TestInnovationCatchesBias(t *testing.T) {
 	feedNoise(d, rng, 0.3, 500)
 	var pred, obs sensors.PhysState
 	obs[sensors.SX] = 5 // ≫ learned σ
-	if !d.Update(pred, obs) {
+	if !d.Update(&pred, &obs) {
 		t.Error("large residual not detected after warmup")
 	}
 }
@@ -47,7 +47,7 @@ func TestInnovationWarmupSuppressesAlerts(t *testing.T) {
 	var pred, obs sensors.PhysState
 	obs[sensors.SX] = 50
 	for i := 0; i < d.Warmup; i++ {
-		if d.Update(pred, obs) {
+		if d.Update(&pred, &obs) {
 			t.Fatal("alert during warmup")
 		}
 	}
@@ -62,7 +62,7 @@ func TestInnovationCUSUMCatchesStealthy(t *testing.T) {
 	obs[sensors.SX] = 0.9
 	var alerted bool
 	for i := 0; i < 500; i++ {
-		if d.Update(pred, obs) {
+		if d.Update(&pred, &obs) {
 			alerted = true
 			break
 		}
@@ -82,7 +82,7 @@ func TestInnovationNoAdaptationUnderAttack(t *testing.T) {
 	var pred, obs sensors.PhysState
 	obs[sensors.SX] = 10
 	for i := 0; i < 200; i++ {
-		d.Update(pred, obs)
+		d.Update(&pred, &obs)
 	}
 	if d.varEst[sensors.SX] > 2*sigmaBefore {
 		t.Errorf("noise model inflated under attack: %v → %v", sigmaBefore, d.varEst[sensors.SX])
@@ -111,7 +111,7 @@ func TestInnovationSuspicious(t *testing.T) {
 	obs[sensors.SX] = 0.9
 	var suspicious bool
 	for i := 0; i < 300 && !d.Alert(); i++ {
-		d.Update(pred, obs)
+		d.Update(&pred, &obs)
 		if d.Suspicious() && !d.Alert() {
 			suspicious = true
 		}

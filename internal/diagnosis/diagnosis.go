@@ -40,8 +40,10 @@ type Diagnoser interface {
 	// (independent of the possibly-contaminated fusion), the RA baselines
 	// use the live fused estimate their source detectors operate on.
 	Reference() Reference
-	// Observe ingests one diagnosis step.
-	Observe(predicted, observed sensors.PhysState)
+	// Observe ingests one diagnosis step. The states are passed by
+	// pointer (a call through an interface copies every value argument);
+	// they escape, so callers keep them in long-lived structs.
+	Observe(predicted, observed *sensors.PhysState)
 	// Diagnose returns the set of sensors believed under attack given the
 	// observations so far (empty set: no sensor implicated — a detector
 	// false alarm is masked).
@@ -166,15 +168,13 @@ func (d *DeLorean) Reference() Reference { return RefShadow }
 
 // Observe records the error vector for one diagnosis step, shifting the
 // fixed window in place (no allocation — this runs every tick).
-func (d *DeLorean) Observe(predicted, observed sensors.PhysState) {
-	e := observed.AbsDiff(predicted)
+func (d *DeLorean) Observe(predicted, observed *sensors.PhysState) {
 	if d.nHist == histLen {
 		copy(d.errHist[:], d.errHist[1:])
-		d.errHist[histLen-1] = e
 	} else {
-		d.errHist[d.nHist] = e
 		d.nHist++
 	}
+	sensors.AbsDiffInto(&d.errHist[d.nHist-1], observed, predicted)
 }
 
 // Diagnose runs MLE inference on the cached per-sensor factor graphs
@@ -297,9 +297,9 @@ func (r *RA) Name() string { return r.kind.String() }
 func (r *RA) Reference() Reference { return RefFused }
 
 // Observe records the current residual vector.
-func (r *RA) Observe(predicted, observed sensors.PhysState) {
+func (r *RA) Observe(predicted, observed *sensors.PhysState) {
 	r.ePrev = r.eCur
-	r.eCur = observed.AbsDiff(predicted)
+	sensors.AbsDiffInto(&r.eCur, observed, predicted)
 	r.steps++
 }
 

@@ -21,7 +21,7 @@ func uniformDelta(v float64) Delta {
 // observePair feeds n identical (predicted, observed) steps.
 func observePair(d Diagnoser, predicted, observed sensors.PhysState, n int) {
 	for i := 0; i < n; i++ {
-		d.Observe(predicted, observed)
+		d.Observe(&predicted, &observed)
 	}
 }
 
@@ -65,13 +65,13 @@ func TestDeLoreanTransientMasked(t *testing.T) {
 	d := NewDeLorean(uniformDelta(1))
 	var pred, quiet, spike sensors.PhysState
 	spike[sensors.SX] = 10
-	d.Observe(pred, quiet)
-	d.Observe(pred, spike) // e_{t−1} quiet, e_t inflated
+	d.Observe(&pred, &quiet)
+	d.Observe(&pred, &spike) // e_{t−1} quiet, e_t inflated
 	if got := d.Diagnose(); got.Len() != 0 {
 		t.Errorf("transient flagged: %v", got)
 	}
 	// Once the inflation persists for a second step, it is an attack.
-	d.Observe(pred, spike)
+	d.Observe(&pred, &spike)
 	if got := d.Diagnose(); !got.Has(sensors.GPS) {
 		t.Errorf("persistent inflation not flagged: %v", got)
 	}
@@ -81,7 +81,7 @@ func TestDeLoreanInsufficientHistory(t *testing.T) {
 	d := NewDeLorean(uniformDelta(1))
 	var pred, obs sensors.PhysState
 	obs[sensors.SX] = 10
-	d.Observe(pred, obs)
+	d.Observe(&pred, &obs)
 	if got := d.Diagnose(); got.Len() != 0 {
 		t.Errorf("one observation should not diagnose: %v", got)
 	}
@@ -115,7 +115,7 @@ func TestRAFlagsOnSingleStep(t *testing.T) {
 	r := NewRA(EKFRA, uniformDelta(1))
 	var pred, obs sensors.PhysState
 	obs[sensors.SX] = 10
-	r.Observe(pred, obs)
+	r.Observe(&pred, &obs)
 	if got := r.Diagnose(); !got.Has(sensors.GPS) {
 		t.Errorf("RA should flag on one step: %v", got)
 	}
@@ -127,8 +127,8 @@ func TestRAFlagsTransients(t *testing.T) {
 	r := NewRA(SaviorRA, uniformDelta(1))
 	var pred, quiet, spike sensors.PhysState
 	spike[sensors.SVY] = 10
-	r.Observe(pred, quiet)
-	r.Observe(pred, spike)
+	r.Observe(&pred, &quiet)
+	r.Observe(&pred, &spike)
 	if got := r.Diagnose(); !got.Has(sensors.GPS) {
 		t.Errorf("RA should flag the transient: %v", got)
 	}
@@ -147,8 +147,8 @@ func TestRAScalesDiffer(t *testing.T) {
 	obs[sensors.SX] = 1.1 // between 0.9 and 1.25
 	sav := NewRA(SaviorRA, uniformDelta(1))
 	pid := NewRA(PIDPiperRA, uniformDelta(1))
-	sav.Observe(pred, obs)
-	pid.Observe(pred, obs)
+	sav.Observe(&pred, &obs)
+	pid.Observe(&pred, &obs)
 	if !sav.Diagnose().Has(sensors.GPS) {
 		t.Error("Savior-RA should flag at 1.1×δ")
 	}
@@ -161,7 +161,7 @@ func TestRAReset(t *testing.T) {
 	r := NewRA(EKFRA, uniformDelta(1))
 	var pred, obs sensors.PhysState
 	obs[sensors.SX] = 10
-	r.Observe(pred, obs)
+	r.Observe(&pred, &obs)
 	r.Reset()
 	if got := r.Diagnose(); got.Len() != 0 {
 		t.Errorf("after reset Diagnose = %v", got)
@@ -298,7 +298,7 @@ func TestDeLoreanCachedGraphsMatchRebuilt(t *testing.T) {
 				obs[i] = rng.Float64() * 3
 			}
 		}
-		d.Observe(sensors.PhysState{}, obs)
+		d.Observe(&sensors.PhysState{}, &obs)
 		if step == 0 {
 			prev = obs
 			continue

@@ -24,7 +24,7 @@ func TestEKFPredictZeroAlloc(t *testing.T) {
 func TestEKFPredictHybridZeroAlloc(t *testing.T) {
 	f, meas, active := benchFilter()
 	u := vehicle.Input{Thrust: 9}
-	if n := testing.AllocsPerRun(200, func() { f.PredictHybrid(u, meas, active, 0.01) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { f.PredictHybrid(u, &meas, active, 0.01) }); n != 0 {
 		t.Errorf("PredictHybrid allocates %v per run, want 0", n)
 	}
 }
@@ -32,7 +32,7 @@ func TestEKFPredictHybridZeroAlloc(t *testing.T) {
 func TestEKFCorrectZeroAlloc(t *testing.T) {
 	f, meas, active := benchFilter()
 	if n := testing.AllocsPerRun(200, func() {
-		if err := f.Correct(meas, active); err != nil {
+		if err := f.Correct(&meas, active); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -51,7 +51,7 @@ func TestEKFCorrectZeroAllocAfterReshape(t *testing.T) {
 	sets := [2]sensors.TypeSet{masked, all}
 	i := 0
 	if n := testing.AllocsPerRun(100, func() {
-		if err := f.Correct(meas, sets[i%2]); err != nil {
+		if err := f.Correct(&meas, sets[i%2]); err != nil {
 			t.Fatal(err)
 		}
 		i++

@@ -24,7 +24,7 @@ func benchFilterFor(id vehicle.ProfileName) (*ekf.Filter, sensors.PhysState, sen
 	meas := sensors.TruePhysState(vehicle.State{Z: 10}, [3]float64{}, sensors.BodyField(0))
 	active := sensors.NewTypeSet(sensors.AllTypes()...)
 	f.Predict(vehicle.Input{Thrust: 9}, 0.01)
-	_ = f.Correct(meas, active)
+	_ = f.Correct(&meas, active)
 	return f, meas, active
 }
 
@@ -71,7 +71,7 @@ func BenchmarkEKFPredictHybrid(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.PredictHybrid(u, meas, active, 0.01)
+				f.PredictHybrid(u, &meas, active, 0.01)
 			}
 		})
 	}
@@ -84,7 +84,7 @@ func BenchmarkEKFCorrect(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := f.Correct(meas, active); err != nil {
+				if err := f.Correct(&meas, active); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -26,24 +26,31 @@ import (
 // nx is the rigid-body state dimension.
 const nx = 12
 
-// StepFunc advances the model state by dt under input u. It abstracts the
-// dynamics model so the filter can run on either the true vehicle
-// parameters or the system-identified model (Appendix A.2 learns the model
-// through system identification).
-type StepFunc func(s vehicle.State, u vehicle.Input, dt float64) vehicle.State
+// StepFunc writes the model state dt after *s under input u into *dst;
+// dst may be s. It abstracts the dynamics model so the filter can run on
+// either the true vehicle parameters or the system-identified model
+// (Appendix A.2 learns the model through system identification). A
+// StepFunc is pure: its result depends on its arguments only. It is
+// called through a func value, so the states it is handed escape: keep
+// them in long-lived structs, not in a caller's locals.
+type StepFunc func(dst, s *vehicle.State, u vehicle.Input, dt float64)
 
 // QuadStep returns a StepFunc for the given quadcopter model (no wind —
 // the onboard model cannot observe wind; it is process noise).
 func QuadStep(q vehicle.Quadcopter) StepFunc {
-	return func(s vehicle.State, u vehicle.Input, dt float64) vehicle.State {
-		return q.Step(s, u, vehicle.Wind{}, dt)
+	return func(dst, s *vehicle.State, u vehicle.Input, dt float64) {
+		// Step a 48-byte copy: taking the captured model's address would
+		// move it out of the closure into an allocation of its own.
+		m := q
+		m.StepInto(dst, s, &u, &vehicle.Wind{}, dt)
 	}
 }
 
 // RoverStep returns a StepFunc for the given rover model.
 func RoverStep(r vehicle.Rover) StepFunc {
-	return func(s vehicle.State, u vehicle.Input, dt float64) vehicle.State {
-		return r.Step(s, u, vehicle.Wind{}, dt)
+	return func(dst, s *vehicle.State, u vehicle.Input, dt float64) {
+		m := r // see QuadStep
+		m.StepInto(dst, s, &u, &vehicle.Wind{}, dt)
 	}
 }
 
@@ -117,6 +124,10 @@ type workspace struct {
 	// prod holds F·P·Fᵀ + Q·dt or (I − K·H)·P before it is symmetrized
 	// into P.
 	prod [nx][nx]float64
+
+	// model is PredictHybrid's model step, run only when a masked
+	// inertial sensor reads it.
+	model vehicle.State
 
 	// Correct scratch for m ≤ nobs active rows.
 	rows  []obsChannel
@@ -250,8 +261,13 @@ func (f *Filter) detachShared() {
 	}
 }
 
-// State returns the current estimate.
+// State returns a copy of the current estimate.
 func (f *Filter) State() vehicle.State { return f.x }
+
+// Estimate returns the current estimate in place, so a per-tick reader
+// copies nothing. It stays valid for the filter's lifetime and changes
+// with every step; callers must not write through it (SetState does).
+func (f *Filter) Estimate() *vehicle.State { return &f.x }
 
 // Covariance returns a copy of the estimate covariance. A filter on the
 // shared schedule detaches first (the schedule carries its covariance).
@@ -286,7 +302,7 @@ func (f *Filter) Predict(u vehicle.Input, dt float64) {
 		f.detachShared()
 	}
 	f.propagateCovariance(u, dt)
-	f.x = f.step(f.x, u, dt)
+	f.step(&f.x, &f.x, u, dt)
 }
 
 // PredictHybrid performs the strapdown prediction: inertial channels in
@@ -296,7 +312,10 @@ func (f *Filter) Predict(u vehicle.Input, dt float64) {
 //   - gyroscope active: attitude integrates the measured body rates.
 //   - accelerometer active: velocity integrates the measured acceleration.
 //   - masked: the model step supplies the respective derivatives.
-func (f *Filter) PredictHybrid(u vehicle.Input, meas sensors.PhysState, active sensors.TypeSet, dt float64) {
+//
+// The model step runs only when a masked inertial sensor reads it: the
+// step is pure, so skipping it on every other tick changes no bit.
+func (f *Filter) PredictHybrid(u vehicle.Input, meas *sensors.PhysState, active sensors.TypeSet, dt float64) {
 	if f.onShared() {
 		if !f.predPending && f.sched.covers(dt) && active.Len() == sensors.NumTypes {
 			// Nominal path: the covariance propagation is deferred and
@@ -316,49 +335,54 @@ func (f *Filter) PredictHybrid(u vehicle.Input, meas sensors.PhysState, active s
 	} else {
 		f.propagateCovariance(u, dt)
 	}
-	model := f.step(f.x, u, dt)
+	gyro, accel := active.Has(sensors.Gyro), active.Has(sensors.Accel)
+	model := &f.ws.model
+	if !gyro || !accel {
+		f.step(model, &f.x, u, dt)
+	}
 
-	next := f.x
+	// The prediction overwrites the estimate in place: each channel reads
+	// only its own previous value and channels already written this step.
+	x := &f.x
 
 	// Attitude propagation.
-	if f.isQuad && active.Has(sensors.Gyro) {
-		next.WRoll = meas[sensors.SWRoll]
-		next.WPitch = meas[sensors.SWPitch]
-		next.WYaw = meas[sensors.SWYaw]
-		next.Roll = vehicle.WrapAngle(f.x.Roll + next.WRoll*dt)
-		next.Pitch = vehicle.WrapAngle(f.x.Pitch + next.WPitch*dt)
-		next.Yaw = vehicle.WrapAngle(f.x.Yaw + next.WYaw*dt)
-	} else if !f.isQuad && active.Has(sensors.Gyro) {
+	if f.isQuad && gyro {
+		x.WRoll = meas[sensors.SWRoll]
+		x.WPitch = meas[sensors.SWPitch]
+		x.WYaw = meas[sensors.SWYaw]
+		x.Roll = vehicle.WrapAngle(x.Roll + x.WRoll*dt)
+		x.Pitch = vehicle.WrapAngle(x.Pitch + x.WPitch*dt)
+		x.Yaw = vehicle.WrapAngle(x.Yaw + x.WYaw*dt)
+	} else if !f.isQuad && gyro {
 		// Rovers only use the yaw gyro.
-		next.WYaw = meas[sensors.SWYaw]
-		next.Yaw = vehicle.WrapAngle(f.x.Yaw + next.WYaw*dt)
+		x.WYaw = meas[sensors.SWYaw]
+		x.Yaw = vehicle.WrapAngle(x.Yaw + x.WYaw*dt)
 	} else {
-		next.Roll, next.Pitch, next.Yaw = model.Roll, model.Pitch, model.Yaw
-		next.WRoll, next.WPitch, next.WYaw = model.WRoll, model.WPitch, model.WYaw
+		x.Roll, x.Pitch, x.Yaw = model.Roll, model.Pitch, model.Yaw
+		x.WRoll, x.WPitch, x.WYaw = model.WRoll, model.WPitch, model.WYaw
 	}
 
 	// Velocity propagation.
-	if active.Has(sensors.Accel) {
-		next.VX = f.x.VX + meas[sensors.SAX]*dt
-		next.VY = f.x.VY + meas[sensors.SAY]*dt
-		next.VZ = f.x.VZ + meas[sensors.SAZ]*dt
+	if accel {
+		x.VX += meas[sensors.SAX] * dt
+		x.VY += meas[sensors.SAY] * dt
+		x.VZ += meas[sensors.SAZ] * dt
 	} else {
-		next.VX, next.VY, next.VZ = model.VX, model.VY, model.VZ
+		x.VX, x.VY, x.VZ = model.VX, model.VY, model.VZ
 	}
 
 	// Position integrates the propagated velocity.
-	next.X = f.x.X + next.VX*dt
-	next.Y = f.x.Y + next.VY*dt
-	next.Z = f.x.Z + next.VZ*dt
-	if next.Z < 0 {
-		next.Z = 0
+	x.X += x.VX * dt
+	x.Y += x.VY * dt
+	x.Z += x.VZ * dt
+	if x.Z < 0 {
+		x.Z = 0
 	}
-	f.x = next
 }
 
 // MagYaw derives the yaw observation from a magnetometer field
 // measurement, inverting the BodyField observation model.
-func MagYaw(meas sensors.PhysState) float64 {
+func MagYaw(meas *sensors.PhysState) float64 {
 	return math.Atan2(-meas[sensors.SMagY], meas[sensors.SMagX])
 }
 
@@ -375,7 +399,7 @@ func MagYaw(meas sensors.PhysState) float64 {
 // (K, gates) for its current step instead of recomputing them; the split
 // only reorders operations that do not depend on each other, so results
 // stay bit-identical either way.
-func (f *Filter) Correct(meas sensors.PhysState, active sensors.TypeSet) error {
+func (f *Filter) Correct(meas *sensors.PhysState, active sensors.TypeSet) error {
 	rows, z := f.selectRows(meas, active)
 	if f.onShared() {
 		if f.predPending && len(rows) == f.sched.fullRows() {
@@ -405,7 +429,7 @@ func (f *Filter) Correct(meas sensors.PhysState, active sensors.TypeSet) error {
 
 // selectRows fills the workspace row set and measurement vector for the
 // active sensors and returns them (aliases of ws.rows/ws.z).
-func (f *Filter) selectRows(meas sensors.PhysState, active sensors.TypeSet) ([]obsChannel, []float64) {
+func (f *Filter) selectRows(meas *sensors.PhysState, active sensors.TypeSet) ([]obsChannel, []float64) {
 	ws := &f.ws
 	rows := ws.rows[:0]
 	z := ws.z[:0]
@@ -420,7 +444,7 @@ func (f *Filter) selectRows(meas sensors.PhysState, active sensors.TypeSet) ([]o
 		if ch.sensor == sensors.Mag {
 			z = append(z, MagYaw(meas))
 		} else {
-			z = append(z, measChannel(meas, ch))
+			z = append(z, measChannel(meas, &ch))
 		}
 	}
 	ws.rows, ws.z = rows, z
@@ -445,14 +469,14 @@ func (f *Filter) applyGain(rows []obsChannel, z []float64, k *mat.Mat, gates []f
 	}
 	mat.MulVecInto(ws.dx, k, innov)
 	xvec.AddInPlace(ws.dx)
-	f.x = vehicle.StateFromVec(xvec)
+	f.x.SetVec(xvec)
 	f.x.Roll = vehicle.WrapAngle(f.x.Roll)
 	f.x.Pitch = vehicle.WrapAngle(f.x.Pitch)
 	f.x.Yaw = vehicle.WrapAngle(f.x.Yaw)
 }
 
 // measChannel reads the PS channel corresponding to an observation row.
-func measChannel(meas sensors.PhysState, ch obsChannel) float64 {
+func measChannel(meas *sensors.PhysState, ch *obsChannel) float64 {
 	switch {
 	case ch.sensor == sensors.Baro:
 		return meas[sensors.SBaroAlt]
@@ -469,7 +493,7 @@ func measChannel(meas sensors.PhysState, ch obsChannel) float64 {
 // iteratively to t_a.
 func RollForward(step StepFunc, s vehicle.State, inputs []vehicle.Input, dt float64) vehicle.State {
 	for _, u := range inputs {
-		s = step(s, u, dt)
+		step(&s, &s, u, dt)
 	}
 	return s
 }

@@ -38,7 +38,7 @@ func TestCorrectPullsTowardMeasurement(t *testing.T) {
 	meas[sensors.SBaroAlt] = 10
 	for i := 0; i < 50; i++ {
 		f.Predict(vehicle.Input{Thrust: p.Quad.HoverThrust()}, 0.01)
-		if err := f.Correct(meas, sensors.NewTypeSet(sensors.GPS, sensors.Baro)); err != nil {
+		if err := f.Correct(&meas, sensors.NewTypeSet(sensors.GPS, sensors.Baro)); err != nil {
 			t.Fatalf("Correct: %v", err)
 		}
 	}
@@ -55,7 +55,7 @@ func TestCorrectMaskedSensorIgnored(t *testing.T) {
 	meas[sensors.SX] = 50 // spoofed GPS
 	meas[sensors.SZ] = 10
 	before := f.State()
-	if err := f.Correct(meas, sensors.NewTypeSet(sensors.Baro)); err != nil {
+	if err := f.Correct(&meas, sensors.NewTypeSet(sensors.Baro)); err != nil {
 		t.Fatalf("Correct: %v", err)
 	}
 	if got := f.State().X; math.Abs(got-before.X) > 0.2 {
@@ -68,7 +68,7 @@ func TestCorrectEmptyMaskIsNoop(t *testing.T) {
 	f := New(p)
 	f.Init(vehicle.State{Z: 5, VX: 2})
 	before := f.State()
-	if err := f.Correct(sensors.PhysState{}, sensors.NewTypeSet()); err != nil {
+	if err := f.Correct(&sensors.PhysState{}, sensors.NewTypeSet()); err != nil {
 		t.Fatalf("Correct: %v", err)
 	}
 	if f.State() != before {
@@ -92,9 +92,9 @@ func TestTrackingClosedLoop(t *testing.T) {
 		d := p.Quad.Derivative(truth, u, vehicle.Wind{})
 		accel := [3]float64{d.VX, d.VY, d.VZ}
 		truth = p.Quad.Step(truth, u, vehicle.Wind{}, dt)
-		meas := suite.Sample(tNow, dt, truth, accel, sensors.Bias{})
-		f.PredictHybrid(u, meas, allSensors(), dt)
-		if err := f.Correct(meas, allSensors()); err != nil {
+		meas := *suite.Sample(tNow, dt, &truth, accel, &sensors.Bias{})
+		f.PredictHybrid(u, &meas, allSensors(), dt)
+		if err := f.Correct(&meas, allSensors()); err != nil {
 			t.Fatalf("Correct: %v", err)
 		}
 	}
@@ -123,8 +123,8 @@ func TestGyroBiasCorruptsFusedAttitude(t *testing.T) {
 		// The onboard attitude estimator integrates the same biased rates,
 		// so the gyro-derived angle channel grows with the bias too.
 		meas[sensors.SRoll] = vehicle.WrapAngle(meas[sensors.SRoll] + 0.5*0.01)
-		f.PredictHybrid(u, meas, allSensors(), 0.01)
-		if err := f.Correct(meas, allSensors()); err != nil {
+		f.PredictHybrid(u, &meas, allSensors(), 0.01)
+		if err := f.Correct(&meas, allSensors()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,8 +145,8 @@ func TestAccelBiasCorruptsFusedVelocity(t *testing.T) {
 	// GPS masked so the accel drift is not corrected away instantly.
 	active := sensors.NewTypeSet(sensors.Gyro, sensors.Accel, sensors.Baro)
 	for i := 0; i < 100; i++ {
-		f.PredictHybrid(u, meas, active, 0.01)
-		if err := f.Correct(meas, active); err != nil {
+		f.PredictHybrid(u, &meas, active, 0.01)
+		if err := f.Correct(&meas, active); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func TestMaskedGyroFallsBackToModel(t *testing.T) {
 	u := vehicle.Input{Thrust: p.Quad.HoverThrust()}
 	active := sensors.NewTypeSet(sensors.Accel, sensors.Baro)
 	for i := 0; i < 100; i++ {
-		f.PredictHybrid(u, meas, active, 0.01)
+		f.PredictHybrid(u, &meas, active, 0.01)
 	}
 	if got := math.Abs(f.State().Roll); got > 0.01 {
 		t.Errorf("masked gyro still corrupted roll: %v", got)
@@ -178,7 +178,7 @@ func TestMagYawInversion(t *testing.T) {
 		field := sensors.BodyField(yaw)
 		var meas sensors.PhysState
 		meas[sensors.SMagX], meas[sensors.SMagY], meas[sensors.SMagZ] = field[0], field[1], field[2]
-		if got := MagYaw(meas); math.Abs(vehicle.WrapAngle(got-yaw)) > 1e-9 {
+		if got := MagYaw(&meas); math.Abs(vehicle.WrapAngle(got-yaw)) > 1e-9 {
 			t.Errorf("MagYaw(%v) = %v", yaw, got)
 		}
 	}
@@ -193,8 +193,8 @@ func TestCovarianceStaysPSD(t *testing.T) {
 	meas[sensors.SZ] = 10
 	meas[sensors.SBaroAlt] = 10
 	for i := 0; i < 200; i++ {
-		f.PredictHybrid(u, meas, allSensors(), 0.01)
-		if err := f.Correct(meas, allSensors()); err != nil {
+		f.PredictHybrid(u, &meas, allSensors(), 0.01)
+		if err := f.Correct(&meas, allSensors()); err != nil {
 			t.Fatalf("Correct: %v", err)
 		}
 		if !mat.IsPSD(f.Covariance(), 1e-9) {
@@ -234,7 +234,7 @@ func TestRollForward(t *testing.T) {
 	}
 	want := s
 	for range inputs {
-		want = step(want, u, 0.01)
+		step(&want, &want, u, 0.01)
 	}
 	if got != want {
 		t.Errorf("RollForward = %+v, want %+v", got, want)
@@ -254,9 +254,9 @@ func TestRoverFilterTracks(t *testing.T) {
 		d := p.Rover.Derivative(truth, u, vehicle.Wind{})
 		accel := [3]float64{d.VX, d.VY, 0}
 		truth = p.Rover.Step(truth, u, vehicle.Wind{}, dt)
-		meas := suite.Sample(float64(i)*dt, dt, truth, accel, sensors.Bias{})
-		f.PredictHybrid(u, meas, allSensors(), dt)
-		if err := f.Correct(meas, allSensors()); err != nil {
+		meas := *suite.Sample(float64(i)*dt, dt, &truth, accel, &sensors.Bias{})
+		f.PredictHybrid(u, &meas, allSensors(), dt)
+		if err := f.Correct(&meas, allSensors()); err != nil {
 			t.Fatalf("Correct: %v", err)
 		}
 	}

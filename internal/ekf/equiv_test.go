@@ -62,9 +62,9 @@ func refCorrect(f *Filter, p *mat.Mat, x vehicle.State, meas sensors.PhysState, 
 		}
 		rows = append(rows, ch)
 		if ch.sensor == sensors.Mag {
-			z = append(z, MagYaw(meas))
+			z = append(z, MagYaw(&meas))
 		} else {
-			z = append(z, measChannel(meas, ch))
+			z = append(z, measChannel(&meas, &ch))
 		}
 	}
 	if len(rows) == 0 {
@@ -169,7 +169,7 @@ func TestWorkspaceMatchesAllocatingReference(t *testing.T) {
 
 				f.Predict(u, dt)
 				refP = refPropagate(refP, refQ(f), fkin, dt)
-				refX = f.step(refX, u, dt)
+				f.step(&refX, &refX, u, dt)
 				bitsEqualMat(t, i, "covariance after Predict", f.p, refP)
 				bitsEqualState(t, i, f.x, refX)
 
@@ -179,7 +179,7 @@ func TestWorkspaceMatchesAllocatingReference(t *testing.T) {
 				if i >= 80 && i < 120 {
 					active = masked
 				}
-				if err := f.Correct(meas, active); err != nil {
+				if err := f.Correct(&meas, active); err != nil {
 					t.Fatalf("step %d: Correct: %v", i, err)
 				}
 				ref, err := refCorrect(f, refP, refX, meas, active)
@@ -330,7 +330,7 @@ func TestKernelsMatchAllocatingReference(t *testing.T) {
 				if n%50 == 49 {
 					// Zero the first observed state's row and column and
 					// cancel its noise: S gets an exactly zero column.
-					if rows, _ := f.selectRows(meas, active); len(rows) > 0 {
+					if rows, _ := f.selectRows(&meas, active); len(rows) > 0 {
 						s, r := rows[0].state, rows[0].noise
 						for k := range nx {
 							want.Set(s, k, 0)
@@ -342,7 +342,7 @@ func TestKernelsMatchAllocatingReference(t *testing.T) {
 					}
 				}
 
-				err := f.Correct(meas, active)
+				err := f.Correct(&meas, active)
 				ref, wantErr := refCorrect(f, want, x, meas, active)
 				if errors.Is(err, mat.ErrSingular) != errors.Is(wantErr, mat.ErrSingular) ||
 					(err == nil) != (wantErr == nil) {
@@ -394,7 +394,7 @@ func TestKernelsNonFinitePrior(t *testing.T) {
 
 					f.Init(x)
 					mat.CloneInto(f.p, prior)
-					if err := f.Correct(meas, all); err == nil && f.p.IsFinite() {
+					if err := f.Correct(&meas, all); err == nil && f.p.IsFinite() {
 						t.Fatalf("%s: P[%d][%d] = %v: Correct returned a finite covariance", id, i, j, bad)
 					}
 				}

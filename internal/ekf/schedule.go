@@ -93,7 +93,7 @@ func NewSchedule(p vehicle.Profile, dt float64) *Schedule {
 	b := New(p)
 	b.Init(vehicle.State{})
 	active := sensors.NewTypeSet(sensors.AllTypes()...)
-	r, _ := b.selectRows(sensors.PhysState{}, active)
+	r, _ := b.selectRows(&sensors.PhysState{}, active)
 	rows := append([]obsChannel(nil), r...)
 	s := &Schedule{
 		profile: p,

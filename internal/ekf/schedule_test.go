@@ -54,12 +54,12 @@ func runPair(t *testing.T, prof vehicle.Profile, sched *Schedule, steps, maskFro
 		if i >= maskFrom && i < maskTo {
 			active = masked
 		}
-		shared.PredictHybrid(u, meas, active, dt)
-		private.PredictHybrid(u, meas, active, dt)
-		if err := shared.Correct(meas, active); err != nil {
+		shared.PredictHybrid(u, &meas, active, dt)
+		private.PredictHybrid(u, &meas, active, dt)
+		if err := shared.Correct(&meas, active); err != nil {
 			t.Fatalf("step %d: shared Correct: %v", i, err)
 		}
-		if err := private.Correct(meas, active); err != nil {
+		if err := private.Correct(&meas, active); err != nil {
 			t.Fatalf("step %d: private Correct: %v", i, err)
 		}
 		bitsEqualState(t, i, shared.State(), private.State())
@@ -137,12 +137,12 @@ func TestScheduleDetachOnPredict(t *testing.T) {
 			shared.Predict(u, dt)
 			private.Predict(u, dt)
 		} else {
-			shared.PredictHybrid(u, meas, all, dt)
-			private.PredictHybrid(u, meas, all, dt)
-			if err := shared.Correct(meas, all); err != nil {
+			shared.PredictHybrid(u, &meas, all, dt)
+			private.PredictHybrid(u, &meas, all, dt)
+			if err := shared.Correct(&meas, all); err != nil {
 				t.Fatalf("step %d: shared Correct: %v", i, err)
 			}
-			if err := private.Correct(meas, all); err != nil {
+			if err := private.Correct(&meas, all); err != nil {
 				t.Fatalf("step %d: private Correct: %v", i, err)
 			}
 		}
@@ -173,12 +173,12 @@ func TestScheduleDetachOnDTChange(t *testing.T) {
 			dt = 0.02
 		}
 		meas := missionMeas(rng)
-		shared.PredictHybrid(u, meas, all, dt)
-		private.PredictHybrid(u, meas, all, dt)
-		if err := shared.Correct(meas, all); err != nil {
+		shared.PredictHybrid(u, &meas, all, dt)
+		private.PredictHybrid(u, &meas, all, dt)
+		if err := shared.Correct(&meas, all); err != nil {
 			t.Fatalf("step %d: shared Correct: %v", i, err)
 		}
-		if err := private.Correct(meas, all); err != nil {
+		if err := private.Correct(&meas, all); err != nil {
 			t.Fatalf("step %d: private Correct: %v", i, err)
 		}
 		bitsEqualState(t, i, shared.State(), private.State())
@@ -209,12 +209,12 @@ func TestScheduleCovarianceRead(t *testing.T) {
 	u := vehicle.Input{Thrust: 0.5}
 	for i := 0; i < 90; i++ {
 		meas := missionMeas(rng)
-		shared.PredictHybrid(u, meas, all, dt)
-		private.PredictHybrid(u, meas, all, dt)
-		if err := shared.Correct(meas, all); err != nil {
+		shared.PredictHybrid(u, &meas, all, dt)
+		private.PredictHybrid(u, &meas, all, dt)
+		if err := shared.Correct(&meas, all); err != nil {
 			t.Fatalf("shared Correct: %v", err)
 		}
-		if err := private.Correct(meas, all); err != nil {
+		if err := private.Correct(&meas, all); err != nil {
 			t.Fatalf("private Correct: %v", err)
 		}
 		if i == 70 {
@@ -276,13 +276,13 @@ func runPairErr(t *testing.T, prof vehicle.Profile, sched *Schedule, steps, mask
 		if i >= maskFrom && i < maskTo {
 			active = masked
 		}
-		shared.PredictHybrid(u, meas, active, dt)
-		private.PredictHybrid(u, meas, active, dt)
-		if err := shared.Correct(meas, active); err != nil {
+		shared.PredictHybrid(u, &meas, active, dt)
+		private.PredictHybrid(u, &meas, active, dt)
+		if err := shared.Correct(&meas, active); err != nil {
 			t.Errorf("seed %d step %d: shared Correct: %v", seed, i, err)
 			return
 		}
-		if err := private.Correct(meas, active); err != nil {
+		if err := private.Correct(&meas, active); err != nil {
 			t.Errorf("seed %d step %d: private Correct: %v", seed, i, err)
 			return
 		}
@@ -320,16 +320,16 @@ func TestScheduleStepAllocFree(t *testing.T) {
 	warm.Init(vehicle.State{Z: 10})
 	for i := 0; i < 300; i++ {
 		meas := missionMeas(rng)
-		warm.PredictHybrid(vehicle.Input{Thrust: 9}, meas, all, dt)
-		if err := warm.Correct(meas, all); err != nil {
+		warm.PredictHybrid(vehicle.Input{Thrust: 9}, &meas, all, dt)
+		if err := warm.Correct(&meas, all); err != nil {
 			t.Fatal(err)
 		}
 	}
 	meas := missionMeas(rng)
 	u := vehicle.Input{Thrust: 9.0}
 	n := testing.AllocsPerRun(200, func() {
-		f.PredictHybrid(u, meas, all, dt)
-		if err := f.Correct(meas, all); err != nil {
+		f.PredictHybrid(u, &meas, all, dt)
+		if err := f.Correct(&meas, all); err != nil {
 			t.Fatal(err)
 		}
 	})

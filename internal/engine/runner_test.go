@@ -72,9 +72,9 @@ func TestRunPreservesSubmissionOrder(t *testing.T) {
 // crash deep inside a mission.
 type panicDetector struct{}
 
-func (panicDetector) Update(_, _ sensors.PhysState) bool { panic("detector exploded") }
-func (panicDetector) Alert() bool                        { return false }
-func (panicDetector) Reset()                             {}
+func (panicDetector) Update(_, _ *sensors.PhysState) bool { panic("detector exploded") }
+func (panicDetector) Alert() bool                         { return false }
+func (panicDetector) Reset()                              {}
 
 func TestRunConvertsWorkerPanicToLabeledError(t *testing.T) {
 	jobs := tinyJobs(4)

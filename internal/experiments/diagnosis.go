@@ -175,7 +175,7 @@ type windowedForcedAlert struct {
 
 var _ detect.Detector = (*windowedForcedAlert)(nil)
 
-func (d *windowedForcedAlert) Update(_, _ sensors.PhysState) bool {
+func (d *windowedForcedAlert) Update(_, _ *sensors.PhysState) bool {
 	d.ticks++
 	return d.Alert()
 }

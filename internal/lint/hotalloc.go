@@ -80,30 +80,39 @@ var hotallocMethods = map[string]bool{
 }
 
 func runHotalloc(pass *ProgramPass, cfg HotallocConfig) {
+	reach, order := hotSet(pass, "hotalloc", cfg.Roots, cfg.Cold)
+	for _, n := range order {
+		checkHotNode(pass, cfg, reach, n)
+	}
+}
+
+// hotSet derives a hot set: every node reachable from roots without
+// passing through a cold cut point, with parent pointers for Chain and
+// the deterministic visit order. An entry of either list that names no
+// module function is reported under the analyzer's name. hotalloc and
+// hotcopy share it, so both police the same set.
+func hotSet(pass *ProgramPass, analyzer string, rootRefs, coldRefs []FuncRef) (map[*CGNode]ReachEntry, []*CGNode) {
 	graph := pass.Prog.Graph
-	cold := make(map[*CGNode]bool, len(cfg.Cold))
-	for _, ref := range cfg.Cold {
+	cold := make(map[*CGNode]bool, len(coldRefs))
+	for _, ref := range coldRefs {
 		if n := graph.Node(ref); n != nil {
 			cold[n] = true
 		} else {
 			pass.Reportf(pass.Prog.Pkgs[0].Files[0].Pos(),
-				"hotalloc cold entry %q does not resolve to a module function; update the analyzer configuration", ref)
+				"%s cold entry %q does not resolve to a module function; update the analyzer configuration", analyzer, ref)
 		}
 	}
 	var roots []*CGNode
-	for _, ref := range cfg.Roots {
+	for _, ref := range rootRefs {
 		n := graph.Node(ref)
 		if n == nil {
 			pass.Reportf(pass.Prog.Pkgs[0].Files[0].Pos(),
-				"hotalloc root %q does not resolve to a module function; update the analyzer configuration", ref)
+				"%s root %q does not resolve to a module function; update the analyzer configuration", analyzer, ref)
 			continue
 		}
 		roots = append(roots, n)
 	}
-	reach, order := graph.Reachable(roots, func(n *CGNode) bool { return cold[n] })
-	for _, n := range order {
-		checkHotNode(pass, cfg, reach, n)
-	}
+	return graph.Reachable(roots, func(n *CGNode) bool { return cold[n] })
 }
 
 // checkHotNode scans one hot node's body. Nested literals are their own

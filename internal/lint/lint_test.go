@@ -138,6 +138,19 @@ func TestHotallocGolden(t *testing.T) {
 	}))
 }
 
+func TestHotcopyGolden(t *testing.T) {
+	pkg := modulePath + "/internal/lint/testdata/hotcopy"
+	runGolden(t, "hotcopy", Hotcopy(HotcopyConfig{
+		Roots:    []FuncRef{pkg + ":state.tick"},
+		Cold:     []FuncRef{pkg + ":state.cold"},
+		MaxBytes: 64,
+		Allow: []CopyAllowance{
+			{pkg + ":state.sanctioned", "golden: a sanctioned copy"},
+			{pkg + ":state.stale", "golden: an entry that no longer copies"},
+		},
+	}))
+}
+
 func TestPuretickGolden(t *testing.T) {
 	runGolden(t, "puretick", Puretick(PuretickConfig{
 		Roots:     []FuncRef{modulePath + "/internal/lint/testdata/puretick:tick"},
@@ -173,7 +186,7 @@ func TestIgnoreDirectives(t *testing.T) {
 func TestDefaultAnalyzers(t *testing.T) {
 	want := []string{
 		"floatcmp", "stateindex", "exhaustive", "errdrop", "hotalloc",
-		"determinism", "puretick", "mapiter", "sharedwrite",
+		"hotcopy", "determinism", "puretick", "mapiter", "sharedwrite",
 	}
 	azs := DefaultAnalyzers()
 	if len(azs) != len(want) {

@@ -22,6 +22,8 @@ const (
 	tracePath     = modulePath + "/internal/trace"
 	sourcePath    = modulePath + "/internal/source"
 	servicePath   = modulePath + "/internal/service"
+	attackPath    = modulePath + "/internal/attack"
+	benchPath     = modulePath + "/bench"
 )
 
 // DefaultAnalyzers returns the project's full analyzer suite, tuned to
@@ -54,6 +56,7 @@ func DefaultAnalyzers() []*Analyzer {
 		}),
 		ErrDrop(modulePath + "/internal/"),
 		Hotalloc(defaultHotalloc()),
+		Hotcopy(defaultHotcopy()),
 		Determinism(DeterminismConfig{
 			Restricted: []string{
 				simPath,
@@ -145,7 +148,9 @@ func defaultHotalloc() HotallocConfig {
 		Cold: []FuncRef{
 			corePath + ":Pipeline.triage",
 			corePath + ":Pipeline.widenDiagnosis",
-			corePath + ":Pipeline.revalidateSensors",
+			// A re-admission event renders the sensor's name, once per
+			// re-admission; the re-validation loop around it is hot.
+			corePath + ":Pipeline.readmit",
 			corePath + ":Pipeline.exitRecovery",
 			corePath + ":Pipeline.triggerDetail",
 			fgPath + ":Graph.growScratch",
@@ -166,6 +171,41 @@ func defaultHotalloc() HotallocConfig {
 			sourcePath + ":desyncErr",
 		},
 	}
+}
+
+// defaultHotcopy polices hotalloc's hot set for large by-value copies.
+func defaultHotcopy() HotcopyConfig {
+	hot := defaultHotalloc()
+	return HotcopyConfig{
+		Roots:    hot.Roots,
+		Cold:     hot.Cold,
+		MaxBytes: 64,
+		Allow:    hotcopyRatchet,
+	}
+}
+
+// hotcopyRatchet names the hot functions that may keep a large by-value
+// copy, each with the reason it stays. It may only shrink: hotcopy
+// reports an entry that no longer produces a finding.
+var hotcopyRatchet = []CopyAllowance{
+	// The sensors.Source boundary: bench/ implements the interface and
+	// calls it by value, so its Tick-in, Reading-out signature stays; each
+	// tick copies the frame once there.
+	{benchPath + ":timingSource.Sample", "bench/ implements sensors.Source by value"},
+	{simPath + ":SimSource.Sample", "implements sensors.Source, whose value signature bench/ implements"},
+	{sourcePath + ":Bus.Sample", "implements sensors.Source, whose value signature bench/ implements"},
+	{sourcePath + ":Recorder.Sample", "implements sensors.Source, whose value signature bench/ implements"},
+	{sourcePath + ":Replay.Sample", "implements sensors.Source, whose value signature bench/ implements"},
+	{corePath + ":Pipeline.Tick", "bench/ calls Tick with a value frame; it copies it once into the pipeline and runs TickFrom"},
+	// Snapshot accessors: the caller keeps the value.
+	{corePath + ":Pipeline.Believed", "snapshot accessor; bench/ reads it by value"},
+	{corePath + ":Pipeline.LastError", "snapshot accessor; the calibration run keeps every fifth tick's vector"},
+	// Left for later.
+	{attackPath + ":SDA.BiasAt", "attacked ticks only; summing Scale's product in place would give arm64 a new multiply-add to fuse"},
+	{attackPath + ":SDA.BiasAtPos", "attacked ticks only; see SDA.BiasAt"},
+	{attackPath + ":Schedule.BiasAtPos", "attacked ticks only; see SDA.BiasAt"},
+	{sensorsPath + ":Bias.Scale", "attacked ticks only; see attack SDA.BiasAt"},
+	{modulePath + "/internal/recovery:roverSystem.solve", "the fixed-point Riccati loop that SDA replaces (ROADMAP item 1)"},
 }
 
 // AnalyzerByName returns the named analyzer from the default suite, or

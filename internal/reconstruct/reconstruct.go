@@ -75,16 +75,18 @@ func (r *Reconstructor) RollForward(rec *checkpoint.Recorder, compromised sensor
 	stats := ReplayStats{AnchorT: anchor.T}
 	f := ekf.New(r.profile)
 	f.Init(anchor.Est)
-	for _, record := range rec.RecordsSince(anchor.T) {
+	records := rec.RecordsSince(anchor.T)
+	for i := range records {
+		record := &records[i]
 		stats.Records++
 		if record.InputOnly || clean.Len() == 0 {
 			// No usable measurements: open-loop model step.
 			f.Predict(record.Input, r.dt)
 			continue
 		}
-		f.PredictHybrid(record.Input, record.PS, clean, r.dt)
+		f.PredictHybrid(record.Input, &record.PS, clean, r.dt)
 		// Correction errors cannot occur with a diagonal positive R.
-		_ = f.Correct(record.PS, clean)
+		_ = f.Correct(&record.PS, clean)
 	}
 	return f.State(), stats, nil
 }

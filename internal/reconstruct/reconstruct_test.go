@@ -18,7 +18,7 @@ func hoverRecorder(t *testing.T, prof vehicle.Profile, seconds float64, dt float
 	for tm := 0.0; tm < seconds; tm += dt {
 		s = prof.Quad.Step(s, u, vehicle.Wind{}, dt)
 		ps := sensors.TruePhysState(s, [3]float64{}, sensors.BodyField(s.Yaw))
-		r.Record(checkpoint.Record{T: tm, PS: ps, Est: s, Input: u})
+		r.Record(tm, &ps, &s, u)
 	}
 	return r, s
 }
@@ -129,7 +129,7 @@ func TestRollForwardSpansDetectionGap(t *testing.T) {
 	for tm = 0; tm < 2.5; tm += dt {
 		s = prof.Quad.Step(s, u, vehicle.Wind{}, dt)
 		ps := sensors.TruePhysState(s, [3]float64{}, sensors.BodyField(s.Yaw))
-		r.Record(checkpoint.Record{T: tm, PS: ps, Est: s, Input: u})
+		r.Record(tm, &ps, &s, u)
 	}
 	r.OnAlert()
 	// Truth keeps evolving during the attack, but the recorder is stopped.

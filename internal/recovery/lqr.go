@@ -27,7 +27,9 @@ import (
 // swap it into the loop when the Recovery Switch engages (Fig. 4).
 type Controller interface {
 	Name() string
-	Update(est vehicle.State, target mission.Waypoint, dt float64) vehicle.Input
+	// Update reads the estimate through a pointer: a call through an
+	// interface copies every value argument.
+	Update(est *vehicle.State, target mission.Waypoint, dt float64) vehicle.Input
 	Reset()
 }
 
@@ -127,14 +129,14 @@ func (l *LQR) Reset() {
 }
 
 // Update derives the recovery control action u = u_ref − K(x − x_ref).
-func (l *LQR) Update(est vehicle.State, target mission.Waypoint, dt float64) vehicle.Input {
+func (l *LQR) Update(est *vehicle.State, target mission.Waypoint, dt float64) vehicle.Input {
 	if l.profile.IsQuad() {
 		return l.updateQuad(est, target)
 	}
 	return l.updateRover(est, target)
 }
 
-func (l *LQR) updateQuad(est vehicle.State, target mission.Waypoint) vehicle.Input {
+func (l *LQR) updateQuad(est *vehicle.State, target mission.Waypoint) vehicle.Input {
 	// Reference: at the target waypoint, level hover — so the error is the
 	// state vector with the target position subtracted.
 	err := l.errQuad
@@ -228,7 +230,7 @@ func quadGain(q vehicle.Quadcopter, dt float64) (*mat.Mat, error) {
 	return mat.LQRGain(a, b, qCost, rCost)
 }
 
-func (l *LQR) updateRover(est vehicle.State, target mission.Waypoint) vehicle.Input {
+func (l *LQR) updateRover(est *vehicle.State, target mission.Waypoint) vehicle.Input {
 	v := est.Speed2D()
 	// Refresh the linearization when the operating point has moved.
 	if l.kRover == nil ||

@@ -18,7 +18,7 @@ func TestLQRQuadReachesWaypoint(t *testing.T) {
 	s := vehicle.State{Z: 10}
 	target := mission.Waypoint{X: 15, Y: -5, Z: 12}
 	for i := 0; i < 6000; i++ {
-		u := l.Update(s, target, dt)
+		u := l.Update(&s, target, dt)
 		s = prof.Quad.Step(s, u, vehicle.Wind{}, dt)
 	}
 	if d := s.HorizontalDistanceTo(target.X, target.Y); d > 1.5 {
@@ -40,7 +40,7 @@ func TestLQRQuadStabilizesFromDisturbance(t *testing.T) {
 	s := vehicle.State{X: 5, Z: 20, VZ: -3, Roll: 0.4, Pitch: -0.3, WRoll: 1}
 	target := mission.Waypoint{X: 0, Y: 0, Z: 20}
 	for i := 0; i < 4000; i++ {
-		u := l.Update(s, target, dt)
+		u := l.Update(&s, target, dt)
 		s = prof.Quad.Step(s, u, vehicle.Wind{}, dt)
 	}
 	if math.Abs(s.Roll) > 0.05 || math.Abs(s.Pitch) > 0.05 {
@@ -57,7 +57,7 @@ func TestLQRQuadThrustBounded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLQR: %v", err)
 	}
-	u := l.Update(vehicle.State{Z: 0}, mission.Waypoint{Z: 500}, 0.01)
+	u := l.Update(&vehicle.State{Z: 0}, mission.Waypoint{Z: 500}, 0.01)
 	if u.Thrust > prof.MaxThrust+1e-9 || u.Thrust < 0 {
 		t.Errorf("thrust %v outside [0, %v]", u.Thrust, prof.MaxThrust)
 	}
@@ -73,7 +73,7 @@ func TestLQRRoverReachesWaypoint(t *testing.T) {
 	s := vehicle.State{VX: 0.5}
 	target := mission.Waypoint{X: 20, Y: 10}
 	for i := 0; i < 10000; i++ {
-		u := l.Update(s, target, dt)
+		u := l.Update(&s, target, dt)
 		s = prof.Rover.Step(s, u, vehicle.Wind{}, dt)
 		if s.HorizontalDistanceTo(target.X, target.Y) < 1.0 {
 			return
@@ -88,7 +88,7 @@ func TestLQRRoverSteeringBounded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLQR: %v", err)
 	}
-	u := l.Update(vehicle.State{VX: 2}, mission.Waypoint{X: -50, Y: 50}, 0.01)
+	u := l.Update(&vehicle.State{VX: 2}, mission.Waypoint{X: -50, Y: 50}, 0.01)
 	if math.Abs(u.MYaw) > prof.Rover.MaxSteer+1e-9 {
 		t.Errorf("steering %v exceeds %v", u.MYaw, prof.Rover.MaxSteer)
 	}
@@ -110,7 +110,7 @@ func TestLQRResetClearsRoverGain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Update(vehicle.State{VX: 1}, mission.Waypoint{X: 5}, 0.01)
+	l.Update(&vehicle.State{VX: 1}, mission.Waypoint{X: 5}, 0.01)
 	if l.kRover == nil {
 		t.Fatal("rover gain not synthesized on first update")
 	}

@@ -230,15 +230,15 @@ func TestLQRRoverFailedRefreshKeepsGain(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := mission.Waypoint{X: 5, Y: 5}
-	if u := l.Update(vehicle.State{Yaw: math.NaN(), VX: 1}, target, 0.01); u != (vehicle.Input{}) || l.kRover != nil {
+	if u := l.Update(&vehicle.State{Yaw: math.NaN(), VX: 1}, target, 0.01); u != (vehicle.Input{}) || l.kRover != nil {
 		t.Fatalf("NaN heading without a gain: input %+v, gain %v; want zero input, no gain", u, l.kRover)
 	}
-	l.Update(vehicle.State{VX: 1}, target, 0.01)
+	l.Update(&vehicle.State{VX: 1}, target, 0.01)
 	if l.kRover == nil {
 		t.Fatal("rover gain not synthesized")
 	}
 	want := append([]float64(nil), l.kRover.Data...)
-	l.Update(vehicle.State{VX: math.Inf(1)}, target, 0.01) // |Δv| > 0.8 forces a refresh
+	l.Update(&vehicle.State{VX: math.Inf(1)}, target, 0.01) // |Δv| > 0.8 forces a refresh
 	for i, x := range l.kRover.Data {
 		if math.Float64bits(x) != math.Float64bits(want[i]) {
 			t.Fatalf("failed refresh changed the gain: %v, want %v", l.kRover.Data, want)
@@ -255,10 +255,10 @@ func TestRoverUpdateZeroAlloc(t *testing.T) {
 	}
 	s := vehicle.State{VX: 1.3}
 	target := mission.Waypoint{X: 20, Y: 10}
-	l.Update(s, target, 0.01)
+	l.Update(&s, target, 0.01)
 	allocs := testing.AllocsPerRun(20, func() {
 		s.Yaw += 0.5 // past the 0.3 rad refresh threshold every call
-		l.Update(s, target, 0.01)
+		l.Update(&s, target, 0.01)
 	})
 	if allocs != 0 {
 		t.Errorf("rover Update with a gain refresh: %v allocs/op, want 0", allocs)

@@ -48,17 +48,24 @@ func (p PhysState) Sub(q PhysState) PhysState {
 
 // AbsDiff returns |p − q| element-wise, with angular channels compared on
 // the circle so a wraparound from +π to −π does not register as a 2π jump.
+// It is the value form of AbsDiffInto.
 func (p PhysState) AbsDiff(q PhysState) PhysState {
 	var out PhysState
+	AbsDiffInto(&out, &p, &q)
+	return out
+}
+
+// AbsDiffInto writes |p − q| into *dst, as AbsDiff does; dst may alias p
+// or q.
+func AbsDiffInto(dst, p, q *PhysState) {
 	for i := range p {
 		idx := StateIndex(i)
 		d := p[i] - q[i]
 		if isAngular(idx) {
 			d = vehicle.WrapAngle(d)
 		}
-		out[i] = math.Abs(d)
+		dst[i] = math.Abs(d)
 	}
-	return out
 }
 
 // IsFinite reports whether every channel is finite.
@@ -81,14 +88,19 @@ func isAngular(i StateIndex) bool {
 // anchors TP/FP accounting in the experiments.
 func TruePhysState(s vehicle.State, accel [3]float64, field [3]float64) PhysState {
 	var p PhysState
-	p[SX], p[SY], p[SZ] = s.X, s.Y, s.Z
-	p[SVX], p[SVY], p[SVZ] = s.VX, s.VY, s.VZ
-	p[SAX], p[SAY], p[SAZ] = accel[0], accel[1], accel[2]
-	p[SRoll], p[SPitch], p[SYaw] = s.Roll, s.Pitch, s.Yaw
-	p[SWRoll], p[SWPitch], p[SWYaw] = s.WRoll, s.WPitch, s.WYaw
-	p[SMagX], p[SMagY], p[SMagZ] = field[0], field[1], field[2]
-	p[SBaroAlt] = s.Z
+	TruePhysStateInto(&p, &s, accel, field)
 	return p
+}
+
+// TruePhysStateInto writes TruePhysState into *dst.
+func TruePhysStateInto(dst *PhysState, s *vehicle.State, accel [3]float64, field [3]float64) {
+	dst[SX], dst[SY], dst[SZ] = s.X, s.Y, s.Z
+	dst[SVX], dst[SVY], dst[SVZ] = s.VX, s.VY, s.VZ
+	dst[SAX], dst[SAY], dst[SAZ] = accel[0], accel[1], accel[2]
+	dst[SRoll], dst[SPitch], dst[SYaw] = s.Roll, s.Pitch, s.Yaw
+	dst[SWRoll], dst[SWPitch], dst[SWYaw] = s.WRoll, s.WPitch, s.WYaw
+	dst[SMagX], dst[SMagY], dst[SMagZ] = field[0], field[1], field[2]
+	dst[SBaroAlt] = s.Z
 }
 
 // VehicleState projects the PS vector back onto the 12-dimensional

@@ -220,7 +220,7 @@ func TestSuiteNoiselessTracksTruth(t *testing.T) {
 	dt := 0.01
 	var est PhysState
 	for i := 0; i < 200; i++ {
-		est = s.Sample(float64(i)*dt, dt, truth, [3]float64{0, 0, 0}, Bias{})
+		est = *s.Sample(float64(i)*dt, dt, &truth, [3]float64{0, 0, 0}, &Bias{})
 	}
 	if math.Abs(est[SX]-3) > 1e-9 || math.Abs(est[SZ]-10) > 1e-9 {
 		t.Errorf("position estimate off: %v %v", est[SX], est[SZ])
@@ -237,7 +237,7 @@ func TestSuiteGPSBiasShiftsOnlyGPSStates(t *testing.T) {
 	bias := Bias{GPSPos: [3]float64{20, 0, 0}}
 	var est PhysState
 	for i := 0; i < 100; i++ {
-		est = s.Sample(float64(i)*dt, dt, truth, [3]float64{}, bias)
+		est = *s.Sample(float64(i)*dt, dt, &truth, [3]float64{}, &bias)
 	}
 	if math.Abs(est[SX]-20) > 1e-9 {
 		t.Errorf("GPS x = %v, want 20", est[SX])
@@ -257,7 +257,7 @@ func TestSuiteGyroBiasCorruptsAttitude(t *testing.T) {
 	bias := Bias{Gyro: [3]float64{0.5, 0, 0}}
 	var est PhysState
 	for i := 0; i < 200; i++ {
-		est = s.Sample(float64(i)*dt, dt, truth, [3]float64{}, bias)
+		est = *s.Sample(float64(i)*dt, dt, &truth, [3]float64{}, &bias)
 	}
 	// 0.5 rad/s over ~2 s ≈ 1 rad of roll error.
 	if est[SRoll] < 0.5 {
@@ -274,11 +274,11 @@ func TestSuiteMagYawAttackRotatesField(t *testing.T) {
 	dt := 0.01
 	var clean, attacked PhysState
 	for i := 0; i < 50; i++ {
-		clean = s.Sample(float64(i)*dt, dt, truth, [3]float64{}, Bias{})
+		clean = *s.Sample(float64(i)*dt, dt, &truth, [3]float64{}, &Bias{})
 	}
 	s2 := NewSuite(noiselessProfile(), rand.New(rand.NewSource(1)))
 	for i := 0; i < 50; i++ {
-		attacked = s2.Sample(float64(i)*dt, dt, truth, [3]float64{}, Bias{MagYaw: math.Pi})
+		attacked = *s2.Sample(float64(i)*dt, dt, &truth, [3]float64{}, &Bias{MagYaw: math.Pi})
 	}
 	// 180° flip negates the horizontal field components.
 	if math.Abs(attacked[SMagX]+clean[SMagX]) > 1e-9 {
@@ -295,14 +295,14 @@ func TestSuiteSampleRatesHold(t *testing.T) {
 	s := NewSuite(p, rand.New(rand.NewSource(1)))
 	dt := 0.01
 	truth := vehicle.State{X: 0}
-	s.Sample(0, dt, truth, [3]float64{}, Bias{})
+	s.Sample(0, dt, &truth, [3]float64{}, &Bias{})
 	// Move the vehicle; GPS should not see it until its next sample slot.
 	truth.X = 100
-	est := s.Sample(dt, dt, truth, [3]float64{}, Bias{})
+	est := *s.Sample(dt, dt, &truth, [3]float64{}, &Bias{})
 	if est[SX] != 0 {
 		t.Errorf("GPS updated too soon: %v", est[SX])
 	}
-	est = s.Sample(0.1, dt, truth, [3]float64{}, Bias{})
+	est = *s.Sample(0.1, dt, &truth, [3]float64{}, &Bias{})
 	if est[SX] != 100 {
 		t.Errorf("GPS did not update at its slot: %v", est[SX])
 	}
@@ -340,7 +340,8 @@ func TestPropertyMergeExtremes(t *testing.T) {
 func TestPropertyScalePreservesTargets(t *testing.T) {
 	f := func(gx, gy, gz, ax float64, baro float64) bool {
 		b := Bias{GPSPos: [3]float64{gx, gy, gz}, Accel: [3]float64{ax, 0, 0}, Baro: baro}
-		return b.Scale(0.5).Targets() == b.Targets()
+		scaled := b.Scale(0.5)
+		return scaled.Targets() == b.Targets()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -40,7 +40,7 @@ func (b Bias) IsZero() bool {
 }
 
 // Targets returns the sensor types that carry a non-zero injection.
-func (b Bias) Targets() TypeSet {
+func (b *Bias) Targets() TypeSet {
 	var s TypeSet
 	if b.GPSPos != [3]float64{} || b.GPSVel != [3]float64{} {
 		s.Add(GPS)
@@ -125,16 +125,17 @@ func due(t, last, rate float64) bool {
 // Sample advances the suite to time t: due sensors take fresh (noisy,
 // possibly biased) measurements of the true vehicle state; others hold.
 // dt is the elapsed time since the previous call (used for gyro attitude
-// integration). It returns the current sensor-derived PS estimate.
-func (s *Suite) Sample(t, dt float64, truth vehicle.State, trueAccel [3]float64, bias Bias) PhysState {
+// integration). It returns the current sensor-derived PS estimate, which
+// the suite owns: it stays valid until the next Sample.
+func (s *Suite) Sample(t, dt float64, truth *vehicle.State, trueAccel [3]float64, bias *Bias) *PhysState {
 	p := &s.profile
 	if !s.initialized {
 		// Prime every channel at mission start (assumed attack-free zone).
-		s.est = TruePhysState(truth, trueAccel, bodyField(truth.Yaw, 0))
+		TruePhysStateInto(&s.est, truth, trueAccel, bodyField(truth.Yaw, 0))
 		s.attRoll, s.attPitch, s.attYaw = truth.Roll, truth.Pitch, truth.Yaw
 		s.lastGPS, s.lastGyro, s.lastAccel, s.lastMag, s.lastBaro = t, t, t, t, t
 		s.initialized = true
-		return s.est
+		return &s.est
 	}
 
 	if due(t, s.lastGPS, p.Rates.GPS) && !s.dropout.Has(GPS) {
@@ -183,7 +184,7 @@ func (s *Suite) Sample(t, dt float64, truth vehicle.State, trueAccel [3]float64,
 		s.lastBaro = t
 		s.est[SBaroAlt] = truth.Z + bias.Baro + s.noise(p.Noise.Baro)
 	}
-	return s.est
+	return &s.est
 }
 
 // Estimate returns the current held PS estimate without advancing time.

@@ -71,6 +71,9 @@ func (s *Server) handleMissions(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		spec, err := SpecFromHeader(tr.Header)
+		if err == nil {
+			err = spec.checkServed()
+		}
 		if err != nil {
 			s.invalid(w, err)
 			return
@@ -87,8 +90,11 @@ func (s *Server) handleMissions(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	} else {
-		var err error
-		if m, err = req.MissionSpec.Build(); err != nil {
+		err := req.MissionSpec.checkServed()
+		if err == nil {
+			m, err = req.MissionSpec.Build()
+		}
+		if err != nil {
 			s.invalid(w, err)
 			return
 		}
@@ -110,6 +116,10 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Missions <= 0 || req.Missions > s.cfg.MaxMissions {
 		s.invalid(w, fmt.Errorf("missions must be in 1..%d, got %d", s.cfg.MaxMissions, req.Missions))
+		return
+	}
+	if err := req.MissionSpec.checkServed(); err != nil {
+		s.invalid(w, err)
 		return
 	}
 	name := req.Name

@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // newTestServer boots a service over httptest and tears it down with the
@@ -317,6 +319,44 @@ func TestServiceRejectsMalformedRequests(t *testing.T) {
 	}
 	if got := srv.Stats().Runs.Invalid; got != 7 {
 		t.Errorf("Invalid counter = %d, want 7", got)
+	}
+}
+
+// TestServiceCapsMissionLength: a mission asking for more than
+// MaxServedSec simulated seconds is a 400 naming MaxSec on both
+// endpoints, whether the length comes from the body or from a replayed
+// trace's header; exactly the cap is accepted.
+func TestServiceCapsMissionLength(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxMissions: 4})
+	tr := &trace.Trace{Header: trace.Header{
+		DT:   0.01,
+		Meta: MissionSpec{Seed: 1, MaxSec: MaxServedSec + 1}.HeaderMeta(),
+	}}
+	var raw bytes.Buffer
+	if err := tr.Encode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	replay := `{"trace_b64":"` + base64.StdEncoding.EncodeToString(raw.Bytes()) + `"}`
+	for _, tt := range []struct {
+		name, path, body string
+	}{
+		{"mission body", "/v1/missions", `{"seed":1,"max_sec":3600.5}`},
+		{"mission 1e300", "/v1/missions", `{"seed":1,"max_sec":1e300}`},
+		{"trace header", "/v1/missions", replay},
+		{"experiment body", "/v1/experiments", `{"seed":1,"missions":2,"max_sec":7200}`},
+	} {
+		resp, body := post(t, ts.URL+tt.path, tt.body, nil)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "MaxSec") {
+			t.Errorf("%s: status = %d (%s), want 400 naming MaxSec", tt.name, resp.StatusCode, body)
+		}
+	}
+	spec := MissionSpec{Seed: 1, MaxSec: MaxServedSec}
+	if err := spec.checkServed(); err != nil {
+		t.Errorf("max_sec at the cap: %v", err)
+	}
+	resp, body := post(t, ts.URL+"/v1/missions", `{"seed":1,"rv":"ArduRover","max_sec":3600,"path":"S"}`, nil)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"type":"mission"`) {
+		t.Errorf("max_sec 3600: status = %d (%s), want 200 and a mission record", resp.StatusCode, body)
 	}
 }
 

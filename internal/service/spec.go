@@ -71,6 +71,24 @@ func (e *SpecError) Error() string {
 	return "service: invalid MissionSpec." + e.Field + ": " + e.Reason
 }
 
+// MaxServedSec caps the simulated length, in seconds, of a mission the
+// server accepts: 12× the 300-s default. Without it one request could ask
+// for 1e300 simulated seconds and hold a pool shard for as long as the
+// mission stalls. The cap is checked where the server builds missions,
+// not in Build: the CLI builds through Build too, and its -max-sec stays
+// uncapped.
+const MaxServedSec = 3600
+
+// checkServed rejects a spec the server will not run: one whose MaxSec
+// exceeds MaxServedSec.
+func (s *MissionSpec) checkServed() error {
+	if s.MaxSec > MaxServedSec {
+		return &SpecError{Field: "MaxSec", Reason: fmt.Sprintf(
+			"%s simulated seconds exceeds the server's cap of %d", formatFloat(s.MaxSec), MaxServedSec)}
+	}
+	return nil
+}
+
 // Mission is a built, validated mission: the sim.Config ready to run plus
 // the collaborators the CLI's human-readable output wants to describe.
 type Mission struct {

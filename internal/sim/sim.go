@@ -207,8 +207,12 @@ type Mission struct {
 	truth    vehicle.State
 	lastU    vehicle.Input
 	tiltTime float64
-	t        float64
-	tick     int
+	// reading is the current tick's sensor frame. It lives here, not in
+	// Step's frame, because the pipeline reads it by pointer through
+	// interface methods, which a local would escape to the heap for.
+	reading sensors.Reading
+	t       float64
+	tick    int
 
 	attackOnsetTick int
 	latencyRecorded bool
@@ -299,16 +303,16 @@ func (m *Mission) Step() (bool, error) {
 
 	// True acceleration for the accelerometer model (synthesizing
 	// sources consume it; replay sources ignore it).
-	accel := trueAccel(cfg.Profile, m.truth, m.lastU, w)
-	reading, err := m.src.Sample(sensors.Tick{T: t, DT: dt, Truth: m.truth, TruthAccel: accel})
+	accel := trueAccel(&cfg.Profile, &m.truth, &m.lastU, &w)
+	var err error
+	m.reading, err = m.src.Sample(sensors.Tick{T: t, DT: dt, Truth: m.truth, TruthAccel: accel})
 	if err != nil {
 		m.over = true
 		return false, srcErr(t, err)
 	}
-	meas := reading.State
-	attackActive := reading.AttackActive
+	attackActive := m.reading.AttackActive
 
-	u := m.fw.Tick(t, meas, m.tracker.Target())
+	u := m.fw.TickFrom(t, &m.reading.State, m.tracker.Target())
 	m.lastU = u
 	// Detection latency: ticks from the attack first reaching the
 	// sensors to the detector alert latching.
@@ -330,9 +334,9 @@ func (m *Mission) Step() (bool, error) {
 
 	// Physics.
 	if cfg.Profile.IsQuad() {
-		m.truth = cfg.Profile.Quad.Step(m.truth, u, w, dt)
+		cfg.Profile.Quad.StepInto(&m.truth, &m.truth, &u, &w, dt)
 	} else {
-		m.truth = cfg.Profile.Rover.Step(m.truth, u, w, dt)
+		cfg.Profile.Rover.StepInto(&m.truth, &m.truth, &u, &w, dt)
 	}
 
 	// Telemetry.
@@ -355,7 +359,7 @@ func (m *Mission) Step() (bool, error) {
 	res.Duration = t
 
 	// Crash detection (§5.2: physically damaged).
-	if crashed, why := crashCheck(cfg.Profile, m.truth, m.tracker.Phase(), &m.tiltTime, dt); crashed {
+	if crashed, why := crashCheck(&cfg.Profile, &m.truth, m.tracker.Phase(), &m.tiltTime, dt); crashed {
 		res.Crashed = true
 		res.CrashTime = t
 		res.CrashReason = why
@@ -422,18 +426,19 @@ func (m *Mission) Finish() Result {
 // trueAccel returns the translational acceleration of the vehicle at its
 // current state (what a perfect accelerometer would measure in this
 // simplified world-frame model).
-func trueAccel(p vehicle.Profile, s vehicle.State, u vehicle.Input, w vehicle.Wind) [3]float64 {
+func trueAccel(p *vehicle.Profile, s *vehicle.State, u *vehicle.Input, w *vehicle.Wind) [3]float64 {
+	var d vehicle.State
 	if p.IsQuad() {
-		d := p.Quad.Derivative(s, u, w)
+		p.Quad.DerivativeInto(&d, s, u, w)
 		return [3]float64{d.VX, d.VY, d.VZ}
 	}
-	d := p.Rover.Derivative(s, u, w)
+	p.Rover.DerivativeInto(&d, s, u, w)
 	return [3]float64{d.VX, d.VY, 0}
 }
 
 // crashCheck classifies physical crashes: a hard ground impact outside
 // the landing phase, sustained loss of attitude, or gross divergence.
-func crashCheck(p vehicle.Profile, s vehicle.State, phase mission.Phase, tiltTime *float64, dt float64) (bool, string) {
+func crashCheck(p *vehicle.Profile, s *vehicle.State, phase mission.Phase, tiltTime *float64, dt float64) (bool, string) {
 	if dist := math.Hypot(s.X, s.Y); dist > 2000 {
 		return true, "diverged"
 	}

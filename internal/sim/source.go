@@ -78,7 +78,7 @@ func (s *SimSource) Sample(tick sensors.Tick) (sensors.Reading, error) {
 		rd.AttackActive = s.attacks.InRangeAt(tick.T, tick.Truth.X, tick.Truth.Y)
 		rd.AttackTargets = bias.Targets()
 	}
-	rd.State = s.suite.Sample(tick.T, tick.DT, tick.Truth, tick.TruthAccel, bias)
+	rd.State = *s.suite.Sample(tick.T, tick.DT, &tick.Truth, tick.TruthAccel, &bias)
 	return rd, nil
 }
 

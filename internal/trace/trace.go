@@ -93,8 +93,10 @@ type Frame struct {
 	Targets sensors.TypeSet
 }
 
-// AttackActive reports the FlagAttackActive bit.
-func (f Frame) AttackActive() bool { return f.Flags&FlagAttackActive != 0 }
+// AttackActive reports the FlagAttackActive bit. It takes a pointer
+// receiver: inlined through a pointer, a value receiver would copy the
+// whole 168-byte frame.
+func (f *Frame) AttackActive() bool { return f.Flags&FlagAttackActive != 0 }
 
 // Trace is a decoded sensor trace.
 type Trace struct {
@@ -108,7 +110,15 @@ const frameBytes = 8 + 8*int(sensors.NumStates) + 2
 
 // Encode writes the trace: magic, version, then the gzip-compressed
 // payload. The output bytes are a pure function of the trace contents.
+// A frame Decode would reject — an annotation bit no flag or sensor type
+// defines — fails the encode, naming the frame, before anything is
+// written.
 func (tr *Trace) Encode(w io.Writer) error {
+	for i := range tr.Frames {
+		if err := annotationErr(i, &tr.Frames[i]); err != nil {
+			return fmt.Errorf("trace: encode: %w", err)
+		}
+	}
 	if _, err := io.WriteString(w, magic); err != nil {
 		return err
 	}
@@ -233,9 +243,8 @@ func decodePayload(p []byte) (*Trace, error) {
 		}
 		f.Flags = d.u8()
 		f.Targets = sensors.TypeSet(d.u8())
-		if f.Flags&^FlagAttackActive != 0 || f.Targets&^sensors.All != 0 {
-			return nil, fmt.Errorf("%w: frame %d: undefined annotation bits (flags %#02x, targets %#02x)",
-				ErrCorrupt, i, f.Flags, uint8(f.Targets))
+		if err := annotationErr(i, f); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 		}
 	}
 	if d.err != nil {
@@ -245,6 +254,16 @@ func decodePayload(p []byte) (*Trace, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after last frame", ErrCorrupt, len(d.buf)-d.off)
 	}
 	return &tr, nil
+}
+
+// annotationErr reports frame i when its flags or targets byte sets a bit
+// that no flag or sensor type defines, and nil otherwise.
+func annotationErr(i int, f *Frame) error {
+	if f.Flags&^FlagAttackActive == 0 && f.Targets&^sensors.All == 0 {
+		return nil
+	}
+	return fmt.Errorf("frame %d: undefined annotation bits (flags %#02x, targets %#02x)",
+		i, f.Flags, uint8(f.Targets))
 }
 
 // payloadReader cursors over the decompressed payload, latching the first

@@ -214,6 +214,30 @@ func TestDecodeRejectsUndefinedAnnotationBits(t *testing.T) {
 	}
 }
 
+// TestEncodeRejectsUndefinedAnnotationBits: Encode refuses, before it
+// writes a byte, a frame that Decode would reject.
+func TestEncodeRejectsUndefinedAnnotationBits(t *testing.T) {
+	for _, tt := range []struct {
+		name    string
+		flags   uint8
+		targets sensors.TypeSet
+	}{
+		{"flags 0x04", 0x04, 0},
+		{"targets 0x80", FlagAttackActive, 0x80},
+	} {
+		tr := sample()
+		tr.Frames[4].Flags, tr.Frames[4].Targets = tt.flags, tt.targets
+		var buf bytes.Buffer
+		err := tr.Encode(&buf)
+		if err == nil || !strings.Contains(err.Error(), "frame 4") {
+			t.Errorf("%s: Encode = %v, want an error naming frame 4", tt.name, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: Encode wrote %d bytes before failing", tt.name, buf.Len())
+		}
+	}
+}
+
 // envelope wraps a raw payload in the magic, version and gzip envelope.
 func envelope(t *testing.T, p []byte) []byte {
 	t.Helper()

@@ -140,6 +140,56 @@ func TestIntegratorMatchesReference(t *testing.T) {
 	}
 }
 
+// TestStepIntoInPlace pins StepInto with its state as both input and
+// output to the value Step, which writes a separate result, bit for bit:
+// every profile, random states, inputs, winds and periods, with draws
+// aimed at the quadcopter's ground clamp and the rover's speed limit.
+// An in-place step that wrote its output before the last RK4 stage had
+// read the input would feed that stage a half-updated state.
+func TestStepIntoInPlace(t *testing.T) {
+	dts := []float64{0.005, 0.01, 0.05}
+	for i, name := range AllRVs() {
+		p := MustProfile(name)
+		m := modelFor(p)
+		stepInto := func(s *State, u Input, w Wind, dt float64) {
+			if p.IsQuad() {
+				p.Quad.StepInto(s, s, &u, &w, dt)
+			} else {
+				p.Rover.StepInto(s, s, &u, &w, dt)
+			}
+		}
+		t.Run(string(name), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(2000 + i)))
+			clamped, limited := 0, 0
+			for n := 0; n < 20000; n++ {
+				s, u, w := randState(rng), m.input(rng), randWind(rng)
+				if n%4 == 0 { // diving into the ground
+					s.Z, s.VZ = 0.05*rng.Float64(), -2-4*rng.Float64()
+				}
+				dt := dts[n%len(dts)]
+				want := m.step(s, u, w, dt)
+				got := s
+				stepInto(&got, u, w, dt)
+				if ok, diff := sameBits(got, want); !ok {
+					t.Fatalf("StepInto in place from %+v, %+v, %+v, %v: %s", s, u, w, dt, diff)
+				}
+				if p.IsQuad() && s.Z+s.VZ*dt < 0 && want.Z == 0 {
+					clamped++
+				}
+				if !p.IsQuad() && math.Abs(want.Speed2D()-p.Rover.MaxSpeed) < 1e-12 {
+					limited++
+				}
+			}
+			if p.IsQuad() && clamped == 0 {
+				t.Error("no draw reached the ground clamp")
+			}
+			if !p.IsQuad() && limited == 0 {
+				t.Error("no draw reached the speed limit")
+			}
+		})
+	}
+}
+
 // TestSincosMatchesSinCos checks that math.Sincos returns exactly the
 // bits of math.Sin and math.Cos, which the integrator relies on to share
 // one call per angle. Inputs: uniform angles, large normals, and random

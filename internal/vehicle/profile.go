@@ -82,8 +82,10 @@ type Profile struct {
 	MaxThrust float64
 }
 
-// IsQuad reports whether the profile is a drone.
-func (p Profile) IsQuad() bool { return p.Kind == KindQuadcopter }
+// IsQuad reports whether the profile is a drone. It takes a pointer
+// receiver: inlined through a pointer, a value receiver would copy the
+// whole Profile.
+func (p *Profile) IsQuad() bool { return p.Kind == KindQuadcopter }
 
 // LookupProfile returns the named profile, or an error for an unknown
 // name.

@@ -35,12 +35,12 @@ func (q Quadcopter) HoverThrust() float64 {
 // Derivative returns d(state)/dt for the current state, input, and wind.
 func (q Quadcopter) Derivative(s State, u Input, w Wind) State {
 	var d State
-	q.deriv(&d, &s, &u, &w)
+	q.DerivativeInto(&d, &s, &u, &w)
 	return d
 }
 
-// deriv writes Derivative into *d; d must not alias s.
-func (q *Quadcopter) deriv(d, s *State, u *Input, w *Wind) {
+// DerivativeInto writes Derivative into *d; d must not alias s.
+func (q *Quadcopter) DerivativeInto(d, s *State, u *Input, w *Wind) {
 	sf, cf := math.Sincos(s.Roll)
 	st, ct := math.Sincos(s.Pitch)
 	sp, cp := math.Sincos(s.Yaw)
@@ -62,19 +62,26 @@ func (q *Quadcopter) deriv(d, s *State, u *Input, w *Wind) {
 // Step advances the quadcopter state by dt seconds with classic RK4 and
 // clamps the result to the ground plane (Z ≥ 0; a drone cannot descend
 // below ground — the sim layer classifies a hard ground contact as a
-// crash).
+// crash). It is the value form of StepInto.
 func (q Quadcopter) Step(s State, u Input, w Wind, dt float64) State {
-	out := rk4(&stage{quad: &q, u: &u, w: &w}, &s, dt)
-	out.Roll = wrapAngle(out.Roll)
-	out.Pitch = wrapAngle(out.Pitch)
-	out.Yaw = wrapAngle(out.Yaw)
-	if out.Z < 0 {
-		out.Z = 0
-		if out.VZ < 0 {
-			out.VZ = 0
+	var out State
+	q.StepInto(&out, &s, &u, &w, dt)
+	return out
+}
+
+// StepInto writes Step's result for the state *s into *dst. dst may be
+// s: every RK4 stage has read *s before the first write to *dst.
+func (q *Quadcopter) StepInto(dst, s *State, u *Input, w *Wind, dt float64) {
+	rk4(&stage{quad: q, u: u, w: w}, dst, s, dt)
+	dst.Roll = wrapAngle(dst.Roll)
+	dst.Pitch = wrapAngle(dst.Pitch)
+	dst.Yaw = wrapAngle(dst.Yaw)
+	if dst.Z < 0 {
+		dst.Z = 0
+		if dst.VZ < 0 {
+			dst.VZ = 0
 		}
 	}
-	return out
 }
 
 // stage is the right-hand side rk4 integrates: one vehicle's derivative
@@ -92,16 +99,19 @@ type stage struct {
 // deriv writes the derivative at s into *d.
 func (st *stage) deriv(d, s *State) {
 	if st.quad != nil {
-		st.quad.deriv(d, s, st.u, st.w)
+		st.quad.DerivativeInto(d, s, st.u, st.w)
 		return
 	}
 	st.rover.deriv(d, s, st.u, st.w, st.beta, st.sinBeta)
 }
 
-// rk4 performs one classic Runge-Kutta step of the state ODE. The stage
-// states live in this frame and reach deriv by pointer, so no 96-byte
-// State is copied in or out of a stage.
-func rk4(st *stage, s *State, dt float64) State {
+// rk4 performs one classic Runge-Kutta step of the state ODE from *s
+// and writes the result into *dst. The stage states live in this frame
+// and reach deriv by pointer, so no 96-byte State is copied in or out of
+// a stage. dst may be s: all four stages have read *s before the first
+// write to *dst, and each output channel reads only its own input
+// channel.
+func rk4(st *stage, dst, s *State, dt float64) {
 	var k1, k2, k3, k4, x State
 	st.deriv(&k1, s)
 	addScaled(&x, s, &k1, dt/2)
@@ -110,21 +120,19 @@ func rk4(st *stage, s *State, dt float64) State {
 	st.deriv(&k3, &x)
 	addScaled(&x, s, &k3, dt)
 	st.deriv(&k4, &x)
-	out := *s
 	c := dt / 6
-	out.X += c * (k1.X + 2*k2.X + 2*k3.X + k4.X)
-	out.Y += c * (k1.Y + 2*k2.Y + 2*k3.Y + k4.Y)
-	out.Z += c * (k1.Z + 2*k2.Z + 2*k3.Z + k4.Z)
-	out.VX += c * (k1.VX + 2*k2.VX + 2*k3.VX + k4.VX)
-	out.VY += c * (k1.VY + 2*k2.VY + 2*k3.VY + k4.VY)
-	out.VZ += c * (k1.VZ + 2*k2.VZ + 2*k3.VZ + k4.VZ)
-	out.Roll += c * (k1.Roll + 2*k2.Roll + 2*k3.Roll + k4.Roll)
-	out.Pitch += c * (k1.Pitch + 2*k2.Pitch + 2*k3.Pitch + k4.Pitch)
-	out.Yaw += c * (k1.Yaw + 2*k2.Yaw + 2*k3.Yaw + k4.Yaw)
-	out.WRoll += c * (k1.WRoll + 2*k2.WRoll + 2*k3.WRoll + k4.WRoll)
-	out.WPitch += c * (k1.WPitch + 2*k2.WPitch + 2*k3.WPitch + k4.WPitch)
-	out.WYaw += c * (k1.WYaw + 2*k2.WYaw + 2*k3.WYaw + k4.WYaw)
-	return out
+	dst.X = s.X + c*(k1.X+2*k2.X+2*k3.X+k4.X)
+	dst.Y = s.Y + c*(k1.Y+2*k2.Y+2*k3.Y+k4.Y)
+	dst.Z = s.Z + c*(k1.Z+2*k2.Z+2*k3.Z+k4.Z)
+	dst.VX = s.VX + c*(k1.VX+2*k2.VX+2*k3.VX+k4.VX)
+	dst.VY = s.VY + c*(k1.VY+2*k2.VY+2*k3.VY+k4.VY)
+	dst.VZ = s.VZ + c*(k1.VZ+2*k2.VZ+2*k3.VZ+k4.VZ)
+	dst.Roll = s.Roll + c*(k1.Roll+2*k2.Roll+2*k3.Roll+k4.Roll)
+	dst.Pitch = s.Pitch + c*(k1.Pitch+2*k2.Pitch+2*k3.Pitch+k4.Pitch)
+	dst.Yaw = s.Yaw + c*(k1.Yaw+2*k2.Yaw+2*k3.Yaw+k4.Yaw)
+	dst.WRoll = s.WRoll + c*(k1.WRoll+2*k2.WRoll+2*k3.WRoll+k4.WRoll)
+	dst.WPitch = s.WPitch + c*(k1.WPitch+2*k2.WPitch+2*k3.WPitch+k4.WPitch)
+	dst.WYaw = s.WYaw + c*(k1.WYaw+2*k2.WYaw+2*k3.WYaw+k4.WYaw)
 }
 
 // addScaled sets *x = s + h·d.

@@ -37,10 +37,15 @@ func (r Rover) SlipAngle(delta float64) float64 {
 
 // Derivative returns d(state)/dt for the rover.
 func (r Rover) Derivative(s State, u Input, w Wind) State {
-	beta := r.SlipAngle(clamp(u.MYaw, -r.MaxSteer, r.MaxSteer))
 	var d State
-	r.deriv(&d, &s, &u, &w, beta, math.Sin(beta))
+	r.DerivativeInto(&d, &s, &u, &w)
 	return d
+}
+
+// DerivativeInto writes Derivative into *d; d must not alias s.
+func (r *Rover) DerivativeInto(d, s *State, u *Input, w *Wind) {
+	beta := r.SlipAngle(clamp(u.MYaw, -r.MaxSteer, r.MaxSteer))
+	r.deriv(d, s, u, w, beta, math.Sin(beta))
 }
 
 // deriv writes Derivative into *d, given the slip angle β of the clamped
@@ -64,27 +69,35 @@ func (r *Rover) deriv(d, s *State, u *Input, w *Wind, beta, sinBeta float64) {
 }
 
 // Step advances the rover state by dt seconds with RK4 and enforces the
-// speed limit.
+// speed limit. It is the value form of StepInto.
 func (r Rover) Step(s State, u Input, w Wind, dt float64) State {
-	beta := r.SlipAngle(clamp(u.MYaw, -r.MaxSteer, r.MaxSteer))
-	sinBeta := math.Sin(beta)
-	out := rk4(&stage{rover: &r, u: &u, w: &w, beta: beta, sinBeta: sinBeta}, &s, dt)
-	out.Yaw = wrapAngle(out.Yaw)
-	out.Z, out.VZ = 0, 0
-	out.Roll, out.Pitch = 0, 0
-	out.WRoll, out.WPitch = 0, 0
-	// Record the algebraic yaw rate so sensors observe it.
-	out.WYaw = out.Speed2D() / r.LR * sinBeta
-	if v := out.Speed2D(); v > r.MaxSpeed {
-		scale := r.MaxSpeed / v
-		out.VX *= scale
-		out.VY *= scale
-	}
+	var out State
+	r.StepInto(&out, &s, &u, &w, dt)
 	return out
 }
 
-// Speed2D returns the ground-plane speed.
-func (s State) Speed2D() float64 {
+// StepInto writes Step's result for the state *s into *dst. dst may be
+// s: every RK4 stage has read *s before the first write to *dst.
+func (r *Rover) StepInto(dst, s *State, u *Input, w *Wind, dt float64) {
+	beta := r.SlipAngle(clamp(u.MYaw, -r.MaxSteer, r.MaxSteer))
+	sinBeta := math.Sin(beta)
+	rk4(&stage{rover: r, u: u, w: w, beta: beta, sinBeta: sinBeta}, dst, s, dt)
+	dst.Yaw = wrapAngle(dst.Yaw)
+	dst.Z, dst.VZ = 0, 0
+	dst.Roll, dst.Pitch = 0, 0
+	dst.WRoll, dst.WPitch = 0, 0
+	// Record the algebraic yaw rate so sensors observe it.
+	dst.WYaw = dst.Speed2D() / r.LR * sinBeta
+	if v := dst.Speed2D(); v > r.MaxSpeed {
+		scale := r.MaxSpeed / v
+		dst.VX *= scale
+		dst.VY *= scale
+	}
+}
+
+// Speed2D returns the ground-plane speed. It takes a pointer receiver:
+// inlined through a pointer, a value receiver would copy the whole State.
+func (s *State) Speed2D() float64 {
 	return math.Sqrt(s.VX*s.VX + s.VY*s.VY)
 }
 

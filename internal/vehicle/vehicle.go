@@ -66,7 +66,7 @@ func (s State) Vec() []float64 {
 
 // VecInto flattens the state into dst in the canonical 12-vector order
 // without allocating. dst must have length 12.
-func (s State) VecInto(dst []float64) {
+func (s *State) VecInto(dst []float64) {
 	_ = dst[11]
 	dst[0], dst[1], dst[2] = s.X, s.Y, s.Z
 	dst[3], dst[4], dst[5] = s.VX, s.VY, s.VZ
@@ -76,12 +76,19 @@ func (s State) VecInto(dst []float64) {
 
 // StateFromVec rebuilds a State from the canonical 12-vector order.
 func StateFromVec(v []float64) State {
-	return State{
-		X: v[0], Y: v[1], Z: v[2],
-		VX: v[3], VY: v[4], VZ: v[5],
-		Roll: v[6], Pitch: v[7], Yaw: v[8],
-		WRoll: v[9], WPitch: v[10], WYaw: v[11],
-	}
+	var s State
+	s.SetVec(v)
+	return s
+}
+
+// SetVec overwrites the state from the canonical 12-vector order; v must
+// have length 12.
+func (s *State) SetVec(v []float64) {
+	_ = v[11]
+	s.X, s.Y, s.Z = v[0], v[1], v[2]
+	s.VX, s.VY, s.VZ = v[3], v[4], v[5]
+	s.Roll, s.Pitch, s.Yaw = v[6], v[7], v[8]
+	s.WRoll, s.WPitch, s.WYaw = v[9], v[10], v[11]
 }
 
 // Speed returns the magnitude of the translational velocity.
