@@ -58,8 +58,7 @@ func (r *Recorder) Window() float64 { return r.window }
 // Record appends the sample at time t: the measured states, the fused
 // estimate and the control input. It is a no-op while recording is
 // stopped (attack in progress). Completed quiet windows rotate into the
-// trusted slot (Fig. 6a). The states come by pointer and are copied once,
-// into the window.
+// trusted slot (Fig. 6a). The states come by pointer.
 func (r *Recorder) Record(t float64, ps *sensors.PhysState, est *vehicle.State, u vehicle.Input) {
 	if r.stopped {
 		return
@@ -76,16 +75,7 @@ func (r *Recorder) Record(t float64, ps *sensors.PhysState, est *vehicle.State, 
 		r.prev, r.cur = r.cur, recycle(r.prev, r.cur)
 		r.curStart = t
 	}
-	// Fill the new slot field by field: appending a Record literal would
-	// build it in a temporary and copy all of it again.
-	n := len(r.cur)
-	if n < cap(r.cur) {
-		r.cur = r.cur[:n+1]
-	} else {
-		r.cur = append(r.cur, Record{})
-	}
-	rec := &r.cur[n]
-	rec.T, rec.PS, rec.Est, rec.Input, rec.InputOnly = t, *ps, *est, u, false
+	r.cur = append(r.cur, Record{T: t, PS: *ps, Est: *est, Input: u})
 }
 
 // OnAlert stops recording and invalidates the current window's states,

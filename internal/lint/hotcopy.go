@@ -14,9 +14,6 @@ type HotcopyConfig struct {
 	// Roots and Cold derive the hot set exactly as HotallocConfig's do.
 	Roots []FuncRef
 	Cold  []FuncRef
-	// MaxBytes is the largest value size, under the gc/amd64 layout, that
-	// may be moved by value in a hot function.
-	MaxBytes int64
 	// Allow is the ratchet list: hot functions sanctioned to keep their
 	// by-value copies, each with a reason. An entry whose function no
 	// longer produces a finding is itself reported, so the list can only
@@ -33,11 +30,11 @@ type CopyAllowance struct {
 }
 
 // Hotcopy returns the hotcopy analyzer: inside the hot set derived from
-// the declared roots, a value of a non-pointer type larger than MaxBytes
-// must not be moved by value. It reports such a type as a parameter,
-// receiver or result; as a range value variable; and as a local variable
-// declared or assigned from an existing value (a variable, field, element
-// or dereference). A call result or composite literal is built in place
+// the declared roots, a value of a non-pointer type larger than
+// hotcopyMaxBytes must not be moved by value. It reports such a type as a
+// parameter, receiver or result; as a range value variable; and as a local
+// variable declared or assigned from an existing value (a variable, field,
+// element or dereference). A call result or composite literal is built in place
 // and is not reported, and neither is a store into a field, an element or
 // through a pointer: keeping state is a copy by design.
 func Hotcopy(cfg HotcopyConfig) *Analyzer {
@@ -54,6 +51,10 @@ func Hotcopy(cfg HotcopyConfig) *Analyzer {
 // copySizes is the layout hotcopy measures values under: the gc compiler
 // on amd64, whatever platform the analysis runs on.
 var copySizes = types.SizesFor("gc", "amd64")
+
+// hotcopyMaxBytes is the largest value size, under copySizes, that may be
+// moved by value in a hot function.
+const hotcopyMaxBytes = 64
 
 // hotcopyFinding is one by-value copy in a hot node, held until the
 // ratchet list has been consulted.
@@ -79,7 +80,7 @@ func runHotcopy(pass *ProgramPass, cfg HotcopyConfig) {
 	}
 	hit := make(map[string]bool, len(cfg.Allow))
 	for _, n := range order {
-		findings := hotcopyNode(cfg.MaxBytes, n, Chain(reach, n))
+		findings := hotcopyNode(n, Chain(reach, n))
 		if len(findings) == 0 {
 			continue
 		}
@@ -106,16 +107,16 @@ func runHotcopy(pass *ProgramPass, cfg HotcopyConfig) {
 // hotcopyNode collects one hot node's by-value copies: its signature,
 // then its body. Nested literals are their own hot nodes, so the body
 // walk stops at literal boundaries.
-func hotcopyNode(maxBytes int64, n *CGNode, chain string) []hotcopyFinding {
+func hotcopyNode(n *CGNode, chain string) []hotcopyFinding {
 	info := n.Pkg.Info
 	name := n.DisplayName()
 	var out []hotcopyFinding
 	large := func(t types.Type) (string, int64, bool) {
-		if t == nil || pointerShaped(t) || hasTypeParam(t) {
+		if t == nil || pointerShaped(t) {
 			return "", 0, false
 		}
 		size := copySizes.Sizeof(t)
-		return types.TypeString(t, shortQualifier), size, size > maxBytes
+		return types.TypeString(t, shortQualifier), size, size > hotcopyMaxBytes
 	}
 	report := func(pos token.Pos, what string, t types.Type, fix string) {
 		if ts, size, ok := large(t); ok {
@@ -217,33 +218,6 @@ func isExistingValue(info *types.Info, e ast.Expr) bool {
 		return ok
 	case *ast.IndexExpr, *ast.StarExpr:
 		return true
-	}
-	return false
-}
-
-// hasTypeParam reports whether t mentions a type parameter, whose size
-// the analysis cannot know.
-func hasTypeParam(t types.Type) bool {
-	switch u := t.(type) {
-	case *types.TypeParam:
-		return true
-	case *types.Named:
-		if args := u.TypeArgs(); args != nil {
-			for i := 0; i < args.Len(); i++ {
-				if hasTypeParam(args.At(i)) {
-					return true
-				}
-			}
-		}
-		return false
-	case *types.Array:
-		return hasTypeParam(u.Elem())
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if hasTypeParam(u.Field(i).Type()) {
-				return true
-			}
-		}
 	}
 	return false
 }

@@ -141,9 +141,8 @@ func TestHotallocGolden(t *testing.T) {
 func TestHotcopyGolden(t *testing.T) {
 	pkg := modulePath + "/internal/lint/testdata/hotcopy"
 	runGolden(t, "hotcopy", Hotcopy(HotcopyConfig{
-		Roots:    []FuncRef{pkg + ":state.tick"},
-		Cold:     []FuncRef{pkg + ":state.cold"},
-		MaxBytes: 64,
+		Roots: []FuncRef{pkg + ":state.tick"},
+		Cold:  []FuncRef{pkg + ":state.cold"},
 		Allow: []CopyAllowance{
 			{pkg + ":state.sanctioned", "golden: a sanctioned copy"},
 			{pkg + ":state.stale", "golden: an entry that no longer copies"},

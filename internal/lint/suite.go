@@ -177,10 +177,9 @@ func defaultHotalloc() HotallocConfig {
 func defaultHotcopy() HotcopyConfig {
 	hot := defaultHotalloc()
 	return HotcopyConfig{
-		Roots:    hot.Roots,
-		Cold:     hot.Cold,
-		MaxBytes: 64,
-		Allow:    hotcopyRatchet,
+		Roots: hot.Roots,
+		Cold:  hot.Cold,
+		Allow: hotcopyRatchet,
 	}
 }
 

@@ -8,9 +8,11 @@ import (
 )
 
 // model pairs one profile's Step and Derivative with the reference
-// integrator's, for the vehicle class the profile flies.
+// integrator's, for the vehicle class the profile flies. stepInPlace runs
+// the pointer StepInto with the state as both its input and its output.
 type model struct {
 	step, refStep   func(State, Input, Wind, float64) State
+	stepInPlace     func(*State, Input, Wind, float64)
 	deriv, refDeriv func(State, Input, Wind) State
 	input           func(*rand.Rand) Input
 }
@@ -20,7 +22,8 @@ func modelFor(p Profile) model {
 		q := p.Quad
 		return model{
 			step: q.Step, refStep: refQuad(q).Step,
-			deriv: q.Derivative, refDeriv: refQuad(q).Derivative,
+			stepInPlace: func(s *State, u Input, w Wind, dt float64) { q.StepInto(s, s, &u, &w, dt) },
+			deriv:       q.Derivative, refDeriv: refQuad(q).Derivative,
 			input: func(rng *rand.Rand) Input {
 				m := 4 * q.IX * 20 // the recovery controller's moment authority
 				return Input{
@@ -35,7 +38,8 @@ func modelFor(p Profile) model {
 	r := p.Rover
 	return model{
 		step: r.Step, refStep: refRover(r).Step,
-		deriv: r.Derivative, refDeriv: refRover(r).Derivative,
+		stepInPlace: func(s *State, u Input, w Wind, dt float64) { r.StepInto(s, s, &u, &w, dt) },
+		deriv:       r.Derivative, refDeriv: refRover(r).Derivative,
 		input: func(rng *rand.Rand) Input {
 			u := Input{Thrust: p.MaxThrust * (2*rng.Float64() - 1)}
 			// Half the draws lie outside ±MaxSteer and saturate; some hit
@@ -92,10 +96,13 @@ func sameBits(a, b State) (bool, string) {
 	return true, ""
 }
 
-// TestIntegratorMatchesReference pins Step and Derivative bit for bit to
-// the reference integrator on every profile: single steps from random
-// states, inputs and winds, then chained runs in which every step starts
-// from the state the last one produced.
+// TestIntegratorMatchesReference pins Step, StepInto and Derivative bit
+// for bit to the reference integrator on every profile: single steps from
+// random states, inputs and winds, a quarter of them diving into the
+// ground, with StepInto run in place; then chained runs in which every
+// step starts from the state the last one produced. An in-place step
+// that wrote its output before the last RK4 stage had read the input
+// would feed that stage a half-updated state.
 func TestIntegratorMatchesReference(t *testing.T) {
 	dts := []float64{0.005, 0.01, 0.05}
 	for i, name := range AllRVs() {
@@ -103,15 +110,37 @@ func TestIntegratorMatchesReference(t *testing.T) {
 		m := modelFor(p)
 		t.Run(string(name), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + i)))
+			clamped, limited := 0, 0
 			for n := 0; n < 20000; n++ {
 				s, u, w := randState(rng), m.input(rng), randWind(rng)
+				if n%4 == 0 { // diving into the ground
+					s.Z, s.VZ = 0.05*rng.Float64(), -2-4*rng.Float64()
+				}
 				if ok, diff := sameBits(m.deriv(s, u, w), m.refDeriv(s, u, w)); !ok {
 					t.Fatalf("Derivative(%+v, %+v, %+v): %s", s, u, w, diff)
 				}
 				dt := dts[n%len(dts)]
-				if ok, diff := sameBits(m.step(s, u, w, dt), m.refStep(s, u, w, dt)); !ok {
+				want := m.refStep(s, u, w, dt)
+				if ok, diff := sameBits(m.step(s, u, w, dt), want); !ok {
 					t.Fatalf("Step(%+v, %+v, %+v, %v): %s", s, u, w, dt, diff)
 				}
+				got := s
+				m.stepInPlace(&got, u, w, dt)
+				if ok, diff := sameBits(got, want); !ok {
+					t.Fatalf("StepInto in place from %+v, %+v, %+v, %v: %s", s, u, w, dt, diff)
+				}
+				if p.IsQuad() && s.Z+s.VZ*dt < 0 && want.Z == 0 {
+					clamped++
+				}
+				if !p.IsQuad() && math.Abs(want.Speed2D()-p.Rover.MaxSpeed) < 1e-12 {
+					limited++
+				}
+			}
+			if p.IsQuad() && clamped == 0 {
+				t.Error("no draw reached the ground clamp")
+			}
+			if !p.IsQuad() && limited == 0 {
+				t.Error("no draw reached the speed limit")
 			}
 			for chain := 0; chain < 3; chain++ {
 				s := State{Z: 20} // a rover starts at rest: zero speed
@@ -135,56 +164,6 @@ func TestIntegratorMatchesReference(t *testing.T) {
 						t.Fatalf("chain %d diverged to %+v; the comparison needs finite states", chain, s)
 					}
 				}
-			}
-		})
-	}
-}
-
-// TestStepIntoInPlace pins StepInto with its state as both input and
-// output to the value Step, which writes a separate result, bit for bit:
-// every profile, random states, inputs, winds and periods, with draws
-// aimed at the quadcopter's ground clamp and the rover's speed limit.
-// An in-place step that wrote its output before the last RK4 stage had
-// read the input would feed that stage a half-updated state.
-func TestStepIntoInPlace(t *testing.T) {
-	dts := []float64{0.005, 0.01, 0.05}
-	for i, name := range AllRVs() {
-		p := MustProfile(name)
-		m := modelFor(p)
-		stepInto := func(s *State, u Input, w Wind, dt float64) {
-			if p.IsQuad() {
-				p.Quad.StepInto(s, s, &u, &w, dt)
-			} else {
-				p.Rover.StepInto(s, s, &u, &w, dt)
-			}
-		}
-		t.Run(string(name), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(2000 + i)))
-			clamped, limited := 0, 0
-			for n := 0; n < 20000; n++ {
-				s, u, w := randState(rng), m.input(rng), randWind(rng)
-				if n%4 == 0 { // diving into the ground
-					s.Z, s.VZ = 0.05*rng.Float64(), -2-4*rng.Float64()
-				}
-				dt := dts[n%len(dts)]
-				want := m.step(s, u, w, dt)
-				got := s
-				stepInto(&got, u, w, dt)
-				if ok, diff := sameBits(got, want); !ok {
-					t.Fatalf("StepInto in place from %+v, %+v, %+v, %v: %s", s, u, w, dt, diff)
-				}
-				if p.IsQuad() && s.Z+s.VZ*dt < 0 && want.Z == 0 {
-					clamped++
-				}
-				if !p.IsQuad() && math.Abs(want.Speed2D()-p.Rover.MaxSpeed) < 1e-12 {
-					limited++
-				}
-			}
-			if p.IsQuad() && clamped == 0 {
-				t.Error("no draw reached the ground clamp")
-			}
-			if !p.IsQuad() && limited == 0 {
-				t.Error("no draw reached the speed limit")
 			}
 		})
 	}
