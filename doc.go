@@ -5,18 +5,20 @@
 // checkpointing, state reconstruction, targeted LQR attack recovery, and
 // a recovery-exit monitor, wired by an explicit recovery-mode FSM — for
 // simulated quadcopters and ground rovers. The paper's baselines (SSR,
-// PID-Piper, LQR-O) are alternative stage compositions in the same
-// pipeline, and a benchmark harness regenerates every table and figure
+// PID-Piper, LQR-O) are other rows of the same pipeline's strategy
+// registry, and a benchmark harness regenerates every table and figure
 // of the paper's evaluation.
 //
 // The mission harness (internal/sim) reads its measurements through the
-// sensors.Source seam: the simulator suite (sim.SimSource), a recorded
+// sensors.Source seam: the simulator suite (sim.SimSource) or a recorded
 // on-disk trace (internal/source with internal/trace's versioned
-// format), or externally supplied multi-rate per-sensor streams
-// time-aligned by source.Bus. Because the closed loop is a
-// deterministic function of the measurement stream and the seed, a
-// recorded mission replays bit-identically — CI replays a committed
-// trace and diffs the run report byte for byte.
+// format). The suite holds each sensor's last sample between its
+// refreshes, and the checkpoint recorder stores one frame per control
+// tick, which together give the paper's duplicate-last multi-rate
+// alignment. Because the closed loop is a deterministic function of the
+// measurement stream and the seed, a recorded mission replays
+// bit-identically — CI replays a committed trace and diffs the run
+// report byte for byte.
 //
 // The same evaluator runs as a long-lived service: cmd/delorean-server
 // exposes missions and seed-sweep experiments over an HTTP JSON API

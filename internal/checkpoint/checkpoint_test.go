@@ -201,90 +201,6 @@ func TestPropertyMemoryBounded(t *testing.T) {
 	}
 }
 
-func TestAlignStreamsDuplicatesLast(t *testing.T) {
-	streams := map[string][]Sample{
-		"gyro": {{T: 0, V: 1}, {T: 0.1, V: 2}, {T: 0.2, V: 3}, {T: 0.3, V: 4}},
-		"gps":  {{T: 0, V: 10}, {T: 0.25, V: 20}},
-	}
-	ts, aligned := AlignStreams(streams)
-	if len(ts) != 4 {
-		t.Fatalf("target grid = %v, want 4 points (gyro)", ts)
-	}
-	wantGPS := []float64{10, 10, 10, 20}
-	for i, v := range aligned["gps"] {
-		if v != wantGPS[i] {
-			t.Errorf("gps[%d] = %v, want %v", i, v, wantGPS[i])
-		}
-	}
-	// The fast stream aligns to itself unchanged.
-	wantGyro := []float64{1, 2, 3, 4}
-	for i, v := range aligned["gyro"] {
-		if v != wantGyro[i] {
-			t.Errorf("gyro[%d] = %v, want %v", i, v, wantGyro[i])
-		}
-	}
-}
-
-func TestAlignStreamsBeforeFirstSample(t *testing.T) {
-	streams := map[string][]Sample{
-		"fast": {{T: 0, V: 1}, {T: 1, V: 2}, {T: 2, V: 3}},
-		"late": {{T: 1.5, V: 42}},
-	}
-	_, aligned := AlignStreams(streams)
-	want := []float64{42, 42, 42}
-	for i, v := range aligned["late"] {
-		if v != want[i] {
-			t.Errorf("late[%d] = %v, want %v", i, v, want[i])
-		}
-	}
-}
-
-func TestAlignStreamsEmpty(t *testing.T) {
-	ts, aligned := AlignStreams(nil)
-	if ts != nil || aligned != nil {
-		t.Error("empty input should return nils")
-	}
-}
-
-// Property: aligned streams always have exactly the target grid length,
-// and values come from the source stream.
-func TestPropertyAlignmentShape(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		streams := make(map[string][]Sample)
-		names := []string{"a", "b", "c"}
-		for _, name := range names {
-			n := 1 + rng.Intn(20)
-			s := make([]Sample, n)
-			tm := 0.0
-			for i := range s {
-				tm += 0.01 + rng.Float64()*0.1
-				s[i] = Sample{T: tm, V: rng.NormFloat64()}
-			}
-			streams[name] = s
-		}
-		ts, aligned := AlignStreams(streams)
-		for _, name := range names {
-			if len(aligned[name]) != len(ts) {
-				return false
-			}
-			src := make(map[float64]bool, len(streams[name]))
-			for _, s := range streams[name] {
-				src[s.V] = true
-			}
-			for _, v := range aligned[name] {
-				if !src[v] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 // mallocs counts the heap allocations f makes, the way
 // testing.AllocsPerRun does but without its warm-up call.
 func mallocs(f func()) uint64 {

@@ -1,13 +1,13 @@
 // Package core implements the DeLorean framework (Fig. 3/4, Algorithm 1)
 // as a staged defense pipeline: attack detection, attack diagnosis,
-// historic-states checkpointing, state reconstruction, and attack
-// recovery are six pluggable stages (stage.go) wired into one feedback
-// control loop by a Pipeline (pipeline.go) that sequences them with an
-// explicit recovery-mode finite-state machine (fsm.go). The defense
-// strategies the paper compares — DeLorean, LQR-O worst-case recovery,
-// SSR, PID-Piper, and an undefended baseline — are declarative stage
-// compositions in a strategy registry (strategy.go, compose.go), not
-// branches through the tick path.
+// historic-states checkpointing, state reconstruction, attack recovery
+// and recovery exit, wired into one feedback control loop by a Pipeline
+// (pipeline.go) that sequences them with an explicit recovery-mode
+// finite-state machine (fsm.go). The defense strategies the paper
+// compares — DeLorean, LQR-O worst-case recovery, SSR, PID-Piper, and an
+// undefended baseline — are rows of a strategy registry (strategy.go):
+// which sensors a strategy isolates, how it seeds the recovery estimate,
+// which control law flies the episode, and three episode-shape flags.
 //
 // Each control tick the pipeline:
 //
@@ -18,9 +18,9 @@
 //     dead-reckoned from measured acceleration) weakly anchored to the
 //     fused estimate while no alert is active;
 //  3. runs the attack detector on the (reference, observed) state pair;
-//  4. on an alert, stops checkpoint recording, runs the triage stage, and
-//     — if sensors are implicated — reconstructs the state vector X'(t_a)
-//     and switches the loop onto the recovery-controller stage
+//  4. on an alert, stops checkpoint recording, runs diagnosis, and — if
+//     sensors are implicated — isolates them, reconstructs the state
+//     vector X'(t_a) and switches the loop onto the recovery controller
 //     (Nominal → Suspicious → Diagnosing → Recovering in the FSM);
 //  5. flies the recovery controller — the nominal autopilot when position
 //     feedback survives, the conservative LQR otherwise — re-validating

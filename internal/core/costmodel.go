@@ -84,6 +84,19 @@ func (p *Pipeline) chargeDiagnosis() {
 	p.charge(telemetry.StageDiagnose, costDiagnoseNS)
 }
 
+// chargeReconstruction accrues a checkpoint replay over the recorded
+// window (WindowSec at the control rate). The charge is a fixed function
+// of the window — not of the replay's actual record count — so the
+// modeled overhead stays independent of when within the window the alert
+// fired; telemetry reports the actual counts separately.
+func (p *Pipeline) chargeReconstruction() {
+	records := int64(p.cfg.WindowSec / p.cfg.DT)
+	if records < 1 {
+		records = 1
+	}
+	p.charge(telemetry.StageReconstruct, records*costReconstructPerRecordNS)
+}
+
 // chargeRecoveryTick accrues the recovery-mode monitoring overhead.
 func (p *Pipeline) chargeRecoveryTick() {
 	p.charge(telemetry.StageRecoveryMonitor, costRecoveryMonitorNS)

@@ -5,16 +5,14 @@ import (
 	"repro/internal/sensors"
 )
 
-// subsidenceExit implements the attack-subsidence test shared by every
+// attackSubsided is the attack-subsidence test shared by every
 // recovering strategy: the attack is deemed over when (a) an end edge (a
 // super-physical jump in the attacked channels, i.e. the bias being
 // removed) has been seen and the channels have been edge-quiet for a
 // hold period, or (b) the attacked channels' residuals against the
 // internal estimate stay below δ for the hold period, or (c) the
 // recovery duration cap expires.
-type subsidenceExit struct{ p *Pipeline }
-
-func (s subsidenceExit) ShouldExit(t float64, meas *sensors.PhysState) bool {
+func (p *Pipeline) attackSubsided(t float64, meas *sensors.PhysState) bool {
 	const (
 		holdSec = 1.5
 		// armAfterSec ignores onset-related edges: the attack's first
@@ -23,7 +21,6 @@ func (s subsidenceExit) ShouldExit(t float64, meas *sensors.PhysState) bool {
 		// and must not arm the exit detector.
 		armAfterSec = 1.0
 	)
-	p := s.p
 	if t-p.recoveryStart >= p.cfg.MaxRecoverySec {
 		return true
 	}

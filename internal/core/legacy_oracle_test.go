@@ -45,7 +45,7 @@ type legacyFramework struct {
 	strategy Strategy
 
 	autopilot     control.Autopilot
-	recoveryCtl   recovery.Controller
+	recoveryCtl   *recovery.LQR
 	filter        *ekf.Filter
 	detector      detect.Detector
 	diagnoser     diagnosis.Diagnoser

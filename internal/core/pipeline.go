@@ -22,18 +22,17 @@ import (
 // stages (detect, diagnose, checkpoint, reconstruct, recover, exit)
 // wired around the shared plant (EKF fusion, shadow reference, nominal
 // autopilot, conservative LQR) and sequenced by the recovery-mode FSM.
-// Per-strategy behavior lives entirely in the stage Composition resolved
-// from the strategy registry at New; the tick path never branches on the
-// Strategy value.
+// Per-strategy behavior is the strategy's registry row, resolved at New;
+// the tick path switches on the row's fields, never on the Strategy
+// value.
 type Pipeline struct {
-	cfg      Config
-	strategy Strategy
-	comp     Composition
+	cfg Config
+	def strategyDef
 
 	autopilot     control.Autopilot
-	recoveryCtl   recovery.Controller
+	recoveryCtl   *recovery.LQR
 	filter        *ekf.Filter
-	detector      Detector
+	detector      detect.Detector
 	diagnoser     diagnosis.Diagnoser
 	recorder      *checkpoint.Recorder
 	reconstructor *reconstruct.Reconstructor
@@ -80,7 +79,7 @@ type Pipeline struct {
 }
 
 // New builds the pipeline for the given strategy, resolving the
-// strategy's stage composition from the registry.
+// strategy's composition from the registry.
 func New(cfg Config, strategy Strategy) (*Pipeline, error) {
 	if cfg.DT <= 0 {
 		return nil, fmt.Errorf("core: non-positive control period %v", cfg.DT)
@@ -104,7 +103,7 @@ func New(cfg Config, strategy Strategy) (*Pipeline, error) {
 	}
 	p := &Pipeline{
 		cfg:       cfg,
-		strategy:  strategy,
+		def:       def,
 		tel:       cfg.Telemetry,
 		autopilot: control.ForProfile(cfg.Profile),
 		filter:    ekf.New(cfg.Profile),
@@ -135,12 +134,11 @@ func New(cfg Config, strategy Strategy) (*Pipeline, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	p.recoveryCtl = lqr
-	p.comp = def.compose(p)
 	return p, nil
 }
 
 // Strategy returns the pipeline's defense strategy.
-func (p *Pipeline) Strategy() Strategy { return p.strategy }
+func (p *Pipeline) Strategy() Strategy { return p.def.strategy }
 
 // Mode returns the FSM's current recovery-mode state.
 func (p *Pipeline) Mode() Mode { return p.fsm.Mode() }
@@ -167,7 +165,7 @@ func (p *Pipeline) Init(start vehicle.State) {
 
 // Believed returns the state estimate the control loop is flying on.
 func (p *Pipeline) Believed() vehicle.State {
-	if p.comp.VirtualBelieved && p.fsm.Mode().Recovery() {
+	if p.def.virtualBelieved && p.fsm.Mode().Recovery() {
 		return p.ssrState
 	}
 	return *p.filter.Estimate()
@@ -327,19 +325,11 @@ func (p *Pipeline) defenseTick(t float64, meas *sensors.PhysState, target missio
 
 	// Diagnose stage: observation push (reference per technique).
 	diagRef := refPS
-	if p.comp.Diagnose != nil {
-		if p.comp.Diagnose.Reference() == diagnosis.RefFused {
-			diagRef = &p.estPS
-			p.expandPS(diagRef, p.filter.Estimate())
-		}
-		p.comp.Diagnose.Observe(diagRef, meas)
-	} else {
-		if p.diagnoser.Reference() == diagnosis.RefFused {
-			diagRef = &p.estPS
-			p.expandPS(diagRef, p.filter.Estimate())
-		}
-		p.diagnoser.Observe(diagRef, meas)
+	if p.diagnoser.Reference() == diagnosis.RefFused {
+		diagRef = &p.estPS
+		p.expandPS(diagRef, p.filter.Estimate())
 	}
+	p.diagnoser.Observe(diagRef, meas)
 
 	// Telemetry: alert edges and latched-alert ticks, recorded for every
 	// strategy including the undefended baseline (detection latency is a
@@ -360,8 +350,8 @@ func (p *Pipeline) defenseTick(t float64, meas *sensors.PhysState, target missio
 		p.tel.AlertTick()
 	}
 
-	// Undefended baseline: no triage stage, alerts are never acted on.
-	if p.comp.Diagnose == nil {
+	// Undefended baseline: alerts are never acted on.
+	if p.def.isolation == noTriage {
 		p.alertPrev = alert
 		return vehicle.Input{}, false
 	}
@@ -382,7 +372,7 @@ func (p *Pipeline) defenseTick(t float64, meas *sensors.PhysState, target missio
 	// and widen the isolated set if further sensors are implicated (slow
 	// sensors such as the 10 Hz GPS reveal their bias only at their next
 	// sample, up to 100 ms after the inertial channels).
-	if p.comp.UnionWindow && p.fsm.Mode().Recovery() && t < p.diagUnionUntil {
+	if p.def.unionWindow && p.fsm.Mode().Recovery() && t < p.diagUnionUntil {
 		p.widenDiagnosis(t, meas)
 	}
 
@@ -405,7 +395,7 @@ func (p *Pipeline) defenseTick(t float64, meas *sensors.PhysState, target missio
 	// marginal diagnosis under sub-threshold attacks: without it, a
 	// masked gyroscope leaves the attitude open-loop for the whole
 	// episode.
-	if p.comp.Revalidate && t-p.recoveryStart > 1.0 {
+	if p.def.revalidate && t-p.recoveryStart > 1.0 {
 		if p.fsm.Mode() == ModeRecovering {
 			p.fsm.Transition(p.ticks, ModeRevalidating, telemetry.StageRecoveryMonitor)
 		}
@@ -417,13 +407,13 @@ func (p *Pipeline) defenseTick(t float64, meas *sensors.PhysState, target missio
 	}
 
 	// Exit stage: attack-subsidence monitoring.
-	if p.comp.Exit.ShouldExit(t, meas) {
+	if p.attackSubsided(t, meas) {
 		p.exitRecovery(t, meas)
 		return vehicle.Input{}, false
 	}
 
 	// Recovery-controller stage.
-	return p.comp.Recover.Update(t, target), true
+	return p.flyRecovery(target), true
 }
 
 // triage is steps 3–4 of Fig. 3: one diagnosis inference pass and — when
@@ -431,7 +421,7 @@ func (p *Pipeline) defenseTick(t float64, meas *sensors.PhysState, target missio
 // engagement (Suspicious → Diagnosing → Recovering).
 func (p *Pipeline) triage(t float64, meas *sensors.PhysState) {
 	p.chargeDiagnosis()
-	diagnosed, isolate := p.comp.Diagnose.Triage()
+	diagnosed := p.diagnoser.Diagnose()
 	p.lastDiagnosis = diagnosed
 	p.diagnosisRan = true
 	p.tel.DiagnosisPass(p.ticks, diagnosed.Len() == 0, p.diagnosisDetail(diagnosed))
@@ -439,25 +429,19 @@ func (p *Pipeline) triage(t float64, meas *sensors.PhysState) {
 		return // masked false positive: no recovery activation
 	}
 	p.fsm.Transition(p.ticks, ModeDiagnosing, telemetry.StageDiagnose)
-	p.compromised = isolate
+	p.compromised = p.isolated(diagnosed)
 
 	// Reconstruction stage (§4.3). If the trusted anchor is too stale
 	// (e.g. a re-attack before a fresh quiet window completed), the
 	// replay error would exceed the current estimate's error; in that
 	// case the reconstructors keep the estimate and only isolation
-	// applies.
-	anchorFresh := false
-	if rec, ok := p.recorder.LatestTrusted(); ok {
-		anchorFresh = t-rec.T <= 2*p.cfg.WindowSec+5
-	}
-	// On a rapid re-entry (e.g. an intermittent or sub-threshold attack
-	// cycling the alert) the live estimate — maintained through the
-	// previous episode — is more accurate than a long open-loop replay
-	// from the same old anchor; keep it and only isolate.
-	if p.lastExit > 0 && t-p.lastExit < 10 {
-		anchorFresh = false
-	}
-	p.comp.Reconstruct.Seed(t, meas, anchorFresh)
+	// applies. On a rapid re-entry (e.g. an intermittent or
+	// sub-threshold attack cycling the alert) the live estimate —
+	// maintained through the previous episode — is more accurate than a
+	// long open-loop replay from the same old anchor; keep it and only
+	// isolate.
+	rapidReentry := p.lastExit > 0 && t-p.lastExit < 10
+	p.seedRecovery(meas, p.anchorFresh(t) && !rapidReentry)
 
 	p.fsm.Transition(p.ticks, ModeRecovering, telemetry.StageReconstruct)
 	p.recoveryActivations++
@@ -487,8 +471,17 @@ func (p *Pipeline) widenDiagnosis(t float64, meas *sensors.PhysState) {
 	if grew {
 		p.lastDiagnosis = p.compromised
 		p.tel.Event(p.ticks, telemetry.KindDiagnosis, "widened isolated="+p.compromised.String())
-		p.widenReconstruction(t, meas)
+		// Re-seed, gated only on anchor freshness: the rapid-re-entry
+		// staleness rule does not apply mid-episode.
+		p.seedRecovery(meas, p.anchorFresh(t))
 	}
+}
+
+// anchorFresh reports whether the latest trusted checkpoint is recent
+// enough at t for a replay from it to beat the live estimate.
+func (p *Pipeline) anchorFresh(t float64) bool {
+	rec, ok := p.recorder.LatestTrusted()
+	return ok && t-rec.T <= 2*p.cfg.WindowSec+5
 }
 
 // triggerDetail renders the detector's alert attribution when the
@@ -528,7 +521,7 @@ func (p *Pipeline) diagnosisDetail(diagnosed sensors.TypeSet) string {
 // recoveryDetail names the strategy, the controller that will fly the
 // episode, and the isolated sensors, for the recovery-engaged event.
 func (p *Pipeline) recoveryDetail() string {
-	return p.strategy.String() + "/" + p.comp.Recover.Describe(p.compromised) +
+	return p.def.strategy.String() + "/" + p.controllerName() +
 		" isolated=" + p.compromised.String()
 }
 

@@ -486,14 +486,3 @@ func measChannel(meas *sensors.PhysState, ch *obsChannel) float64 {
 		return meas[sensors.StateIndex(ch.state)] // x..vz map 1:1
 	}
 }
-
-// RollForward replays the dynamics from state s over the recorded control
-// inputs, one step of dt each, and returns the terminal state. It is the
-// §4.3 reconstruction operator: x_r(t_{s+1}) = f(x_{t_s}, u_{t_s}), applied
-// iteratively to t_a.
-func RollForward(step StepFunc, s vehicle.State, inputs []vehicle.Input, dt float64) vehicle.State {
-	for _, u := range inputs {
-		step(&s, &s, u, dt)
-	}
-	return s
-}

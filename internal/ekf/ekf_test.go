@@ -219,28 +219,6 @@ func TestMaskingGrowsUncertainty(t *testing.T) {
 	}
 }
 
-func TestRollForward(t *testing.T) {
-	p := pixhawk()
-	step := QuadStep(p.Quad)
-	s := vehicle.State{Z: 10}
-	u := vehicle.Input{Thrust: p.Quad.HoverThrust()}
-	inputs := make([]vehicle.Input, 100)
-	for i := range inputs {
-		inputs[i] = u
-	}
-	got := RollForward(step, s, inputs, 0.01)
-	if math.Abs(got.Z-10) > 1e-9 {
-		t.Errorf("hover roll-forward drifted: z = %v", got.Z)
-	}
-	want := s
-	for range inputs {
-		step(&want, &want, u, 0.01)
-	}
-	if got != want {
-		t.Errorf("RollForward = %+v, want %+v", got, want)
-	}
-}
-
 func TestRoverFilterTracks(t *testing.T) {
 	p := vehicle.MustProfile(vehicle.AionR1)
 	f := New(p)

@@ -192,7 +192,6 @@ var hotcopyRatchet = []CopyAllowance{
 	// tick copies the frame once there.
 	{benchPath + ":timingSource.Sample", "bench/ implements sensors.Source by value"},
 	{simPath + ":SimSource.Sample", "implements sensors.Source, whose value signature bench/ implements"},
-	{sourcePath + ":Bus.Sample", "implements sensors.Source, whose value signature bench/ implements"},
 	{sourcePath + ":Recorder.Sample", "implements sensors.Source, whose value signature bench/ implements"},
 	{sourcePath + ":Replay.Sample", "implements sensors.Source, whose value signature bench/ implements"},
 	{corePath + ":Pipeline.Tick", "bench/ calls Tick with a value frame; it copies it once into the pipeline and runs TickFrom"},

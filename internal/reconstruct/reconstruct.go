@@ -32,7 +32,6 @@ var ErrNoTrustedState = errors.New("reconstruct: no trusted historic state avail
 // uncompromised sensors.
 type Reconstructor struct {
 	profile vehicle.Profile
-	step    ekf.StepFunc
 	dt      float64
 }
 
@@ -50,7 +49,7 @@ type ReplayStats struct {
 // New returns a reconstructor for the profile's dynamics model at the
 // given control period.
 func New(p vehicle.Profile, dt float64) *Reconstructor {
-	return &Reconstructor{profile: p, step: ekf.StepForProfile(p), dt: dt}
+	return &Reconstructor{profile: p, dt: dt}
 }
 
 // RollForward re-derives the rigid-body state at the recovery activation

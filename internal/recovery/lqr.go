@@ -1,10 +1,12 @@
-// Package recovery implements the Checkpoint-based attack-recovery
-// controllers the paper builds on and compares against (§3.1, §5.1): a
-// Linear Quadratic Regulator recovery controller in the style of Zhang et
-// al. (LQR-O when driven by worst-case roll-forward states, targeted when
-// driven by DeLorean's reconstructed states), plus the model-based
-// baselines SSR (software-sensor recovery) and PID-Piper (feed-forward
-// controller recovery).
+// Package recovery implements the recovery controller of the
+// checkpoint-based attack recovery the paper builds on and compares
+// against (§3.1, §5.1): a discrete Linear Quadratic Regulator in the style
+// of Zhang et al. — LQR-O when driven by worst-case roll-forward states,
+// targeted when driven by DeLorean's reconstructed states. The
+// model-based baselines SSR (software sensors) and PID-Piper
+// (feed-forward control) fly the nominal autopilot on model state
+// instead; their control laws live in internal/core's strategy registry,
+// and *LQR is the one recovery controller.
 //
 // The recovery controller's job is identical across techniques: given a
 // state estimate and the mission target, derive recovery control actions
@@ -21,19 +23,6 @@ import (
 	"repro/internal/mission"
 	"repro/internal/vehicle"
 )
-
-// Controller derives recovery control actions from a state estimate and
-// the mission target. It mirrors control.Autopilot so the framework can
-// swap it into the loop when the Recovery Switch engages (Fig. 4).
-type Controller interface {
-	Name() string
-	// Update reads the estimate through a pointer: a call through an
-	// interface copies every value argument.
-	Update(est *vehicle.State, target mission.Waypoint, dt float64) vehicle.Input
-	Reset()
-}
-
-var _ Controller = (*LQR)(nil)
 
 // LQR is the discrete infinite-horizon LQR recovery controller. For
 // quadcopters the gain is synthesized once around hover; for rovers the
@@ -119,11 +108,8 @@ func NewLQRShared(p vehicle.Profile, dt float64, kQuad *mat.Mat) (*LQR, error) {
 	return newLQR(p, dt, kQuad), nil
 }
 
-// Name implements Controller.
-func (l *LQR) Name() string { return "LQR" }
-
-// Reset implements Controller; the LQR is stateless between ticks apart
-// from the cached rover gain.
+// Reset clears the cached rover gain; the LQR is otherwise stateless
+// between ticks.
 func (l *LQR) Reset() {
 	l.kRover = nil
 }

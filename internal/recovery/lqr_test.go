@@ -94,16 +94,6 @@ func TestLQRRoverSteeringBounded(t *testing.T) {
 	}
 }
 
-func TestLQRName(t *testing.T) {
-	l, err := NewLQR(vehicle.MustProfile(vehicle.Pixhawk), 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Name() != "LQR" {
-		t.Errorf("Name = %q", l.Name())
-	}
-}
-
 func TestLQRResetClearsRoverGain(t *testing.T) {
 	prof := vehicle.MustProfile(vehicle.AionR1)
 	l, err := NewLQR(prof, 0.01)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/core"
-	"repro/internal/detect"
 	"repro/internal/sensors"
 )
 
@@ -172,30 +171,6 @@ func TestGPSDropoutFailureInjection(t *testing.T) {
 	// implicated the GPS.
 	if res.RecoveryActivations == 0 {
 		t.Error("dropout never triggered recovery")
-	}
-}
-
-func TestInnovationDetectorEndToEnd(t *testing.T) {
-	// The Savior-style innovation detector must also drive the pipeline.
-	cfg := baseCfg(core.StrategyDeLorean, 34)
-	th := core.DefaultDelta(cfg.Profile)
-	var monitored detect.Thresholds
-	for i, v := range th {
-		monitored[i] = v
-	}
-	cfg.Detector = detect.NewInnovation(monitored)
-	rng := rand.New(rand.NewSource(34))
-	sda := attack.New(rng, attack.DefaultParams(), sensors.NewTypeSet(sensors.GPS), 15, 30)
-	cfg.Attacks = attack.NewSchedule(sda)
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.DiagnosisRanDuringAttack {
-		t.Error("innovation detector never triggered diagnosis")
-	}
-	if res.Crashed {
-		t.Errorf("crashed: %s", res.CrashReason)
 	}
 }
 

@@ -127,100 +127,3 @@ func TestRecorderTees(t *testing.T) {
 		t.Errorf("replayed SY = %v, want 1", rd.State[sensors.SY])
 	}
 }
-
-func TestBusAlignsMultiRateStreams(t *testing.T) {
-	// GPS at 1 Hz, barometer at 4 Hz: the barometer sets the grid and the
-	// GPS duplicates-last onto it (§4.2 alignment semantics).
-	gps := Stream{Type: sensors.GPS}
-	for i := 0; i < 3; i++ {
-		gps.Samples = append(gps.Samples, StreamSample{
-			T:      float64(i),
-			Values: []float64{float64(i * 10), 0, 0, 1, 0, 0},
-		})
-	}
-	baro := Stream{Type: sensors.Baro}
-	for i := 0; i < 12; i++ {
-		baro.Samples = append(baro.Samples, StreamSample{
-			T:      float64(i) * 0.25,
-			Values: []float64{50 + float64(i)},
-		})
-	}
-	bus, err := NewBus([]Stream{gps, baro}, []Window{
-		{Start: 1.0, End: 2.0, Targets: sensors.NewTypeSet(sensors.GPS)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bus.Grid()) != 12 {
-		t.Fatalf("grid = %d points, want 12 (densest stream)", len(bus.Grid()))
-	}
-	if !bus.AttackMounted() {
-		t.Error("bus with windows must report AttackMounted")
-	}
-
-	// Walk a finer mission grid (dt=0.1) over the bus.
-	type probe struct {
-		t          float64
-		wantX      float64
-		wantAlt    float64
-		wantActive bool
-	}
-	for _, p := range []probe{
-		{t: 0.0, wantX: 0, wantAlt: 50, wantActive: false},
-		{t: 0.9, wantX: 0, wantAlt: 53, wantActive: false}, // baro refreshed 3×, GPS holding
-		{t: 1.0, wantX: 10, wantAlt: 54, wantActive: true}, // GPS refresh + attack window opens
-		{t: 1.9, wantX: 10, wantAlt: 57, wantActive: true}, // window closes at 2.0
-		{t: 2.5, wantX: 20, wantAlt: 60, wantActive: false},
-		{t: 9.0, wantX: 20, wantAlt: 61, wantActive: false}, // past both streams: hold last
-	} {
-		// Bus cursors are single-mission; rebuild to probe out of order.
-		// Ticks are computed as k*dt (not accumulated) so probe times land
-		// on exact grid values, mirroring how sim.RunContext steps time.
-		b, err := NewBus([]Stream{gps, baro}, []Window{{Start: 1.0, End: 2.0, Targets: sensors.NewTypeSet(sensors.GPS)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rd sensors.Reading
-		steps := int(p.t/0.1 + 0.5)
-		for k := 0; k <= steps; k++ {
-			if rd, err = b.Sample(sensors.Tick{T: float64(k) * 0.1, DT: 0.1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if rd.State[sensors.SX] != p.wantX {
-			t.Errorf("t=%.2f: SX = %v, want %v", p.t, rd.State[sensors.SX], p.wantX)
-		}
-		if rd.State[sensors.SBaroAlt] != p.wantAlt {
-			t.Errorf("t=%.2f: alt = %v, want %v", p.t, rd.State[sensors.SBaroAlt], p.wantAlt)
-		}
-		if rd.AttackActive != p.wantActive {
-			t.Errorf("t=%.2f: AttackActive = %v, want %v", p.t, rd.AttackActive, p.wantActive)
-		}
-		if p.wantActive && !rd.AttackTargets.Has(sensors.GPS) {
-			t.Errorf("t=%.2f: targets = %v", p.t, rd.AttackTargets)
-		}
-	}
-}
-
-func TestBusRejectsBadStreams(t *testing.T) {
-	ok := Stream{Type: sensors.Baro, Samples: []StreamSample{{T: 0, Values: []float64{1}}}}
-	for _, tt := range []struct {
-		name    string
-		streams []Stream
-	}{
-		{"no streams", nil},
-		{"unknown type", []Stream{{Type: sensors.Type(99), Samples: ok.Samples}}},
-		{"duplicate type", []Stream{ok, ok}},
-		{"empty stream", []Stream{{Type: sensors.Baro}}},
-		{"unsorted", []Stream{{Type: sensors.Baro, Samples: []StreamSample{
-			{T: 1, Values: []float64{1}}, {T: 0, Values: []float64{2}},
-		}}}},
-		{"wrong channel count", []Stream{{Type: sensors.GPS, Samples: []StreamSample{
-			{T: 0, Values: []float64{1, 2}},
-		}}}},
-	} {
-		if _, err := NewBus(tt.streams, nil); err == nil {
-			t.Errorf("%s: expected error", tt.name)
-		}
-	}
-}
