@@ -52,9 +52,6 @@ func NewRecorder(windowSec float64) *Recorder {
 	return &Recorder{window: windowSec}
 }
 
-// Window returns the configured window length.
-func (r *Recorder) Window() float64 { return r.window }
-
 // Record appends the sample at time t: the measured states, the fused
 // estimate and the control input. It is a no-op while recording is
 // stopped (attack in progress). Completed quiet windows rotate into the
@@ -131,22 +128,21 @@ func (r *Recorder) RecordInput(t float64, u vehicle.Input) {
 	r.cur = append(r.cur, Record{T: t, Input: u, InputOnly: true})
 }
 
-// RecordsSince returns the records strictly after time t, in order,
-// spanning the trusted and current windows. Post-alert records are
-// input-only; their measurement fields are zero and flagged InputOnly.
-func (r *Recorder) RecordsSince(t float64) []Record {
-	var out []Record
-	for _, rec := range r.prev {
-		if rec.T > t {
-			out = append(out, rec)
-		}
+// Replay returns what a reconstruction replays: the most recent
+// trustworthy record x_{t_s} (§4.3) and every record after it, in order,
+// and false if no trusted window exists. The anchor is the trusted
+// window's last record, and every record after it is in the current
+// window (a rotation, a promotion or a Resume empties that window and
+// time only moves forward), so the records are the current window itself.
+// Post-alert records are input-only; their measurement fields are zero
+// and flagged InputOnly. The slice is shared and reused at the next window
+// rotation or Resume; callers must not mutate it or retain it across
+// Record calls.
+func (r *Recorder) Replay() (anchor Record, since []Record, ok bool) {
+	if len(r.prev) == 0 {
+		return Record{}, nil, false
 	}
-	for _, rec := range r.cur {
-		if rec.T > t {
-			out = append(out, rec)
-		}
-	}
-	return out
+	return r.prev[len(r.prev)-1], r.cur, true
 }
 
 // Stopped reports whether recording is currently halted.
@@ -165,26 +161,6 @@ func (r *Recorder) LatestTrusted() (Record, bool) {
 		return Record{}, false
 	}
 	return r.prev[len(r.prev)-1], true
-}
-
-// InputsSince returns the recorded control inputs strictly after time t,
-// in order, spanning both the trusted and the current window. Control
-// inputs are produced by the controller, not by sensors, so they remain
-// usable from the discarded window for rolling the dynamics forward
-// across the detection gap [t_s, t_a].
-func (r *Recorder) InputsSince(t float64) []vehicle.Input {
-	var out []vehicle.Input
-	for _, rec := range r.prev {
-		if rec.T > t {
-			out = append(out, rec.Input)
-		}
-	}
-	for _, rec := range r.cur {
-		if rec.T > t {
-			out = append(out, rec.Input)
-		}
-	}
-	return out
 }
 
 // MemoryBytes reports the recorder's approximate buffer footprint for the

@@ -116,26 +116,107 @@ func TestResumeRestartsRecording(t *testing.T) {
 	}
 }
 
-func TestInputsSinceSpansWindows(t *testing.T) {
+func TestReplayStartsAfterAnchor(t *testing.T) {
 	r := NewRecorder(1.0)
 	for i := 0; i < 25; i++ {
 		record(r, rec(float64(i)*0.1))
 	}
-	anchor, _ := r.LatestTrusted()
-	inputs := r.InputsSince(anchor.T)
-	if len(inputs) == 0 {
-		t.Fatal("no inputs since anchor")
+	r.OnAlert()
+	for i := 25; i < 30; i++ {
+		r.RecordInput(float64(i)*0.1, vehicle.Input{Thrust: float64(i) * 0.1})
 	}
-	// First input must be the one immediately after the anchor.
-	if inputs[0].Thrust <= anchor.T {
-		t.Errorf("first input at %v, want after anchor %v", inputs[0].Thrust, anchor.T)
+	anchor, since, ok := r.Replay()
+	if !ok {
+		t.Fatal("no trusted anchor")
 	}
-	// Inputs must be in time order (thrust encodes t).
-	for i := 1; i < len(inputs); i++ {
-		if inputs[i].Thrust <= inputs[i-1].Thrust {
-			t.Fatal("inputs out of order")
+	if latest, _ := r.LatestTrusted(); anchor != latest {
+		t.Errorf("anchor at t=%v, latest trusted record at t=%v", anchor.T, latest.T)
+	}
+	if len(since) == 0 {
+		t.Fatal("no records since anchor")
+	}
+	// The first record must be the one immediately after the anchor.
+	if since[0].Input.Thrust <= anchor.T {
+		t.Errorf("first record at %v, want after anchor %v", since[0].Input.Thrust, anchor.T)
+	}
+	// Records must be in time order (thrust encodes t), and the detection
+	// gap after the alert is input-only.
+	for i := 1; i < len(since); i++ {
+		if since[i].Input.Thrust <= since[i-1].Input.Thrust {
+			t.Fatal("records out of order")
 		}
 	}
+	if last := since[len(since)-1]; !last.InputOnly {
+		t.Errorf("post-alert record at %v is not input-only", last.T)
+	}
+}
+
+// recordsSince is the reconstruction's former accessor: it copied every
+// record strictly after time t, in order, from the trusted window and then
+// the current one. It is the reference Replay's window is checked against.
+func recordsSince(r *Recorder, t float64) []Record {
+	var out []Record
+	for _, rec := range r.prev {
+		if rec.T > t {
+			out = append(out, rec)
+		}
+	}
+	for _, rec := range r.cur {
+		if rec.T > t {
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
+// Property: the records Replay returns after its anchor are exactly the
+// records after the anchor's time, under any interleaving of ticks,
+// alerts, resumes and window rotations. Each tick runs as a mission's
+// does: an alert edge or a resume, then Record and RecordInput (one of
+// which is a no-op).
+func TestPropertyReplayMatchesRecordsSince(t *testing.T) {
+	checks := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := NewRecorder(0.05 + rng.Float64())
+		tm := 0.0
+		for i := 0; i < 400; i++ {
+			tm += 0.005 + 0.02*rng.Float64()
+			switch u := rng.Float64(); {
+			case !r.Stopped() && u < 0.02:
+				r.OnAlert()
+			case r.Stopped() && u < 0.05:
+				r.Resume(tm)
+			}
+			record(r, rec(tm))
+			r.RecordInput(tm, vehicle.Input{Thrust: tm})
+			anchor, since, ok := r.Replay()
+			if latest, has := r.LatestTrusted(); ok != has || anchor != latest {
+				return false
+			}
+			if !ok {
+				continue
+			}
+			want := recordsSince(r, anchor.T)
+			if len(since) != len(want) {
+				return false
+			}
+			for k := range want {
+				if since[k] != want[k] {
+					return false
+				}
+			}
+			checks++
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	if checks == 0 {
+		t.Error("no tick had a trusted anchor; the property was never checked")
+	}
+	t.Logf("%d ticks with a trusted anchor checked", checks)
 }
 
 func TestMemoryAccounting(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 )
 
 func TestTickSteadyStateZeroAlloc(t *testing.T) {
-	fw, meas, target := benchFramework(t, vehicle.ArduCopter)
+	fw, meas, target := benchFramework(t, vehicle.ArduCopter, false)
 	tick := 0
 	// Warm: two full 5 s windows (500 ticks each) grow both checkpoint
 	// buffers to capacity and exercise one swap rotation.
@@ -31,11 +31,33 @@ func TestTickSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestTickSharedSteadyStateZeroAlloc covers the nominal copter tick that
+// engine-run missions fly: on the shared caches, past the EKF schedule's
+// fixpoint (ArduCopter reaches it within 2,500 cycles; see
+// ekf.TestScheduleSteadyState). A quiet warm-up masks no sensor and runs
+// no model-only prediction, so the filter is still on the schedule.
+func TestTickSharedSteadyStateZeroAlloc(t *testing.T) {
+	fw, meas, target := benchFramework(t, vehicle.ArduCopter, true)
+	tick := 0
+	for ; tick < 3000; tick++ {
+		fw.Tick(float64(tick)*0.01, meas, target)
+	}
+	if fw.Recovering() || fw.RecoveryActivations() != 0 {
+		t.Fatal("quiet warmup entered recovery; the filter may have left the schedule")
+	}
+	if n := testing.AllocsPerRun(300, func() {
+		fw.Tick(float64(tick)*0.01, meas, target)
+		tick++
+	}); n != 0 {
+		t.Errorf("steady-state shared Tick allocates %v per run, want 0", n)
+	}
+}
+
 // TestTickRecoveryZeroAlloc covers the recovery tick of a GPS-spoof
 // DeLorean episode past its first second, where the isolated sensors are
 // re-validated every tick: it must not allocate either.
 func TestTickRecoveryZeroAlloc(t *testing.T) {
-	fw, clean, target := benchFramework(t, vehicle.ArduCopter)
+	fw, clean, target := benchFramework(t, vehicle.ArduCopter, false)
 	tick := 0
 	for ; tick < 1100; tick++ {
 		fw.Tick(float64(tick)*0.01, clean, target)

@@ -44,9 +44,6 @@ type Config struct {
 	DT float64
 	// Delta are the calibrated per-state diagnosis thresholds (Table 3).
 	Delta diagnosis.Delta
-	// DetectThresh are the detector's residual thresholds; zero value uses
-	// detect.DefaultThresholds scaled off Delta.
-	DetectThresh detect.Thresholds
 	// WindowSec is the checkpoint window length (Table 3 WS column).
 	WindowSec float64
 	// Diagnoser overrides the diagnosis technique (defaults to the
@@ -57,9 +54,6 @@ type Config struct {
 	// style residual+CUSUM detector); the FP experiment plugs a
 	// detect.ForcedAlert in here.
 	Detector detect.Detector
-	// MaxRecoverySec caps a recovery episode (backstop exit). Defaults to
-	// 40 s.
-	MaxRecoverySec float64
 	// Telemetry receives the mission's pipeline events and counters. Nil
 	// disables event recording (a nil Recorder is a valid no-op sink).
 	Telemetry *telemetry.Recorder
@@ -70,8 +64,12 @@ type Config struct {
 	Shared *Shared
 }
 
-// detectThreshFromDelta derives detector thresholds from the diagnosis δ
-// values, monitoring every physical state. Monitoring the full PS vector
+// maxRecoverySec caps a recovery episode (the backstop exit).
+const maxRecoverySec = 40
+
+// detectThreshFromDelta derives the detector's residual thresholds from
+// the diagnosis δ values, monitoring every physical state (all-zero δ
+// falls back to detect.DefaultThresholds). Monitoring the full PS vector
 // is what lets the detector catch attacks on sensors whose effect the
 // fused estimate partially absorbs (accelerometer bias hidden by GPS
 // corrections, magnetometer heading rotations slewing the yaw estimate)

@@ -10,9 +10,9 @@ import (
 // super-physical jump in the attacked channels, i.e. the bias being
 // removed) has been seen and the channels have been edge-quiet for a
 // hold period, or (b) the attacked channels' residuals against the
-// internal estimate stay below δ for the hold period, or (c) the
-// recovery duration cap expires.
-func (p *Pipeline) attackSubsided(t float64, meas *sensors.PhysState) bool {
+// internal estimate (estPS, expanded into PS) stay below δ for the hold
+// period, or (c) the recovery duration cap expires.
+func (p *Pipeline) attackSubsided(t float64, meas, estPS *sensors.PhysState) bool {
 	const (
 		holdSec = 1.5
 		// armAfterSec ignores onset-related edges: the attack's first
@@ -21,12 +21,10 @@ func (p *Pipeline) attackSubsided(t float64, meas *sensors.PhysState) bool {
 		// and must not arm the exit detector.
 		armAfterSec = 1.0
 	)
-	if t-p.recoveryStart >= p.cfg.MaxRecoverySec {
+	if t-p.recoveryStart >= maxRecoverySec {
 		return true
 	}
 	channels := p.monitoredChannels()
-	var estPS sensors.PhysState
-	p.expandPS(&estPS, p.filter.Estimate())
 
 	// Edge detection: a super-physical per-tick jump in the attacked
 	// channels (the bias appearing, changing, or being removed). Angular
@@ -40,7 +38,7 @@ func (p *Pipeline) attackSubsided(t float64, meas *sensors.PhysState) bool {
 		var prevEst, dMeas, dEst sensors.PhysState
 		p.expandPS(&prevEst, &p.prevFused)
 		sensors.AbsDiffInto(&dMeas, meas, &p.prevMeas)
-		sensors.AbsDiffInto(&dEst, &estPS, &prevEst)
+		sensors.AbsDiffInto(&dEst, estPS, &prevEst)
 		for _, idx := range channels {
 			if idx >= sensors.SWRoll && idx <= sensors.SWYaw {
 				continue
@@ -72,7 +70,7 @@ func (p *Pipeline) attackSubsided(t float64, meas *sensors.PhysState) bool {
 	// The margin (0.7δ) guards against drifting dead-reckoned estimates
 	// momentarily agreeing with still-biased measurements.
 	var resid sensors.PhysState
-	sensors.AbsDiffInto(&resid, meas, &estPS)
+	sensors.AbsDiffInto(&resid, meas, estPS)
 	for _, idx := range channels {
 		if resid[idx] > 0.7*p.cfg.Delta[idx] {
 			p.residQuietSince = t

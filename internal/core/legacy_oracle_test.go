@@ -6,7 +6,11 @@
 // approxModel, isAngularIdx) deduplicated. It is the bit-exactness
 // oracle for the staged pipeline: equiv_test.go drives this and the
 // Pipeline over identical mixed attack/no-attack step sequences and
-// requires math.Float64bits equality on every output.
+// requires math.Float64bits equality on every output. Since then it has
+// followed only API changes around it: call shapes (the EKF and the LQR
+// take their period at construction), and the defaults of the removed
+// Config.DetectThresh and Config.MaxRecoverySec, which it reads from
+// detectThreshFromDelta and maxRecoverySec as the pipeline does.
 //
 // Do not clean this file up: its value is being a faithful copy of the
 // replaced implementation.
@@ -99,18 +103,12 @@ func newLegacyFramework(cfg Config, strategy Strategy) (*legacyFramework, error)
 	if cfg.WindowSec <= 0 {
 		cfg.WindowSec = 15
 	}
-	if cfg.MaxRecoverySec <= 0 {
-		cfg.MaxRecoverySec = 40
-	}
-	if cfg.DetectThresh == (detect.Thresholds{}) {
-		cfg.DetectThresh = detectThreshFromDelta(cfg.Delta)
-	}
 	f := &legacyFramework{
 		cfg:         cfg,
 		strategy:    strategy,
 		tel:         cfg.Telemetry,
 		autopilot:   control.ForProfile(cfg.Profile),
-		filter:      ekf.New(cfg.Profile),
+		filter:      ekf.New(cfg.Profile, cfg.DT),
 		recorder:    checkpoint.NewRecorder(cfg.WindowSec),
 		step:        ekf.StepForProfile(cfg.Profile),
 		mode:        legacyModeNormal,
@@ -121,7 +119,7 @@ func newLegacyFramework(cfg Config, strategy Strategy) (*legacyFramework, error)
 	}
 	f.detector = cfg.Detector
 	if f.detector == nil {
-		f.detector = detect.NewResidual(cfg.DetectThresh)
+		f.detector = detect.NewResidual(detectThreshFromDelta(cfg.Delta))
 	}
 	f.diagnoser = cfg.Diagnoser
 	if f.diagnoser == nil {
@@ -221,7 +219,7 @@ func (f *legacyFramework) Tick(t float64, meas sensors.PhysState, target mission
 
 	// 1. Fusion with the currently trusted sensors.
 	active := f.active()
-	f.filter.PredictHybrid(f.lastInput, &meas, active, dt)
+	f.filter.PredictHybrid(f.lastInput, &meas, active)
 	_ = f.filter.Correct(&meas, active) // singularity cannot occur with diagonal R > 0
 
 	// 2–4. Defense machinery (charged to the overhead cost model).
@@ -440,11 +438,11 @@ func (f *legacyFramework) defenseTick(t float64, meas sensors.PhysState, target 
 		if !f.compromised.Has(sensors.GPS) {
 			return f.autopilot.Update(f.filter.Estimate(), target, dt), true
 		}
-		return f.recoveryCtl.Update(f.filter.Estimate(), target, dt), true
+		return f.recoveryCtl.Update(f.filter.Estimate(), target), true
 	default:
 		// LQR-O: LQR on the fully-masked estimate — the pure model
 		// roll-forward.
-		return f.recoveryCtl.Update(f.filter.Estimate(), target, dt), true
+		return f.recoveryCtl.Update(f.filter.Estimate(), target), true
 	}
 }
 
@@ -646,7 +644,7 @@ func (f *legacyFramework) shouldExitRecovery(t float64, meas sensors.PhysState) 
 		// and must not arm the exit detector.
 		armAfterSec = 1.0
 	)
-	if t-f.recoveryStart >= f.cfg.MaxRecoverySec {
+	if t-f.recoveryStart >= maxRecoverySec {
 		return true
 	}
 	channels := f.monitoredChannels()

@@ -66,7 +66,10 @@ type Pipeline struct {
 	// escapes, so a local would move to the heap every tick.
 	meas  sensors.PhysState // Tick's frame, copied once from its value parameter
 	refPS sensors.PhysState // the shadow reference expanded into PS
-	estPS sensors.PhysState // the fused estimate expanded into PS, for RefFused diagnosers
+	// estPS is the fused estimate expanded into PS: for a RefFused
+	// diagnoser's observation, then again, once triage has settled the
+	// estimate, for the recovery tick's re-validation and exit tests.
+	estPS sensors.PhysState
 
 	// Telemetry.
 	tel                 *telemetry.Recorder
@@ -91,12 +94,6 @@ func New(cfg Config, strategy Strategy) (*Pipeline, error) {
 	if cfg.WindowSec <= 0 {
 		cfg.WindowSec = 15
 	}
-	if cfg.MaxRecoverySec <= 0 {
-		cfg.MaxRecoverySec = 40
-	}
-	if cfg.DetectThresh == (detect.Thresholds{}) {
-		cfg.DetectThresh = detectThreshFromDelta(cfg.Delta)
-	}
 	if cfg.Shared != nil && !cfg.Shared.Matches(cfg.Profile.Name, cfg.DT) {
 		return nil, fmt.Errorf("core: shared caches are for (%s), not (%s, dt=%v)",
 			cfg.Shared.profile, cfg.Profile.Name, cfg.DT)
@@ -106,14 +103,14 @@ func New(cfg Config, strategy Strategy) (*Pipeline, error) {
 		def:       def,
 		tel:       cfg.Telemetry,
 		autopilot: control.ForProfile(cfg.Profile),
-		filter:    ekf.New(cfg.Profile),
+		filter:    ekf.New(cfg.Profile, cfg.DT),
 		recorder:  checkpoint.NewRecorder(cfg.WindowSec),
 		step:      ekf.StepForProfile(cfg.Profile),
 		fsm:       NewFSM(cfg.Telemetry),
 	}
 	p.detector = cfg.Detector
 	if p.detector == nil {
-		p.detector = detect.NewResidual(cfg.DetectThresh)
+		p.detector = detect.NewResidual(detectThreshFromDelta(cfg.Delta))
 	}
 	p.diagnoser = cfg.Diagnoser
 	if p.diagnoser == nil {
@@ -227,7 +224,7 @@ func (p *Pipeline) TickFrom(t float64, meas *sensors.PhysState, target mission.W
 
 	// 1. Fusion with the currently trusted sensors.
 	active := p.active()
-	p.filter.PredictHybrid(p.lastInput, meas, active, dt)
+	p.filter.PredictHybrid(p.lastInput, meas, active)
 	_ = p.filter.Correct(meas, active) // singularity cannot occur with diagonal R > 0
 
 	// 2–4. Defense machinery (charged to the overhead cost model).
@@ -388,6 +385,13 @@ func (p *Pipeline) defenseTick(t float64, meas *sensors.PhysState, target missio
 	p.chargeRecoveryTick()
 	p.tel.RecoveryTick()
 
+	// The re-validation and exit tests compare the measurement against the
+	// fused estimate. Triage and the widened re-seed above may have set
+	// it, and nothing below writes it or p.lastInput before both tests
+	// have read it, so it is expanded once here.
+	estPS := &p.estPS
+	p.expandPS(estPS, p.filter.Estimate())
+
 	// Re-validation stage: an isolated sensor whose channels have agreed
 	// with the internal estimate for a sustained period is re-admitted
 	// (its bias — if still present — is below the harm threshold δ, and
@@ -399,7 +403,7 @@ func (p *Pipeline) defenseTick(t float64, meas *sensors.PhysState, target missio
 		if p.fsm.Mode() == ModeRecovering {
 			p.fsm.Transition(p.ticks, ModeRevalidating, telemetry.StageRecoveryMonitor)
 		}
-		p.revalidateSensors(t, meas)
+		p.revalidateSensors(t, meas, estPS)
 		if p.compromised.Len() == 0 {
 			p.exitRecovery(t, meas)
 			return vehicle.Input{}, false
@@ -407,7 +411,7 @@ func (p *Pipeline) defenseTick(t float64, meas *sensors.PhysState, target missio
 	}
 
 	// Exit stage: attack-subsidence monitoring.
-	if p.attackSubsided(t, meas) {
+	if p.attackSubsided(t, meas, estPS) {
 		p.exitRecovery(t, meas)
 		return vehicle.Input{}, false
 	}
@@ -526,14 +530,13 @@ func (p *Pipeline) recoveryDetail() string {
 }
 
 // revalidateSensors re-admits isolated sensors whose channels have all
-// stayed within 0.7δ of the internal estimate for 2 s. It runs every
-// recovery tick after the first second, so it visits the isolated set
-// through AllTypes and Has (the members of List, in its order) rather than
-// materializing List.
-func (p *Pipeline) revalidateSensors(t float64, meas *sensors.PhysState) {
-	var estPS, resid sensors.PhysState
-	p.expandPS(&estPS, p.filter.Estimate())
-	sensors.AbsDiffInto(&resid, meas, &estPS)
+// stayed within 0.7δ of the internal estimate, estPS expanded into PS, for
+// 2 s. It runs every recovery tick after the first second, so it visits
+// the isolated set through AllTypes and Has (the members of List, in its
+// order) rather than materializing List.
+func (p *Pipeline) revalidateSensors(t float64, meas, estPS *sensors.PhysState) {
+	var resid sensors.PhysState
+	sensors.AbsDiffInto(&resid, meas, estPS)
 	for _, typ := range sensors.AllTypes() {
 		if !p.compromised.Has(typ) {
 			continue

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/ekf"
-	"repro/internal/mat"
 	"repro/internal/recovery"
 	"repro/internal/vehicle"
 )
@@ -23,7 +22,7 @@ type Shared struct {
 	profile vehicle.ProfileName
 	dtBits  uint64
 
-	lqrQuad *mat.Mat // hover LQR gain; nil for rovers
+	lqrQuad *[4][12]float64 // hover LQR gain; nil for rovers
 	ekf     *ekf.Schedule
 }
 

@@ -293,7 +293,7 @@ func (p *Pipeline) flyRecovery(target mission.Waypoint) vehicle.Input {
 		return u
 	}
 	// lawLQR, and lawTargeted without position feedback.
-	return p.recoveryCtl.Update(p.filter.Estimate(), target, dt)
+	return p.recoveryCtl.Update(p.filter.Estimate(), target)
 }
 
 // controllerName names the controller that flies the episode with the

@@ -164,20 +164,6 @@ func (d *Residual) Update(predicted, observed *sensors.PhysState) bool {
 // Alert reports the latched alert status.
 func (d *Residual) Alert() bool { return d.alert }
 
-// Suspicious reports whether any CUSUM accumulator has crossed half its
-// alert level — an early-warning signal. The framework freezes its
-// reference-state anchoring while suspicious, so a slowly accumulating
-// stealthy attack cannot drag the attack-free reference along before the
-// alert finally fires.
-func (d *Residual) Suspicious() bool {
-	for i, s := range d.sums {
-		if limit := d.CUSUMLimit[i]; limit > 0 && s > 0.5*limit {
-			return true
-		}
-	}
-	return false
-}
-
 // Trigger returns the attribution of the most recently latched alert —
 // which channel and which mechanism (instantaneous vs CUSUM) raised it.
 // The zero Trigger means no alert has latched since Reset.
@@ -190,11 +176,6 @@ func (d *Residual) Reset() {
 	d.quiet = 0
 	d.trigger = Trigger{}
 }
-
-// Residuals returns the current CUSUM accumulator values (for tests and
-// the RA-based diagnosis baselines, which reuse the detector's residual
-// machinery).
-func (d *Residual) Residuals() [sensors.NumStates]float64 { return d.sums }
 
 // ForcedAlert is a detector stub that alerts on command; the diagnosis
 // false-positive experiment (§6.1) uses it to inject detector false

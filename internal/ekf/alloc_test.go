@@ -16,7 +16,7 @@ import (
 func TestEKFPredictZeroAlloc(t *testing.T) {
 	f, _, _ := benchFilter()
 	u := vehicle.Input{Thrust: 9}
-	if n := testing.AllocsPerRun(200, func() { f.Predict(u, 0.01) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { f.Predict(u) }); n != 0 {
 		t.Errorf("Predict allocates %v per run, want 0", n)
 	}
 }
@@ -24,7 +24,7 @@ func TestEKFPredictZeroAlloc(t *testing.T) {
 func TestEKFPredictHybridZeroAlloc(t *testing.T) {
 	f, meas, active := benchFilter()
 	u := vehicle.Input{Thrust: 9}
-	if n := testing.AllocsPerRun(200, func() { f.PredictHybrid(u, &meas, active, 0.01) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { f.PredictHybrid(u, &meas, active) }); n != 0 {
 		t.Errorf("PredictHybrid allocates %v per run, want 0", n)
 	}
 }

@@ -19,11 +19,11 @@ func benchFilter() (*ekf.Filter, sensors.PhysState, sensors.TypeSet) {
 // benchFilterFor returns a warmed filter for the profile plus a
 // steady-state measurement and the full active sensor set.
 func benchFilterFor(id vehicle.ProfileName) (*ekf.Filter, sensors.PhysState, sensors.TypeSet) {
-	f := ekf.New(vehicle.MustProfile(id))
+	f := ekf.New(vehicle.MustProfile(id), 0.01)
 	f.Init(vehicle.State{Z: 10})
 	meas := sensors.TruePhysState(vehicle.State{Z: 10}, [3]float64{}, sensors.BodyField(0))
 	active := sensors.NewTypeSet(sensors.AllTypes()...)
-	f.Predict(vehicle.Input{Thrust: 9}, 0.01)
+	f.Predict(vehicle.Input{Thrust: 9})
 	_ = f.Correct(&meas, active)
 	return f, meas, active
 }
@@ -59,7 +59,7 @@ func BenchmarkEKFPredict(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Predict(u, 0.01)
+		f.Predict(u)
 	}
 }
 
@@ -71,7 +71,7 @@ func BenchmarkEKFPredictHybrid(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.PredictHybrid(u, &meas, active, 0.01)
+				f.PredictHybrid(u, &meas, active)
 			}
 		})
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/floats"
 	"repro/internal/mat"
-	"repro/internal/vehicle"
 )
 
 // The private covariance recursion runs on every tick of a filter that has
@@ -50,27 +49,24 @@ import (
 // and angle rows.
 func coupled(i int) bool { return i < 3 || (i >= 6 && i < 9) }
 
-// covRow returns row i of a 12×12 row-major matrix.
-func covRow(p *[nx * nx]float64, i int) *[nx]float64 {
-	return (*[nx]float64)(p[i*nx : i*nx+nx])
-}
-
-// propagateCovariance advances P ← sym(F·P·Fᵀ + Q·dt), where F is built
-// with h, the first dt after Init, and Q·dt follows the current dt.
-func (f *Filter) propagateCovariance(_ vehicle.Input, dt float64) {
+// propagateCovariance advances P ← sym(F·P·Fᵀ + Q·dt), where
+// F = I + h·(pos ← vel, angle ← rate) with h = dt is the kinematic
+// transition Jacobian. Because the prediction is strapdown (measurement
+// driven), attitude errors do not couple into velocity through the
+// dynamics model; the only structural couplings are position ← velocity
+// and angle ← rate. Using the full model Jacobian here would let GPS
+// innovations leak into the attitude estimate through spurious
+// cross-covariances.
+func (f *Filter) propagateCovariance() {
 	ws := &f.ws
-	//lint:ignore floatcmp dt is a cache key: any bit change must rebuild Q·dt
-	if !ws.hasKin || ws.qdtDT != dt {
-		f.refreshDT(dt)
-	}
-	h := ws.kinDT
-	p := (*[nx * nx]float64)(f.p.Data)
+	h := f.dt
+	p := &f.p
 	var a [nx]float64
 	for i := range nx {
 		// Row i of F·P: a coupled row adds h times the row three below.
-		pi := covRow(p, i)
+		pi := &p[i]
 		if coupled(i) {
-			pd := covRow(p, i+3)
+			pd := &p[i+3]
 			for j := range nx {
 				a[j] = (0 + pi[j]) + h*pd[j]
 			}
@@ -90,37 +86,20 @@ func (f *Filter) propagateCovariance(_ vehicle.Input, dt float64) {
 				b[j] = 0 + a[j]
 			}
 		}
-		b[i] += ws.qdt[i]
+		b[i] += f.qdt[i]
 	}
 	symmetrizeInto(p, &ws.prod)
 }
 
-// refreshDT keys the dt-dependent terms of the propagation: h, the period
-// of F, is set once per Init (dt is fixed within a mission), and the
-// diagonal of Q·dt is re-derived whenever dt changes.
-func (f *Filter) refreshDT(dt float64) {
-	ws := &f.ws
-	if !ws.hasKin {
-		ws.kinDT, ws.hasKin = dt, true
-	}
-	//lint:ignore floatcmp dt is a cache key: any bit change must rebuild Q·dt
-	if ws.qdtDT != dt {
-		for i, q := range &f.q {
-			ws.qdt[i] = dt * q
-		}
-		ws.qdtDT = dt
-	}
-}
-
 // covGain runs the measurement-independent half of the correction for the
 // row set: it forms S = H·P·Hᵀ + R, derives the innovation gate
-// half-widths, solves for the Kalman gain K = P·Hᵀ·S⁻¹, and advances
-// P ← sym((I − K·H)·P). The returned gain and gates alias the workspace
-// and stay valid until the next covGain call.
-func (f *Filter) covGain(rows []obsChannel) (*mat.Mat, []float64, error) {
+// half-widths into ws.gates, solves for the Kalman gain K = P·Hᵀ·S⁻¹ into
+// ws.kt as Kᵀ, and advances P ← sym((I − K·H)·P). The leading len(rows)
+// entries of ws.kt and ws.gates stay valid until the next covGain call.
+func (f *Filter) covGain(rows []obsChannel) error {
 	ws := &f.ws
 	m := len(rows)
-	p := (*[nx * nx]float64)(f.p.Data)
+	p := &f.p
 
 	// Sᵀ, gathered: S_rc = (0 + P[s_r][s_c]) + R_rc with R diagonal.
 	//
@@ -132,11 +111,11 @@ func (f *Filter) covGain(rows []obsChannel) (*mat.Mat, []float64, error) {
 	// effect, as observed on real autopilot stacks.
 	const gateSigma = 5.0
 	lu := &ws.lu
-	gates := ws.gates[:m]
+	gates := &ws.gates
 	for r, chr := range rows {
 		lr := &lu[r]
 		for c, chc := range rows {
-			lr[c] = 0 + p[chc.state*nx+chr.state]
+			lr[c] = 0 + p[chc.state][chr.state]
 		}
 		lr[r] += float64(chr.noise * chr.noise)
 		gates[r] = gateSigma * math.Sqrt(lr[r])
@@ -155,7 +134,7 @@ func (f *Filter) covGain(rows []obsChannel) (*mat.Mat, []float64, error) {
 			}
 		}
 		if amax < 1e-14 {
-			return nil, nil, fmt.Errorf("ekf correct: %w", mat.ErrSingular)
+			return fmt.Errorf("ekf correct: %w", mat.ErrSingular)
 		}
 		if pr != k {
 			lu[pr], lu[k] = lu[k], lu[pr]
@@ -179,7 +158,7 @@ func (f *Filter) covGain(rows []obsChannel) (*mat.Mat, []float64, error) {
 		s := rows[piv[i]].state
 		ki := &kt[i]
 		for j := range nx {
-			ki[j] = 0 + p[j*nx+s]
+			ki[j] = 0 + p[j][s]
 		}
 	}
 	for i := 1; i < m; i++ {
@@ -204,13 +183,6 @@ func (f *Filter) covGain(rows []obsChannel) (*mat.Mat, []float64, error) {
 			ki[c] /= d
 		}
 	}
-	reshape(ws.k, nx, m)
-	kd := ws.k.Data
-	for j := range nx {
-		for c := range m {
-			kd[j*m+c] = kt[c][j]
-		}
-	}
 
 	// P ← sym((I − K·H)·P). Row i of K·H adds K[i][r] into column s_r, in
 	// row order; the product keeps MulInto's k order and its zero skip.
@@ -233,20 +205,20 @@ func (f *Filter) covGain(rows []obsChannel) (*mat.Mat, []float64, error) {
 			if floats.Zero(v) {
 				continue
 			}
-			pk := covRow(p, k)
+			pk := &p[k]
 			for j := range nx {
 				acc[j] += v * pk[j]
 			}
 		}
 	}
 	symmetrizeInto(p, &ws.prod)
-	return ws.k, gates, nil
+	return nil
 }
 
 // symmetrizeInto writes (a + aᵀ)/2 into p.
-func symmetrizeInto(p *[nx * nx]float64, a *[nx][nx]float64) {
+func symmetrizeInto(p, a *[nx][nx]float64) {
 	for i := range nx {
-		pi := covRow(p, i)
+		pi := &p[i]
 		for j := range nx {
 			pi[j] = 0.5 * (a[i][j] + a[j][i])
 		}

@@ -18,7 +18,6 @@ package ekf
 import (
 	"math"
 
-	"repro/internal/mat"
 	"repro/internal/sensors"
 	"repro/internal/vehicle"
 )
@@ -70,15 +69,16 @@ type obsChannel struct {
 	noise  float64
 }
 
-// Filter is the EKF.
+// Filter is the EKF. It runs at one tick period, fixed at New.
 type Filter struct {
 	step    StepFunc
 	isQuad  bool
+	profile vehicle.ProfileName // with dt, picks the schedules it may consume
+	dt      float64
+	qdt     [nx]float64 // diagonal of Q·dt
 	x       vehicle.State
-	p       *mat.Mat
-	q       [nx]float64 // diagonal of the process noise Q
+	p       [nx][nx]float64 // estimate covariance
 	obs     [nobs]obsChannel
-	magYawN float64
 
 	// sched, when non-nil, is the shared covariance/gain schedule this
 	// filter consumes instead of running its own covariance recursion
@@ -99,28 +99,12 @@ type Filter struct {
 // reallocates.
 const nobs = 10
 
-// workspace holds the filter's preallocated scratch so the steady-state
-// Predict/Correct cycle allocates nothing. The scratch is strictly
-// call-local — no state survives in it between steps — so reusing it
-// cannot change results; delint's hotalloc analyzer keeps the hot
-// functions from quietly reverting to allocating code.
+// workspace holds the filter's fixed-size scratch, so the Predict/Correct
+// cycle allocates nothing. The scratch is strictly call-local — no state
+// survives in it between steps — so reusing it cannot change results;
+// delint's hotalloc analyzer keeps the hot functions from quietly
+// reverting to allocating code.
 type workspace struct {
-	// kinDT is h, the period of the kinematic transition Jacobian
-	// F = I + h·(pos ← vel, angle ← rate) used for covariance propagation.
-	// Because the prediction is strapdown (measurement driven), attitude
-	// errors do not couple into velocity through the dynamics model; the
-	// only structural couplings are position ← velocity and angle ← rate.
-	// Using the full model Jacobian here would let GPS innovations leak
-	// into the attitude estimate through spurious cross-covariances. h is
-	// the first dt after Init (dt is fixed per mission); hasKin reports
-	// whether it is set.
-	kinDT  float64
-	hasKin bool
-	// qdt caches the diagonal of Q·dt for the dt of the most recent
-	// propagation.
-	qdt   [nx]float64
-	qdtDT float64
-
 	// prod holds F·P·Fᵀ + Q·dt or (I − K·H)·P before it is symmetrized
 	// into P.
 	prod [nx][nx]float64
@@ -129,68 +113,45 @@ type workspace struct {
 	// inertial sensor reads it.
 	model vehicle.State
 
-	// Correct scratch for m ≤ nobs active rows.
-	rows  []obsChannel
-	z     []float64
-	lu    [nobs][nobs]float64 // LU factors of Sᵀ, leading m×m block
-	kt    [nobs][nx]float64   // Kᵀ, leading m rows
-	k     *mat.Mat            // nx×m gain, reshaped each call
-	gates []float64           // per-row innovation gate half-widths
-	xvec  mat.Vec
-	innov mat.Vec
-	dx    mat.Vec
+	// Correct scratch for m ≤ nobs active rows, in the leading m entries.
+	rows  [nobs]obsChannel
+	z     [nobs]float64
+	lu    [nobs][nobs]float64 // LU factors of Sᵀ
+	kt    [nobs][nx]float64   // Kᵀ
+	gates [nobs]float64       // innovation gate half-widths
 }
 
-// newWorkspace preallocates the filter's scratch.
-func newWorkspace() workspace {
-	return workspace{
-		rows:  make([]obsChannel, 0, nobs),
-		z:     make([]float64, 0, nobs),
-		k:     mat.New(nx, nobs),
-		gates: make([]float64, 0, nobs),
-		xvec:  mat.NewVec(nx),
-		innov: mat.NewVec(nobs),
-		dx:    mat.NewVec(nx),
-	}
-}
-
-// reshape resizes a workspace matrix to r×c, reusing its backing array
-// (the workspace is sized at New for the maximum row count).
-func reshape(m *mat.Mat, r, c int) {
-	m.Rows, m.Cols = r, c
-	m.Data = m.Data[:r*c]
-}
-
-// New returns a filter for the profile, with measurement noise taken from
-// the profile's sensor noise floor.
-func New(p vehicle.Profile) *Filter {
+// New returns a filter for the profile at tick period dt, with
+// measurement noise taken from the profile's sensor noise floor.
+func New(p vehicle.Profile, dt float64) *Filter {
 	n := p.Noise
-	obs := [nobs]obsChannel{
-		{sensor: sensors.GPS, state: 0, noise: nz(n.GPSPos)},
-		{sensor: sensors.GPS, state: 1, noise: nz(n.GPSPos)},
-		{sensor: sensors.GPS, state: 2, noise: nz(n.GPSPos)},
-		{sensor: sensors.GPS, state: 3, noise: nz(n.GPSVel)},
-		{sensor: sensors.GPS, state: 4, noise: nz(n.GPSVel)},
-		{sensor: sensors.GPS, state: 5, noise: nz(n.GPSVel)},
-		{sensor: sensors.Baro, state: 2, noise: nz(n.Baro)},
-		{sensor: sensors.Mag, state: 8, noise: nz(10 * n.Mag)}, // yaw from field
-		// Attitude corrections from the gyro-derived (complementary
-		// filtered) angle estimates close the roll/pitch loop; without
-		// them an attitude offset acquired during a gyro outage would
-		// never decay.
-		{sensor: sensors.Gyro, state: 6, noise: nz(20 * n.Gyro)},
-		{sensor: sensors.Gyro, state: 7, noise: nz(20 * n.Gyro)},
+	f := &Filter{
+		step:    StepForProfile(p),
+		isQuad:  p.IsQuad(),
+		profile: p.Name,
+		dt:      dt,
+		obs: [nobs]obsChannel{
+			{sensor: sensors.GPS, state: 0, noise: nz(n.GPSPos)},
+			{sensor: sensors.GPS, state: 1, noise: nz(n.GPSPos)},
+			{sensor: sensors.GPS, state: 2, noise: nz(n.GPSPos)},
+			{sensor: sensors.GPS, state: 3, noise: nz(n.GPSVel)},
+			{sensor: sensors.GPS, state: 4, noise: nz(n.GPSVel)},
+			{sensor: sensors.GPS, state: 5, noise: nz(n.GPSVel)},
+			{sensor: sensors.Baro, state: 2, noise: nz(n.Baro)},
+			{sensor: sensors.Mag, state: 8, noise: nz(10 * n.Mag)}, // yaw from field
+			// Attitude corrections from the gyro-derived (complementary
+			// filtered) angle estimates close the roll/pitch loop; without
+			// them an attitude offset acquired during a gyro outage would
+			// never decay.
+			{sensor: sensors.Gyro, state: 6, noise: nz(20 * n.Gyro)},
+			{sensor: sensors.Gyro, state: 7, noise: nz(20 * n.Gyro)},
+		},
 	}
-	return &Filter{
-		step:     StepForProfile(p),
-		isQuad:   p.IsQuad(),
-		p:        mat.Identity(nx).Scale(0.1),
-		q:        defaultProcessNoise(),
-		obs:      obs,
-		magYawN:  nz(10 * n.Mag),
-		schedIdx: -1,
-		ws:       newWorkspace(),
+	for i, q := range defaultProcessNoise() {
+		f.qdt[i] = dt * q
 	}
+	f.Init(vehicle.State{})
+	return f
 }
 
 // nz guards against a zero noise floor (singular R).
@@ -213,12 +174,14 @@ func defaultProcessNoise() [nx]float64 {
 	return d
 }
 
-// Init seeds the filter state. If a schedule is attached, Init (re)arms
-// consumption from step 0.
+// Init seeds the filter state and resets the covariance to 0.1·I. If a
+// schedule is attached, Init (re)arms consumption from step 0.
 func (f *Filter) Init(s vehicle.State) {
 	f.x = s
-	f.p = mat.Identity(nx).Scale(0.1)
-	f.ws.hasKin = false
+	f.p = [nx][nx]float64{}
+	for i := range nx {
+		f.p[i][i] = 0.1
+	}
 	f.predPending = false
 	if f.sched != nil {
 		f.schedIdx = 0
@@ -228,10 +191,13 @@ func (f *Filter) Init(s vehicle.State) {
 }
 
 // AttachSchedule points the filter at a shared covariance/gain schedule.
-// Must be called before Init; the schedule must have been built for the
-// same profile and tick period the filter will run at (Correct detaches
-// defensively on any mismatch it can observe).
+// Must be called before Init. A schedule built for another profile or
+// tick period walks another covariance trajectory, so the filter ignores
+// it and keeps its private recursion.
 func (f *Filter) AttachSchedule(s *Schedule) {
+	if s != nil && (s.profile.Name != f.profile || math.Float64bits(s.dt) != math.Float64bits(f.dt)) {
+		s = nil
+	}
 	f.sched = s
 	f.predPending = false
 	if s != nil {
@@ -255,9 +221,9 @@ func (f *Filter) detachShared() {
 	sched, idx, pending := f.sched, f.schedIdx, f.predPending
 	f.schedIdx = -1
 	f.predPending = false
-	sched.seedPost(idx-1, f.p)
+	sched.seedPost(idx-1, &f.p)
 	if pending {
-		f.propagateCovariance(vehicle.Input{}, sched.dt)
+		f.propagateCovariance()
 	}
 }
 
@@ -269,40 +235,21 @@ func (f *Filter) State() vehicle.State { return f.x }
 // with every step; callers must not write through it (SetState does).
 func (f *Filter) Estimate() *vehicle.State { return &f.x }
 
-// Covariance returns a copy of the estimate covariance. A filter on the
-// shared schedule detaches first (the schedule carries its covariance).
-func (f *Filter) Covariance() *mat.Mat {
-	if f.onShared() {
-		f.detachShared()
-	}
-	return f.p.Clone()
-}
-
-// CovarianceInto copies the estimate covariance into dst without
-// allocating. dst must be 12×12. A filter on the shared schedule detaches
-// first (cold path).
-func (f *Filter) CovarianceInto(dst *mat.Mat) {
-	if f.onShared() {
-		f.detachShared()
-	}
-	mat.CloneInto(dst, f.p)
-}
-
 // SetState force-sets the estimate (used when recovery hands the filter a
 // reconstructed state).
 func (f *Filter) SetState(s vehicle.State) { f.x = s }
 
-// Predict rolls the estimate forward dt seconds under input u using the
+// Predict rolls the estimate forward one tick under input u using the
 // dynamics model only (no sensors at all) — the worst-case recovery and
 // reconstruction primitive.
-func (f *Filter) Predict(u vehicle.Input, dt float64) {
+func (f *Filter) Predict(u vehicle.Input) {
 	if f.onShared() {
 		// Pure model prediction only happens inside recovery — off the
 		// shared all-active path by definition.
 		f.detachShared()
 	}
-	f.propagateCovariance(u, dt)
-	f.step(&f.x, &f.x, u, dt)
+	f.propagateCovariance()
+	f.step(&f.x, &f.x, u, f.dt)
 }
 
 // PredictHybrid performs the strapdown prediction: inertial channels in
@@ -315,25 +262,20 @@ func (f *Filter) Predict(u vehicle.Input, dt float64) {
 //
 // The model step runs only when a masked inertial sensor reads it: the
 // step is pure, so skipping it on every other tick changes no bit.
-func (f *Filter) PredictHybrid(u vehicle.Input, meas *sensors.PhysState, active sensors.TypeSet, dt float64) {
+func (f *Filter) PredictHybrid(u vehicle.Input, meas *sensors.PhysState, active sensors.TypeSet) {
+	dt := f.dt
 	if f.onShared() {
-		if !f.predPending && f.sched.covers(dt) && active.Len() == sensors.NumTypes {
+		if !f.predPending && active.Len() == sensors.NumTypes {
 			// Nominal path: the covariance propagation is deferred and
 			// consumed (together with the correction) from the shared
-			// schedule in Correct. The dt-keyed scratch is still set on
-			// the first tick so that a later detach sees exactly the
-			// caches a private filter would have (F is keyed to the
-			// mission's first dt).
-			if !f.ws.hasKin {
-				f.refreshDT(dt)
-			}
+			// schedule in Correct.
 			f.predPending = true
 		} else {
 			f.detachShared()
-			f.propagateCovariance(u, dt)
+			f.propagateCovariance()
 		}
 	} else {
-		f.propagateCovariance(u, dt)
+		f.propagateCovariance()
 	}
 	gyro, accel := active.Has(sensors.Gyro), active.Has(sensors.Accel)
 	model := &f.ws.model
@@ -409,7 +351,7 @@ func (f *Filter) Correct(meas *sensors.PhysState, active sensors.TypeSet) error 
 			}
 			f.predPending = false
 			f.schedIdx++
-			f.applyGain(rows, z, st.k, st.gates)
+			f.applyGain(rows, z, &st.kt, &st.gates)
 			return nil
 		}
 		// Contract breach (masked sensor, or Correct without a pending
@@ -419,20 +361,18 @@ func (f *Filter) Correct(meas *sensors.PhysState, active sensors.TypeSet) error 
 	if len(rows) == 0 {
 		return nil
 	}
-	k, gates, err := f.covGain(rows)
-	if err != nil {
+	if err := f.covGain(rows); err != nil {
 		return err
 	}
-	f.applyGain(rows, z, k, gates)
+	f.applyGain(rows, z, &f.ws.kt, &f.ws.gates)
 	return nil
 }
 
 // selectRows fills the workspace row set and measurement vector for the
 // active sensors and returns them (aliases of ws.rows/ws.z).
 func (f *Filter) selectRows(meas *sensors.PhysState, active sensors.TypeSet) ([]obsChannel, []float64) {
-	ws := &f.ws
-	rows := ws.rows[:0]
-	z := ws.z[:0]
+	rows := f.ws.rows[:0]
+	z := f.ws.z[:0]
 	for _, ch := range &f.obs {
 		if !active.Has(ch.sensor) {
 			continue
@@ -447,29 +387,34 @@ func (f *Filter) selectRows(meas *sensors.PhysState, active sensors.TypeSet) ([]
 			z = append(z, measChannel(meas, &ch))
 		}
 	}
-	ws.rows, ws.z = rows, z
 	return rows, z
 }
 
 // applyGain runs the state half of the correction: the innovation against
 // the current estimate, clamped to the precomputed gates, scaled through
-// the gain. k must be nx×m and gates length m for m = len(rows).
-func (f *Filter) applyGain(rows []obsChannel, z []float64, k *mat.Mat, gates []float64) {
-	ws := &f.ws
-	m := len(rows)
-	xvec := ws.xvec
-	f.x.VecInto(xvec)
-	innov := ws.innov[:m]
+// the gain. The leading len(rows) entries of kt (Kᵀ) and gates are read.
+func (f *Filter) applyGain(rows []obsChannel, z []float64, kt *[nobs][nx]float64, gates *[nobs]float64) {
+	var xv [nx]float64
+	f.x.VecInto(xv[:])
+	var innov [nobs]float64
 	for i, ch := range rows {
-		d := z[i] - xvec[ch.state]
+		d := z[i] - xv[ch.state]
 		if ch.state >= 6 && ch.state <= 8 {
 			d = vehicle.WrapAngle(d)
 		}
 		innov[i] = vehicle.Clamp(d, -gates[i], gates[i])
 	}
-	mat.MulVecInto(ws.dx, k, innov)
-	xvec.AddInPlace(ws.dx)
-	f.x.SetVec(xvec)
+	// x ← x + K·innov: each state's increment sums its products from +0
+	// in row order and is then added, the operation order of the
+	// reference's mat.MulVecInto and vector add.
+	for j := range nx {
+		var s float64
+		for i := range rows {
+			s += kt[i][j] * innov[i]
+		}
+		xv[j] += s
+	}
+	f.x.SetVec(xv[:])
 	f.x.Roll = vehicle.WrapAngle(f.x.Roll)
 	f.x.Pitch = vehicle.WrapAngle(f.x.Pitch)
 	f.x.Yaw = vehicle.WrapAngle(f.x.Yaw)

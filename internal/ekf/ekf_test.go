@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/mat"
 	"repro/internal/sensors"
 	"repro/internal/vehicle"
 )
@@ -17,11 +16,11 @@ func allSensors() sensors.TypeSet { return sensors.NewTypeSet(sensors.AllTypes()
 
 func TestPredictMatchesModel(t *testing.T) {
 	p := pixhawk()
-	f := New(p)
+	f := New(p, 0.01)
 	s0 := vehicle.State{Z: 10, VX: 1}
 	f.Init(s0)
 	u := vehicle.Input{Thrust: p.Quad.HoverThrust()}
-	f.Predict(u, 0.01)
+	f.Predict(u)
 	want := p.Quad.Step(s0, u, vehicle.Wind{}, 0.01)
 	if got := f.State(); math.Abs(got.Z-want.Z) > 1e-12 || math.Abs(got.X-want.X) > 1e-12 {
 		t.Errorf("Predict = %+v, want %+v", got, want)
@@ -30,14 +29,14 @@ func TestPredictMatchesModel(t *testing.T) {
 
 func TestCorrectPullsTowardMeasurement(t *testing.T) {
 	p := pixhawk()
-	f := New(p)
+	f := New(p, 0.01)
 	f.Init(vehicle.State{Z: 10})
 	var meas sensors.PhysState
 	meas[sensors.SX] = 2
 	meas[sensors.SZ] = 10
 	meas[sensors.SBaroAlt] = 10
 	for i := 0; i < 50; i++ {
-		f.Predict(vehicle.Input{Thrust: p.Quad.HoverThrust()}, 0.01)
+		f.Predict(vehicle.Input{Thrust: p.Quad.HoverThrust()})
 		if err := f.Correct(&meas, sensors.NewTypeSet(sensors.GPS, sensors.Baro)); err != nil {
 			t.Fatalf("Correct: %v", err)
 		}
@@ -49,7 +48,7 @@ func TestCorrectPullsTowardMeasurement(t *testing.T) {
 
 func TestCorrectMaskedSensorIgnored(t *testing.T) {
 	p := pixhawk()
-	f := New(p)
+	f := New(p, 0.01)
 	f.Init(vehicle.State{Z: 10})
 	var meas sensors.PhysState
 	meas[sensors.SX] = 50 // spoofed GPS
@@ -65,7 +64,7 @@ func TestCorrectMaskedSensorIgnored(t *testing.T) {
 
 func TestCorrectEmptyMaskIsNoop(t *testing.T) {
 	p := pixhawk()
-	f := New(p)
+	f := New(p, 0.01)
 	f.Init(vehicle.State{Z: 5, VX: 2})
 	before := f.State()
 	if err := f.Correct(&sensors.PhysState{}, sensors.NewTypeSet()); err != nil {
@@ -80,20 +79,20 @@ func TestTrackingClosedLoop(t *testing.T) {
 	// The filter must track a hovering drone under noisy measurements
 	// using strapdown prediction + GPS/baro/mag corrections.
 	p := pixhawk()
-	f := New(p)
+	dt := 0.01
+	f := New(p, dt)
 	truth := vehicle.State{Z: 10}
 	f.Init(truth)
 	rng := rand.New(rand.NewSource(42))
 	suite := sensors.NewSuite(p, rng)
 	u := vehicle.Input{Thrust: p.Quad.HoverThrust()}
-	dt := 0.01
 	for i := 0; i < 500; i++ {
 		tNow := float64(i) * dt
 		d := p.Quad.Derivative(truth, u, vehicle.Wind{})
 		accel := [3]float64{d.VX, d.VY, d.VZ}
 		truth = p.Quad.Step(truth, u, vehicle.Wind{}, dt)
 		meas := *suite.Sample(tNow, dt, &truth, accel, &sensors.Bias{})
-		f.PredictHybrid(u, &meas, allSensors(), dt)
+		f.PredictHybrid(u, &meas, allSensors())
 		if err := f.Correct(&meas, allSensors()); err != nil {
 			t.Fatalf("Correct: %v", err)
 		}
@@ -111,7 +110,7 @@ func TestGyroBiasCorruptsFusedAttitude(t *testing.T) {
 	// A gyroscope rate bias must drag the fused attitude — the attack
 	// propagation path the paper's gyro SDAs rely on.
 	p := pixhawk()
-	f := New(p)
+	f := New(p, 0.01)
 	f.Init(vehicle.State{Z: 10})
 	var meas sensors.PhysState
 	meas[sensors.SWRoll] = 0.5 // biased rate, truth is hover
@@ -123,7 +122,7 @@ func TestGyroBiasCorruptsFusedAttitude(t *testing.T) {
 		// The onboard attitude estimator integrates the same biased rates,
 		// so the gyro-derived angle channel grows with the bias too.
 		meas[sensors.SRoll] = vehicle.WrapAngle(meas[sensors.SRoll] + 0.5*0.01)
-		f.PredictHybrid(u, &meas, allSensors(), 0.01)
+		f.PredictHybrid(u, &meas, allSensors())
 		if err := f.Correct(&meas, allSensors()); err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +134,7 @@ func TestGyroBiasCorruptsFusedAttitude(t *testing.T) {
 
 func TestAccelBiasCorruptsFusedVelocity(t *testing.T) {
 	p := pixhawk()
-	f := New(p)
+	f := New(p, 0.01)
 	f.Init(vehicle.State{Z: 10})
 	var meas sensors.PhysState
 	meas[sensors.SAX] = 3 // biased accel, truth is hover
@@ -145,7 +144,7 @@ func TestAccelBiasCorruptsFusedVelocity(t *testing.T) {
 	// GPS masked so the accel drift is not corrected away instantly.
 	active := sensors.NewTypeSet(sensors.Gyro, sensors.Accel, sensors.Baro)
 	for i := 0; i < 100; i++ {
-		f.PredictHybrid(u, &meas, active, 0.01)
+		f.PredictHybrid(u, &meas, active)
 		if err := f.Correct(&meas, active); err != nil {
 			t.Fatal(err)
 		}
@@ -159,14 +158,14 @@ func TestMaskedGyroFallsBackToModel(t *testing.T) {
 	// With the gyro masked, a huge rate bias in the measurement must not
 	// reach the attitude estimate.
 	p := pixhawk()
-	f := New(p)
+	f := New(p, 0.01)
 	f.Init(vehicle.State{Z: 10})
 	var meas sensors.PhysState
 	meas[sensors.SWRoll] = 9
 	u := vehicle.Input{Thrust: p.Quad.HoverThrust()}
 	active := sensors.NewTypeSet(sensors.Accel, sensors.Baro)
 	for i := 0; i < 100; i++ {
-		f.PredictHybrid(u, &meas, active, 0.01)
+		f.PredictHybrid(u, &meas, active)
 	}
 	if got := math.Abs(f.State().Roll); got > 0.01 {
 		t.Errorf("masked gyro still corrupted roll: %v", got)
@@ -186,32 +185,58 @@ func TestMagYawInversion(t *testing.T) {
 
 func TestCovarianceStaysPSD(t *testing.T) {
 	p := pixhawk()
-	f := New(p)
+	f := New(p, 0.01)
 	f.Init(vehicle.State{Z: 10})
 	u := vehicle.Input{Thrust: p.Quad.HoverThrust()}
 	var meas sensors.PhysState
 	meas[sensors.SZ] = 10
 	meas[sensors.SBaroAlt] = 10
 	for i := 0; i < 200; i++ {
-		f.PredictHybrid(u, &meas, allSensors(), 0.01)
+		f.PredictHybrid(u, &meas, allSensors())
 		if err := f.Correct(&meas, allSensors()); err != nil {
 			t.Fatalf("Correct: %v", err)
 		}
-		if !mat.IsPSD(f.Covariance(), 1e-9) {
+		if !isPSD(&f.p, 1e-9) {
 			t.Fatalf("covariance not PSD at tick %d", i)
 		}
 	}
 }
 
+// isPSD reports whether p is symmetric positive semi-definite within tol:
+// whether a Cholesky factorization of sym(p) + tol·I succeeds.
+func isPSD(p *[nx][nx]float64, tol float64) bool {
+	var l [nx][nx]float64
+	for i := range nx {
+		for j := 0; j <= i; j++ {
+			sum := 0.5 * (p[i][j] + p[j][i])
+			if i == j {
+				sum += tol
+			}
+			for k := range j {
+				sum -= l[i][k] * l[j][k]
+			}
+			if i == j {
+				if sum <= 0 {
+					return false
+				}
+				l[i][i] = math.Sqrt(sum)
+			} else {
+				l[i][j] = sum / l[j][j]
+			}
+		}
+	}
+	return true
+}
+
 func TestMaskingGrowsUncertainty(t *testing.T) {
 	p := pixhawk()
-	f := New(p)
+	f := New(p, 0.01)
 	f.Init(vehicle.State{Z: 10})
 	u := vehicle.Input{Thrust: p.Quad.HoverThrust()}
-	prev := f.Covariance().At(0, 0)
+	prev := f.p[0][0]
 	for i := 0; i < 100; i++ {
-		f.Predict(u, 0.01)
-		cur := f.Covariance().At(0, 0)
+		f.Predict(u)
+		cur := f.p[0][0]
 		if cur < prev-1e-12 {
 			t.Fatalf("masked covariance shrank at tick %d: %v < %v", i, cur, prev)
 		}
@@ -221,19 +246,19 @@ func TestMaskingGrowsUncertainty(t *testing.T) {
 
 func TestRoverFilterTracks(t *testing.T) {
 	p := vehicle.MustProfile(vehicle.AionR1)
-	f := New(p)
+	dt := 0.01
+	f := New(p, dt)
 	truth := vehicle.State{VX: 1}
 	f.Init(truth)
 	rng := rand.New(rand.NewSource(7))
 	suite := sensors.NewSuite(p, rng)
 	u := vehicle.Input{Thrust: 0.5}
-	dt := 0.01
 	for i := 0; i < 300; i++ {
 		d := p.Rover.Derivative(truth, u, vehicle.Wind{})
 		accel := [3]float64{d.VX, d.VY, 0}
 		truth = p.Rover.Step(truth, u, vehicle.Wind{}, dt)
 		meas := *suite.Sample(float64(i)*dt, dt, &truth, accel, &sensors.Bias{})
-		f.PredictHybrid(u, &meas, allSensors(), dt)
+		f.PredictHybrid(u, &meas, allSensors())
 		if err := f.Correct(&meas, allSensors()); err != nil {
 			t.Fatalf("Correct: %v", err)
 		}
@@ -244,7 +269,7 @@ func TestRoverFilterTracks(t *testing.T) {
 }
 
 func TestSetState(t *testing.T) {
-	f := New(pixhawk())
+	f := New(pixhawk(), 0.01)
 	want := vehicle.State{X: 7, Z: 3}
 	f.SetState(want)
 	if f.State() != want {
@@ -262,12 +287,12 @@ func TestPropertyPredictDeterministic(t *testing.T) {
 		}
 		s := vehicle.State{Z: math.Mod(math.Abs(z), 100), VX: math.Mod(vx, 10)}
 		u := vehicle.Input{Thrust: math.Mod(math.Abs(thrust), p.MaxThrust)}
-		a := New(p)
+		a := New(p, 0.01)
 		a.Init(s)
-		a.Predict(u, 0.01)
-		b := New(p)
+		a.Predict(u)
+		b := New(p, 0.01)
 		b.Init(s)
-		b.Predict(u, 0.01)
+		b.Predict(u)
 		return a.State() == b.State()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -30,7 +30,10 @@ func kinematicJacobian(dt float64) *mat.Mat {
 }
 
 // refQ returns the filter's process noise as a matrix.
-func refQ(f *Filter) *mat.Mat { return mat.Diag(f.q[:]) }
+func refQ() *mat.Mat {
+	q := defaultProcessNoise()
+	return mat.Diag(q[:])
+}
 
 // refPropagate is the allocating covariance propagation:
 // P ← sym(F·P·Fᵀ + Q·dt).
@@ -121,6 +124,38 @@ func bitsEqualMat(t *testing.T, step int, what string, got, want *mat.Mat) {
 	}
 }
 
+// covariance returns the filter's covariance as a matrix. A filter on the
+// shared schedule detaches first: the schedule carries its covariance.
+func covariance(f *Filter) *mat.Mat {
+	if f.onShared() {
+		f.detachShared()
+	}
+	m := mat.New(nx, nx)
+	for i := range nx {
+		copy(m.Data[i*nx:(i+1)*nx], f.p[i][:])
+	}
+	return m
+}
+
+// setCovariance overwrites the filter's covariance with m (12×12).
+func setCovariance(f *Filter, m *mat.Mat) {
+	for i := range nx {
+		copy(f.p[i][:], m.Data[i*nx:(i+1)*nx])
+	}
+}
+
+// gain returns the nx×m Kalman gain the filter's last private correction
+// solved for, from the Kᵀ it keeps.
+func gain(f *Filter, m int) *mat.Mat {
+	k := mat.New(nx, m)
+	for c := range m {
+		for j := range nx {
+			k.Set(j, c, f.ws.kt[c][j])
+		}
+	}
+	return k
+}
+
 // bitsEqualState asserts bit identity of two states.
 func bitsEqualState(t *testing.T, step int, got, want vehicle.State) {
 	t.Helper()
@@ -143,11 +178,11 @@ func TestWorkspaceMatchesAllocatingReference(t *testing.T) {
 	for _, id := range profiles {
 		prof := vehicle.MustProfile(id)
 		t.Run(string(prof.Name), func(t *testing.T) {
-			f := New(prof)
+			const dt = 0.01
+			f := New(prof, dt)
 			start := vehicle.State{Z: 10}
 			f.Init(start)
 
-			const dt = 0.01
 			refP := mat.Identity(nx).Scale(0.1)
 			refX := start
 			fkin := kinematicJacobian(dt)
@@ -167,10 +202,10 @@ func TestWorkspaceMatchesAllocatingReference(t *testing.T) {
 				}
 				meas := sensors.TruePhysState(truth, [3]float64{}, sensors.BodyField(truth.Yaw))
 
-				f.Predict(u, dt)
-				refP = refPropagate(refP, refQ(f), fkin, dt)
+				f.Predict(u)
+				refP = refPropagate(refP, refQ(), fkin, dt)
 				f.step(&refX, &refX, u, dt)
-				bitsEqualMat(t, i, "covariance after Predict", f.p, refP)
+				bitsEqualMat(t, i, "covariance after Predict", covariance(f), refP)
 				bitsEqualState(t, i, f.x, refX)
 
 				// Mask GPS for a stretch: the workspace reshapes to fewer
@@ -187,36 +222,11 @@ func TestWorkspaceMatchesAllocatingReference(t *testing.T) {
 					t.Fatalf("step %d: refCorrect: %v", i, err)
 				}
 				refP, refX = ref.p, ref.x
-				bitsEqualMat(t, i, "covariance after Correct", f.p, refP)
+				bitsEqualMat(t, i, "covariance after Correct", covariance(f), refP)
 				bitsEqualState(t, i, f.x, refX)
 			}
 		})
 	}
-}
-
-// TestInitResetsJacobianCache: the transition Jacobian F is keyed to the
-// first dt after Init (the pre-workspace semantics), Q·dt follows the
-// current dt, and Init discards F so a new mission's dt takes effect. The
-// semantics are checked through the covariance bits.
-func TestInitResetsJacobianCache(t *testing.T) {
-	f := New(vehicle.MustProfile(vehicle.ArduCopter))
-	q := refQ(f)
-	p0 := mat.Identity(nx).Scale(0.1)
-	f.Init(vehicle.State{Z: 10})
-	f.Predict(vehicle.Input{}, 0.01)
-	f.Predict(vehicle.Input{}, 0.02) // same mission: F must NOT rebuild
-	first := refPropagate(p0, q, kinematicJacobian(0.01), 0.01)
-	bitsEqualMat(t, 1, "covariance after a mid-mission dt change",
-		f.p, refPropagate(first, q, kinematicJacobian(0.01), 0.02))
-	rebuilt := refPropagate(first, q, kinematicJacobian(0.02), 0.02)
-	if bitsEqual(f.p, rebuilt) {
-		t.Fatal("rebuilding F at the new dt gives the same covariance; the check has no power")
-	}
-
-	f.Init(vehicle.State{Z: 10})
-	f.Predict(vehicle.Input{}, 0.02)
-	bitsEqualMat(t, 0, "covariance after Init at a new dt",
-		f.p, refPropagate(p0, q, kinematicJacobian(0.02), 0.02))
 }
 
 // randomPrior draws a symmetric covariance whose states' scales span eight
@@ -282,39 +292,42 @@ func typeSubset(bits int) sensors.TypeSet {
 // TestKernelsMatchAllocatingReference checks the straight-line covariance
 // kernels (propagateCovariance and covGain, through Correct) bit for bit
 // against the allocating reference on random priors: all six profiles,
-// all 32 subsets of the five sensor types, dt ∈ {0.005, 0.01, 0.02, 0.05}
-// plus one non-round period, mid-mission dt changes, where F keeps the
-// first dt after Init and Q·dt follows the current one, asymmetric
-// priors, and priors that make S singular, where both paths must fail.
+// all 32 subsets of the five sensor types, one filter for each of
+// dt ∈ {0.005, 0.01, 0.02, 0.05} and one non-round period, two
+// propagations in a row, asymmetric priors, and priors that make S
+// singular, where both paths must fail.
 func TestKernelsMatchAllocatingReference(t *testing.T) {
 	perProfile := 10000
 	if testing.Short() {
 		perProfile = 640
 	}
 	dts := []float64{0.005, 0.01, 0.02, 0.05, 0.0173}
+	q := refQ()
 	for pi, prof := range vehicle.Profiles() {
 		t.Run(string(prof.Name), func(t *testing.T) {
-			f := New(prof)
-			q := refQ(f)
+			filters := make([]*Filter, len(dts))
+			for i, dt := range dts {
+				filters[i] = New(prof, dt)
+			}
 			rng := rand.New(rand.NewSource(int64(1000 + pi)))
 			singular, failed := 0, 0
 			for n := 0; n < perProfile; n++ {
 				dt := dts[n%len(dts)]
+				f := filters[n%len(dts)]
 				active := typeSubset(n / len(dts))
 				prior := randomPrior(rng)
 				x, meas := randomCase(rng)
 
 				f.Init(x)
-				mat.CloneInto(f.p, prior)
+				setCovariance(f, prior)
 				fkin := kinematicJacobian(dt)
-				f.propagateCovariance(vehicle.Input{}, dt)
+				f.propagateCovariance()
 				want := refPropagate(prior, q, fkin, dt)
 				if n%3 == 2 {
-					dt2 := dts[(n+2)%len(dts)]
-					f.propagateCovariance(vehicle.Input{}, dt2)
-					want = refPropagate(want, q, fkin, dt2)
+					f.propagateCovariance()
+					want = refPropagate(want, q, fkin, dt)
 				}
-				bitsEqualMat(t, n, "covariance after propagation", f.p, want)
+				bitsEqualMat(t, n, "covariance after propagation", covariance(f), want)
 				if n%7 == 6 {
 					// Correct a fresh prior instead: covGain must not rely
 					// on the propagation's exact symmetry or on its turning
@@ -325,7 +338,7 @@ func TestKernelsMatchAllocatingReference(t *testing.T) {
 							want.Set(i, j, want.At(i, j)*(1+1e-3*rng.NormFloat64()))
 						}
 					}
-					mat.CloneInto(f.p, want)
+					setCovariance(f, want)
 				}
 				if n%50 == 49 {
 					// Zero the first observed state's row and column and
@@ -337,7 +350,7 @@ func TestKernelsMatchAllocatingReference(t *testing.T) {
 							want.Set(k, s, 0)
 						}
 						want.Set(s, s, -float64(r*r))
-						mat.CloneInto(f.p, want)
+						setCovariance(f, want)
 						singular++
 					}
 				}
@@ -353,10 +366,10 @@ func TestKernelsMatchAllocatingReference(t *testing.T) {
 					failed++
 					continue
 				}
-				bitsEqualMat(t, n, "covariance after Correct", f.p, ref.p)
+				bitsEqualMat(t, n, "covariance after Correct", covariance(f), ref.p)
 				bitsEqualState(t, n, f.x, ref.x)
 				if ref.k != nil {
-					bitsEqualMat(t, n, "gain", f.ws.k, ref.k)
+					bitsEqualMat(t, n, "gain", gain(f, ref.k.Cols), ref.k)
 					gates := &mat.Mat{Rows: 1, Cols: len(ref.gates), Data: f.ws.gates[:len(ref.gates)]}
 					bitsEqualMat(t, n, "gates", gates, &mat.Mat{Rows: 1, Cols: len(ref.gates), Data: ref.gates})
 				}
@@ -375,7 +388,7 @@ func TestKernelsMatchAllocatingReference(t *testing.T) {
 func TestKernelsNonFinitePrior(t *testing.T) {
 	all := sensors.NewTypeSet(sensors.AllTypes()...)
 	for _, id := range []vehicle.ProfileName{vehicle.ArduCopter, vehicle.ArduRover} {
-		f := New(vehicle.MustProfile(id))
+		f := New(vehicle.MustProfile(id), 0.01)
 		rng := rand.New(rand.NewSource(5))
 		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			for i := range nx {
@@ -386,37 +399,19 @@ func TestKernelsNonFinitePrior(t *testing.T) {
 					x, meas := randomCase(rng)
 
 					f.Init(x)
-					mat.CloneInto(f.p, prior)
-					f.propagateCovariance(vehicle.Input{}, 0.01)
-					if f.p.IsFinite() {
+					setCovariance(f, prior)
+					f.propagateCovariance()
+					if covariance(f).IsFinite() {
 						t.Fatalf("%s: P[%d][%d] = %v: propagation returned a finite covariance", id, i, j, bad)
 					}
 
 					f.Init(x)
-					mat.CloneInto(f.p, prior)
-					if err := f.Correct(&meas, all); err == nil && f.p.IsFinite() {
+					setCovariance(f, prior)
+					if err := f.Correct(&meas, all); err == nil && covariance(f).IsFinite() {
 						t.Fatalf("%s: P[%d][%d] = %v: Correct returned a finite covariance", id, i, j, bad)
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestCovarianceInto: the non-allocating accessor matches the cloning one.
-func TestCovarianceInto(t *testing.T) {
-	f := New(vehicle.MustProfile(vehicle.ArduCopter))
-	f.Init(vehicle.State{Z: 5})
-	f.Predict(vehicle.Input{}, 0.01)
-	dst := mat.New(nx, nx)
-	f.CovarianceInto(dst)
-	want := f.Covariance()
-	for i := range want.Data {
-		if math.Float64bits(dst.Data[i]) != math.Float64bits(want.Data[i]) {
-			t.Fatalf("CovarianceInto diverges from Covariance at %d", i)
-		}
-	}
-	if n := testing.AllocsPerRun(50, func() { f.CovarianceInto(dst) }); n != 0 {
-		t.Errorf("CovarianceInto allocates %v per run, want 0", n)
 	}
 }

@@ -12,9 +12,10 @@
 // Schedule materializes that sequence once, on demand, and lets any
 // number of Filters consume it concurrently. A consuming filter skips
 // all covariance arithmetic (≈2/3 of the per-tick EKF cost) and applies
-// the cached gain and gates to its private state. The moment a mission
-// leaves the nominal path — a sensor is masked for recovery, a pure
-// model Predict runs, dt changes — the filter detaches: the schedule
+// the cached gain and gates to its private state. A filter attaches only
+// to a schedule built for its own profile and tick period. The moment a
+// mission leaves the nominal path — a sensor is masked for recovery, or a
+// pure model Predict runs — the filter detaches: the schedule
 // reconstructs the exact covariance the filter would have had (from a
 // snapshot plus deterministic replay of the same kernels) and the filter
 // continues on its private recursion, bit-identical to a filter that
@@ -33,7 +34,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/mat"
 	"repro/internal/sensors"
 	"repro/internal/vehicle"
 )
@@ -42,19 +42,19 @@ import (
 // bound detach-time replay to at most snapEvery-1 cycles.
 const snapEvery = 64
 
-// schedStep is one precomputed correction: the Kalman gain and the
-// innovation gate half-widths for the full-active row set. Steps are
-// immutable once published.
+// schedStep is one precomputed correction: the Kalman gain (as Kᵀ) and the
+// innovation gate half-widths for the full-active row set, in their
+// leading rows. Steps are immutable once published.
 type schedStep struct {
-	k     *mat.Mat
-	gates []float64
+	kt    [nobs][nx]float64
+	gates [nobs]float64
 }
 
 // snapshot is a post-correction covariance checkpoint: p is the
 // covariance after completing cycle `cycle`.
 type snapshot struct {
 	cycle int
-	p     *mat.Mat
+	p     [nx][nx]float64
 }
 
 // Schedule is the shared covariance/gain schedule for one
@@ -80,20 +80,19 @@ type Schedule struct {
 	builder *Filter      // advances the shared recursion; guarded by mu
 	scratch *Filter      // detach-time replay filter; guarded by mu
 	rows    []obsChannel // full-active observation rows
-	initP   *mat.Mat     // covariance at Init (cycle -1)
-	prevP   *mat.Mat     // covariance after the last built cycle
-	steadyP *mat.Mat     // covariance at/after the fixpoint
-	snaps   []snapshot
-	err     error // sticky builder error; steps before it stay served
+	// prevP is the covariance after the last built cycle. Once the
+	// fixpoint is reached no cycle is built, so it holds the steady
+	// covariance.
+	prevP [nx][nx]float64
+	snaps []snapshot
+	err   error // sticky builder error; steps before it stay served
 }
 
 // NewSchedule builds an empty schedule for the profile at tick period
 // dt. Steps materialize lazily as filters consume them.
 func NewSchedule(p vehicle.Profile, dt float64) *Schedule {
-	b := New(p)
-	b.Init(vehicle.State{})
-	active := sensors.NewTypeSet(sensors.AllTypes()...)
-	r, _ := b.selectRows(&sensors.PhysState{}, active)
+	b := New(p, dt)
+	r, _ := b.selectRows(&sensors.PhysState{}, sensors.All)
 	rows := append([]obsChannel(nil), r...)
 	s := &Schedule{
 		profile: p,
@@ -101,26 +100,12 @@ func NewSchedule(p vehicle.Profile, dt float64) *Schedule {
 		nrows:   len(rows),
 		builder: b,
 		rows:    rows,
-		initP:   b.p.Clone(),
-		prevP:   b.p.Clone(),
+		prevP:   b.p,
 	}
 	empty := make([]*schedStep, 0, 2048)
 	s.steps.Store(&empty)
 	s.steady.Store(-1)
 	return s
-}
-
-// ProfileName identifies the profile the schedule was built for.
-func (s *Schedule) ProfileName() vehicle.ProfileName { return s.profile.Name }
-
-// DT returns the tick period the schedule was built for.
-func (s *Schedule) DT() float64 { return s.dt }
-
-// covers reports whether the schedule applies to tick period dt. The
-// comparison is bitwise: any other dt walks a different covariance
-// trajectory.
-func (s *Schedule) covers(dt float64) bool {
-	return math.Float64bits(dt) == math.Float64bits(s.dt)
 }
 
 // fullRows returns the observation row count of the full-active set.
@@ -169,26 +154,24 @@ func (s *Schedule) extendTo(i int) (*schedStep, error) {
 // it on the next loop iteration). Caller holds mu.
 func (s *Schedule) build(sp []*schedStep) []*schedStep {
 	b := s.builder
-	b.propagateCovariance(vehicle.Input{}, s.dt)
-	k, gates, err := b.covGain(s.rows)
-	if err != nil {
+	b.propagateCovariance()
+	if err := b.covGain(s.rows); err != nil {
 		s.err = err
 		return sp
 	}
 	c := len(sp)
-	sp = append(sp, &schedStep{k: k.Clone(), gates: append([]float64(nil), gates...)})
+	sp = append(sp, &schedStep{kt: b.ws.kt, gates: b.ws.gates})
 	s.steps.Store(&sp)
-	if bitsEqual(b.p, s.prevP) {
+	if bitsEqual(&b.p, &s.prevP) {
 		// P reproduced itself bit-for-bit: every later cycle computes
 		// the same (K, gates, P) from the same inputs. Steps[c] serves
 		// all cycles ≥ c; store the order-critical steady marker last.
-		s.steadyP = b.p
 		s.steady.Store(int64(c))
 		return sp
 	}
-	mat.CloneInto(s.prevP, b.p)
+	s.prevP = b.p
 	if (c+1)%snapEvery == 0 {
-		s.snaps = append(s.snaps, snapshot{cycle: c, p: b.p.Clone()})
+		s.snaps = append(s.snaps, snapshot{cycle: c, p: b.p})
 	}
 	return sp
 }
@@ -199,49 +182,45 @@ func (s *Schedule) build(sp []*schedStep) []*schedStep {
 // snapshot with the same kernels the builder used, so the result is
 // bit-identical to a filter that ran privately from the start. Cold
 // path: called once per detaching filter.
-func (s *Schedule) seedPost(cycle int, dst *mat.Mat) {
+func (s *Schedule) seedPost(cycle int, dst *[nx][nx]float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cycle < 0 {
-		mat.CloneInto(dst, s.initP)
-		return
-	}
 	if st := s.steady.Load(); st >= 0 && cycle >= int(st)-1 {
-		mat.CloneInto(dst, s.steadyP)
+		*dst = s.prevP
 		return
 	}
-	start, from := -1, s.initP
-	for _, sn := range s.snaps {
+	if s.scratch == nil {
+		s.scratch = New(s.profile, s.dt)
+	}
+	sc := s.scratch
+	sc.Init(vehicle.State{}) // the Init covariance, cycle -1
+	start := -1
+	for i := range s.snaps {
+		sn := &s.snaps[i]
 		if sn.cycle > cycle {
 			break
 		}
-		start, from = sn.cycle, sn.p
+		start = sn.cycle
+		sc.p = sn.p
 	}
-	if s.scratch == nil {
-		s.scratch = New(s.profile)
-		s.scratch.Init(vehicle.State{})
-	}
-	sc := s.scratch
-	mat.CloneInto(sc.p, from)
 	for c := start; c < cycle; c++ {
-		sc.propagateCovariance(vehicle.Input{}, s.dt)
-		if _, _, err := sc.covGain(s.rows); err != nil {
+		sc.propagateCovariance()
+		if err := sc.covGain(s.rows); err != nil {
 			// The builder completed these cycles without error, so the
 			// bit-identical replay cannot fail; stop at the last good P.
 			break
 		}
 	}
-	mat.CloneInto(dst, sc.p)
+	*dst = sc.p
 }
 
-// bitsEqual reports exact bitwise equality of two matrices.
-func bitsEqual(a, b *mat.Mat) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i, v := range a.Data {
-		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
-			return false
+// bitsEqual reports exact bitwise equality of two covariances.
+func bitsEqual(a, b *[nx][nx]float64) bool {
+	for i := range nx {
+		for j := range nx {
+			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
+				return false
+			}
 		}
 	}
 	return true

@@ -36,10 +36,10 @@ func runPair(t *testing.T, prof vehicle.Profile, sched *Schedule, steps, maskFro
 	const dt = 0.01
 	start := vehicle.State{Z: 10}
 
-	shared := New(prof)
+	shared := New(prof, dt)
 	shared.AttachSchedule(sched)
 	shared.Init(start)
-	private := New(prof)
+	private := New(prof, dt)
 	private.Init(start)
 
 	all := sensors.NewTypeSet(sensors.AllTypes()...)
@@ -54,8 +54,8 @@ func runPair(t *testing.T, prof vehicle.Profile, sched *Schedule, steps, maskFro
 		if i >= maskFrom && i < maskTo {
 			active = masked
 		}
-		shared.PredictHybrid(u, &meas, active, dt)
-		private.PredictHybrid(u, &meas, active, dt)
+		shared.PredictHybrid(u, &meas, active)
+		private.PredictHybrid(u, &meas, active)
 		if err := shared.Correct(&meas, active); err != nil {
 			t.Fatalf("step %d: shared Correct: %v", i, err)
 		}
@@ -64,8 +64,7 @@ func runPair(t *testing.T, prof vehicle.Profile, sched *Schedule, steps, maskFro
 		}
 		bitsEqualState(t, i, shared.State(), private.State())
 	}
-	gotP, wantP := shared.Covariance(), private.Covariance()
-	bitsEqualMat(t, steps, "final covariance", gotP, wantP)
+	bitsEqualMat(t, steps, "final covariance", covariance(shared), covariance(private))
 }
 
 // TestScheduleMatchesPrivate: shared vs private bit identity across
@@ -122,10 +121,10 @@ func TestScheduleDetachOnPredict(t *testing.T) {
 	const dt = 0.01
 	start := vehicle.State{Z: 10}
 
-	shared := New(prof)
+	shared := New(prof, dt)
 	shared.AttachSchedule(sched)
 	shared.Init(start)
-	private := New(prof)
+	private := New(prof, dt)
 	private.Init(start)
 
 	all := sensors.NewTypeSet(sensors.AllTypes()...)
@@ -134,11 +133,11 @@ func TestScheduleDetachOnPredict(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		meas := missionMeas(rng)
 		if i >= 50 && i < 60 {
-			shared.Predict(u, dt)
-			private.Predict(u, dt)
+			shared.Predict(u)
+			private.Predict(u)
 		} else {
-			shared.PredictHybrid(u, &meas, all, dt)
-			private.PredictHybrid(u, &meas, all, dt)
+			shared.PredictHybrid(u, &meas, all)
+			private.PredictHybrid(u, &meas, all)
 			if err := shared.Correct(&meas, all); err != nil {
 				t.Fatalf("step %d: shared Correct: %v", i, err)
 			}
@@ -148,49 +147,37 @@ func TestScheduleDetachOnPredict(t *testing.T) {
 		}
 		bitsEqualState(t, i, shared.State(), private.State())
 	}
-	bitsEqualMat(t, 120, "final covariance", shared.Covariance(), private.Covariance())
+	bitsEqualMat(t, 120, "final covariance", covariance(shared), covariance(private))
 }
 
-// TestScheduleDetachOnDTChange: a tick at a different dt walks a
-// different covariance trajectory and must leave the schedule.
-func TestScheduleDetachOnDTChange(t *testing.T) {
+// TestScheduleMismatchStaysPrivate: a schedule built for another profile
+// or tick period walks another covariance trajectory, so a filter handed
+// one keeps its private recursion from the first tick and matches a filter
+// that was never attached.
+func TestScheduleMismatchStaysPrivate(t *testing.T) {
+	const dt = 0.01
 	prof := vehicle.MustProfile(vehicle.ArduCopter)
-	sched := NewSchedule(prof, 0.01)
-	start := vehicle.State{Z: 10}
-
-	shared := New(prof)
-	shared.AttachSchedule(sched)
-	shared.Init(start)
-	private := New(prof)
-	private.Init(start)
-
-	all := sensors.NewTypeSet(sensors.AllTypes()...)
-	rng := rand.New(rand.NewSource(31))
-	u := vehicle.Input{Thrust: 9.0}
-	for i := 0; i < 80; i++ {
-		dt := 0.01
-		if i >= 40 {
-			dt = 0.02
+	for _, sched := range []*Schedule{
+		NewSchedule(prof, 0.02),
+		NewSchedule(vehicle.MustProfile(vehicle.Pixhawk), dt),
+	} {
+		shared := New(prof, dt)
+		shared.AttachSchedule(sched)
+		shared.Init(vehicle.State{Z: 10})
+		if shared.onShared() {
+			t.Fatalf("filter at (%s, %v) attached to a schedule for (%s, %v)",
+				prof.Name, dt, sched.profile.Name, sched.dt)
 		}
-		meas := missionMeas(rng)
-		shared.PredictHybrid(u, &meas, all, dt)
-		private.PredictHybrid(u, &meas, all, dt)
-		if err := shared.Correct(&meas, all); err != nil {
-			t.Fatalf("step %d: shared Correct: %v", i, err)
-		}
-		if err := private.Correct(&meas, all); err != nil {
-			t.Fatalf("step %d: private Correct: %v", i, err)
-		}
-		bitsEqualState(t, i, shared.State(), private.State())
-		if i >= 40 && shared.onShared() {
-			t.Fatalf("step %d: filter still on schedule after dt change", i)
+		runPair(t, prof, sched, 80, -1, -1, 31)
+		if built, _ := sched.Steps(); built != 0 {
+			t.Errorf("schedule for (%s, %v) built %d steps for a filter at (%s, %v)",
+				sched.profile.Name, sched.dt, built, prof.Name, dt)
 		}
 	}
-	bitsEqualMat(t, 80, "final covariance", shared.Covariance(), private.Covariance())
 }
 
-// TestScheduleCovarianceRead: reading the covariance mid-mission
-// detaches (the schedule carries it) and returns exactly the private
+// TestScheduleCovarianceRead: detaching mid-mission to read the
+// covariance (the schedule carries it) gives exactly the private
 // filter's value.
 func TestScheduleCovarianceRead(t *testing.T) {
 	prof := vehicle.MustProfile(vehicle.ArduRover)
@@ -198,10 +185,10 @@ func TestScheduleCovarianceRead(t *testing.T) {
 	const dt = 0.01
 	start := vehicle.State{Z: 0}
 
-	shared := New(prof)
+	shared := New(prof, dt)
 	shared.AttachSchedule(sched)
 	shared.Init(start)
-	private := New(prof)
+	private := New(prof, dt)
 	private.Init(start)
 
 	all := sensors.NewTypeSet(sensors.AllTypes()...)
@@ -209,8 +196,8 @@ func TestScheduleCovarianceRead(t *testing.T) {
 	u := vehicle.Input{Thrust: 0.5}
 	for i := 0; i < 90; i++ {
 		meas := missionMeas(rng)
-		shared.PredictHybrid(u, &meas, all, dt)
-		private.PredictHybrid(u, &meas, all, dt)
+		shared.PredictHybrid(u, &meas, all)
+		private.PredictHybrid(u, &meas, all)
 		if err := shared.Correct(&meas, all); err != nil {
 			t.Fatalf("shared Correct: %v", err)
 		}
@@ -218,14 +205,14 @@ func TestScheduleCovarianceRead(t *testing.T) {
 			t.Fatalf("private Correct: %v", err)
 		}
 		if i == 70 {
-			bitsEqualMat(t, i, "mid-mission covariance", shared.Covariance(), private.Covariance())
+			bitsEqualMat(t, i, "mid-mission covariance", covariance(shared), covariance(private))
 			if shared.onShared() {
 				t.Fatal("covariance read must detach")
 			}
 		}
 		bitsEqualState(t, i, shared.State(), private.State())
 	}
-	bitsEqualMat(t, 90, "final covariance", shared.Covariance(), private.Covariance())
+	bitsEqualMat(t, 90, "final covariance", covariance(shared), covariance(private))
 }
 
 // TestScheduleConcurrentConsumers: many filters share one schedule
@@ -258,10 +245,10 @@ func runPairErr(t *testing.T, prof vehicle.Profile, sched *Schedule, steps, mask
 	const dt = 0.01
 	start := vehicle.State{Z: 10}
 
-	shared := New(prof)
+	shared := New(prof, dt)
 	shared.AttachSchedule(sched)
 	shared.Init(start)
-	private := New(prof)
+	private := New(prof, dt)
 	private.Init(start)
 
 	all := sensors.NewTypeSet(sensors.AllTypes()...)
@@ -276,8 +263,8 @@ func runPairErr(t *testing.T, prof vehicle.Profile, sched *Schedule, steps, mask
 		if i >= maskFrom && i < maskTo {
 			active = masked
 		}
-		shared.PredictHybrid(u, &meas, active, dt)
-		private.PredictHybrid(u, &meas, active, dt)
+		shared.PredictHybrid(u, &meas, active)
+		private.PredictHybrid(u, &meas, active)
 		if err := shared.Correct(&meas, active); err != nil {
 			t.Errorf("seed %d step %d: shared Correct: %v", seed, i, err)
 			return
@@ -294,7 +281,7 @@ func runPairErr(t *testing.T, prof vehicle.Profile, sched *Schedule, steps, mask
 			}
 		}
 	}
-	gotP, wantP := shared.Covariance(), private.Covariance()
+	gotP, wantP := covariance(shared), covariance(private)
 	for i := range wantP.Data {
 		if math.Float64bits(gotP.Data[i]) != math.Float64bits(wantP.Data[i]) {
 			t.Errorf("seed %d: final covariance diverges at element %d", seed, i)
@@ -309,18 +296,18 @@ func TestScheduleStepAllocFree(t *testing.T) {
 	prof := vehicle.MustProfile(vehicle.ArduCopter)
 	sched := NewSchedule(prof, 0.01)
 	const dt = 0.01
-	f := New(prof)
+	f := New(prof, dt)
 	f.AttachSchedule(sched)
 	f.Init(vehicle.State{Z: 10})
 	all := sensors.NewTypeSet(sensors.AllTypes()...)
 	rng := rand.New(rand.NewSource(51))
 	// Pre-extend the schedule past the measurement window.
-	warm := New(prof)
+	warm := New(prof, dt)
 	warm.AttachSchedule(sched)
 	warm.Init(vehicle.State{Z: 10})
 	for i := 0; i < 300; i++ {
 		meas := missionMeas(rng)
-		warm.PredictHybrid(vehicle.Input{Thrust: 9}, &meas, all, dt)
+		warm.PredictHybrid(vehicle.Input{Thrust: 9}, &meas, all)
 		if err := warm.Correct(&meas, all); err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +315,7 @@ func TestScheduleStepAllocFree(t *testing.T) {
 	meas := missionMeas(rng)
 	u := vehicle.Input{Thrust: 9.0}
 	n := testing.AllocsPerRun(200, func() {
-		f.PredictHybrid(u, &meas, all, dt)
+		f.PredictHybrid(u, &meas, all)
 		if err := f.Correct(&meas, all); err != nil {
 			t.Fatal(err)
 		}

@@ -61,7 +61,6 @@ var hotallocFuncs = map[string]bool{
 	"FromRows": true,
 	"Solve":    true,
 	"SolveMat": true,
-	"Inverse":  true,
 	"FactorLU": true,
 }
 

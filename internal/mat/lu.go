@@ -203,8 +203,3 @@ func SolveMat(a, b *Mat) (*Mat, error) {
 	}
 	return f.Solve(b)
 }
-
-// Inverse returns a⁻¹ via LU factorization.
-func Inverse(a *Mat) (*Mat, error) {
-	return SolveMat(a, Identity(a.Rows))
-}

@@ -11,6 +11,17 @@ func almostEq(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
 }
 
+// maxAbs returns the largest absolute entry of v, or 0 for an empty vector.
+func maxAbs(v Vec) float64 {
+	var m float64
+	for _, x := range v {
+		if a := math.Abs(x); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
 func TestVecOps(t *testing.T) {
 	v := Vec{1, 2, 3}
 	w := Vec{4, 5, 6}
@@ -23,15 +34,6 @@ func TestVecOps(t *testing.T) {
 	}
 	if got := v.Scale(2); got[0] != 2 || got[1] != 4 || got[2] != 6 {
 		t.Errorf("Scale = %v", got)
-	}
-	if got := v.Dot(w); got != 32 {
-		t.Errorf("Dot = %v, want 32", got)
-	}
-	if got := (Vec{3, 4}).Norm(); got != 5 {
-		t.Errorf("Norm = %v, want 5", got)
-	}
-	if got := (Vec{-7, 2}).MaxAbs(); got != 7 {
-		t.Errorf("MaxAbs = %v, want 7", got)
 	}
 }
 
@@ -119,44 +121,6 @@ func TestLUSingular(t *testing.T) {
 	}
 }
 
-func TestInverse(t *testing.T) {
-	a := FromRows([][]float64{{2, 1, 0}, {1, 3, 1}, {0, 1, 2}})
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatalf("Inverse: %v", err)
-	}
-	if got := a.Mul(inv); got.MaxAbsDiff(Identity(3)) > 1e-10 {
-		t.Errorf("a·a⁻¹ deviates from I by %v", got.MaxAbsDiff(Identity(3)))
-	}
-}
-
-func TestCholesky(t *testing.T) {
-	a := FromRows([][]float64{{4, 2}, {2, 3}})
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatalf("Cholesky: %v", err)
-	}
-	if got := l.Mul(l.T()); got.MaxAbsDiff(a) > 1e-12 {
-		t.Errorf("L·Lᵀ ≠ a: %v", got)
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := Cholesky(a); err == nil {
-		t.Error("expected ErrNotPositiveDefinite")
-	}
-}
-
-func TestIsPSD(t *testing.T) {
-	if !IsPSD(Diag([]float64{1, 0, 2}), 1e-9) {
-		t.Error("diag(1,0,2) should be PSD")
-	}
-	if IsPSD(Diag([]float64{1, -1}), 1e-9) {
-		t.Error("diag(1,-1) should not be PSD")
-	}
-}
-
 // Property: for random well-conditioned systems, Solve(a, a·x) recovers x.
 func TestPropertyLUSolveRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -180,31 +144,10 @@ func TestPropertyLUSolveRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return got.Sub(x).MaxAbs() < 1e-8
+		return maxAbs(got.Sub(x)) < 1e-8
 	}
 	cfg := &quick.Config{MaxCount: 200, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Cholesky of M·Mᵀ + I round-trips for random M.
-func TestPropertyCholeskyRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(5)
-		m := New(n, n)
-		for i := range m.Data {
-			m.Data[i] = r.NormFloat64()
-		}
-		a := m.Mul(m.T()).Add(Identity(n)).Symmetrize()
-		l, err := Cholesky(a)
-		if err != nil {
-			return false
-		}
-		return l.Mul(l.T()).MaxAbsDiff(a) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
@@ -266,7 +209,7 @@ func TestLQRGainStabilizes(t *testing.T) {
 		u := k.MulVec(x).Scale(-1)
 		x = a.MulVec(x).Add(b.MulVec(u))
 	}
-	if x.MaxAbs() > 1e-3 {
+	if maxAbs(x) > 1e-3 {
 		t.Errorf("closed loop did not converge: x = %v", x)
 	}
 }

@@ -1,10 +1,12 @@
-// Package mat provides the small dense linear-algebra kernel used by the
-// rest of the repository: vectors, matrices, LU and Cholesky factorizations,
-// and a discrete algebraic Riccati solver for LQR gain synthesis.
+// Package mat provides the small dense linear algebra the rest of the
+// repository needs off the control tick: vectors, matrices, an LU
+// factorization, and a discrete algebraic Riccati solver for LQR gain
+// synthesis. It serves the set-up time Riccati solves, system
+// identification's least squares, and the allocating reference
+// implementations the EKF and recovery tests compare their fixed-size
+// kernels against.
 //
-// The package is deliberately minimal — it implements exactly the
-// operations the EKF, LQR recovery controller, and system-identification
-// code need, with no external dependencies.
+// The package is deliberately minimal, with no external dependencies.
 package mat
 
 import (
@@ -62,44 +64,6 @@ func (v Vec) Scale(s float64) Vec {
 		out[i] = s * v[i]
 	}
 	return out
-}
-
-// AddInPlace sets v = v + w.
-func (v Vec) AddInPlace(w Vec) {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("mat: Vec.AddInPlace length %d != %d", len(v), len(w)))
-	}
-	for i := range v {
-		v[i] += w[i]
-	}
-}
-
-// Dot returns the inner product of v and w.
-func (v Vec) Dot(w Vec) float64 {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("mat: Vec.Dot length %d != %d", len(v), len(w)))
-	}
-	var s float64
-	for i := range v {
-		s += v[i] * w[i]
-	}
-	return s
-}
-
-// Norm returns the Euclidean norm of v.
-func (v Vec) Norm() float64 {
-	return math.Sqrt(v.Dot(v))
-}
-
-// MaxAbs returns the largest absolute entry of v, or 0 for an empty vector.
-func (v Vec) MaxAbs() float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // IsFinite reports whether every entry of v is finite (no NaN or Inf).

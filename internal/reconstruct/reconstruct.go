@@ -31,8 +31,8 @@ var ErrNoTrustedState = errors.New("reconstruct: no trusted historic state avail
 // Reconstructor rebuilds RV state vectors from historic states and live
 // uncompromised sensors.
 type Reconstructor struct {
-	profile vehicle.Profile
-	dt      float64
+	// replay is the filter every roll-forward re-seeds at its anchor.
+	replay *ekf.Filter
 }
 
 // ReplayStats describes one roll-forward: the trusted anchor time the
@@ -49,7 +49,7 @@ type ReplayStats struct {
 // New returns a reconstructor for the profile's dynamics model at the
 // given control period.
 func New(p vehicle.Profile, dt float64) *Reconstructor {
-	return &Reconstructor{profile: p, dt: dt}
+	return &Reconstructor{replay: ekf.New(p, dt)}
 }
 
 // RollForward re-derives the rigid-body state at the recovery activation
@@ -60,7 +60,7 @@ func New(p vehicle.Profile, dt float64) *Reconstructor {
 // compromised (the LQR-O worst case) this degrades to the pure open-loop
 // model replay.
 func (r *Reconstructor) RollForward(rec *checkpoint.Recorder, compromised sensors.TypeSet) (vehicle.State, ReplayStats, error) {
-	anchor, ok := rec.LatestTrusted()
+	anchor, records, ok := rec.Replay()
 	if !ok {
 		return vehicle.State{}, ReplayStats{}, ErrNoTrustedState
 	}
@@ -71,23 +71,20 @@ func (r *Reconstructor) RollForward(rec *checkpoint.Recorder, compromised sensor
 		}
 	}
 
-	stats := ReplayStats{AnchorT: anchor.T}
-	f := ekf.New(r.profile)
+	f := r.replay
 	f.Init(anchor.Est)
-	records := rec.RecordsSince(anchor.T)
 	for i := range records {
 		record := &records[i]
-		stats.Records++
 		if record.InputOnly || clean.Len() == 0 {
 			// No usable measurements: open-loop model step.
-			f.Predict(record.Input, r.dt)
+			f.Predict(record.Input)
 			continue
 		}
-		f.PredictHybrid(record.Input, &record.PS, clean, r.dt)
+		f.PredictHybrid(record.Input, &record.PS, clean)
 		// Correction errors cannot occur with a diagonal positive R.
 		_ = f.Correct(&record.PS, clean)
 	}
-	return f.State(), stats, nil
+	return f.State(), ReplayStats{AnchorT: anchor.T, Records: len(records)}, nil
 }
 
 // Reconstruct builds X'(t_a): states of compromised sensors come from the

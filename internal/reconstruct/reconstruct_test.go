@@ -38,6 +38,11 @@ func TestRollForwardHover(t *testing.T) {
 	if stats.Records <= 0 {
 		t.Errorf("replay stats records = %d, want > 0", stats.Records)
 	}
+	// The replay filter is re-seeded, not rebuilt, for each roll-forward.
+	again, _, err := rc.RollForward(rec, sensors.NewTypeSet(sensors.AllTypes()...))
+	if err != nil || again != got {
+		t.Errorf("second roll-forward = %+v (%v), want %+v", again, err, got)
+	}
 }
 
 func TestRollForwardNoTrusted(t *testing.T) {

@@ -32,61 +32,36 @@ type LQR struct {
 	profile vehicle.Profile
 	dt      float64
 
-	// Quadcopter gain (12 states × 4 inputs) around hover.
-	kQuad *mat.Mat
+	// Quadcopter gain (4 inputs × 12 states) around hover; nil for rovers.
+	// It may be shared between controllers and is never written.
+	kQuad *[4][12]float64
 
 	// Rover gain (2 inputs × 4 states) around the last linearization
-	// point: nil until the first synthesis succeeds, then kRoverBuf, which
-	// every refresh overwrites in place.
-	kRover    *mat.Mat
-	kRoverBuf *mat.Mat
-	roverYaw  float64
-	roverVel  float64
-
-	// Workspaces: Update runs every recovery tick on the zero-allocation
-	// hot path, so the error and action vectors are preallocated here and
-	// reused via the *Into kernels.
-	errQuad  mat.Vec
-	duQuad   mat.Vec
-	errRover mat.Vec
-	duRover  mat.Vec
+	// point, valid once hasRover is set; every refresh overwrites it in
+	// place.
+	kRover   [2][4]float64
+	hasRover bool
+	roverYaw float64
+	roverVel float64
 }
 
 // NewLQR synthesizes the recovery controller for a profile at control
 // period dt.
 func NewLQR(p vehicle.Profile, dt float64) (*LQR, error) {
-	var kQuad *mat.Mat
-	if p.IsQuad() {
-		k, err := quadGain(p.Quad, dt)
-		if err != nil {
-			return nil, fmt.Errorf("recovery lqr (%s): %w", p.Name, err)
-		}
-		kQuad = k
+	k, err := QuadGain(p, dt)
+	if err != nil {
+		return nil, err
 	}
-	return newLQR(p, dt, kQuad), nil
-}
-
-// newLQR allocates the controller and its Update workspaces.
-func newLQR(p vehicle.Profile, dt float64, kQuad *mat.Mat) *LQR {
-	return &LQR{
-		profile:   p,
-		dt:        dt,
-		kQuad:     kQuad,
-		kRoverBuf: mat.New(2, 4),
-		errQuad:   mat.NewVec(12),
-		duQuad:    mat.NewVec(4),
-		errRover:  mat.NewVec(4),
-		duRover:   mat.NewVec(2),
-	}
+	return &LQR{profile: p, dt: dt, kQuad: k}, nil
 }
 
 // QuadGain synthesizes the hover LQR gain for a quad profile at control
 // period dt — the per-profile DARE solve that dominates per-mission
-// setup cost. The returned matrix is read-only in Update, so one gain
-// can be shared by every mission with the same (profile, dt). Returns
-// nil for rovers: their gain depends on the operating point and is
+// setup cost. The returned gain is read-only in Update, so one gain can
+// be shared by every mission with the same (profile, dt). Returns nil
+// for rovers: their gain depends on the operating point and is
 // synthesized lazily per recovery episode.
-func QuadGain(p vehicle.Profile, dt float64) (*mat.Mat, error) {
+func QuadGain(p vehicle.Profile, dt float64) (*[4][12]float64, error) {
 	if !p.IsQuad() {
 		return nil, nil
 	}
@@ -94,28 +69,32 @@ func QuadGain(p vehicle.Profile, dt float64) (*mat.Mat, error) {
 	if err != nil {
 		return nil, fmt.Errorf("recovery lqr (%s): %w", p.Name, err)
 	}
-	return k, nil
+	var out [4][12]float64
+	for i := range out {
+		copy(out[i][:], k.Data[i*12:(i+1)*12])
+	}
+	return &out, nil
 }
 
 // NewLQRShared builds the controller around a precomputed quad gain
 // (from QuadGain for the same profile and dt), skipping the per-mission
 // DARE solve. The gain is referenced, not copied; callers must treat it
 // as immutable. A nil gain for a quad profile falls back to solving.
-func NewLQRShared(p vehicle.Profile, dt float64, kQuad *mat.Mat) (*LQR, error) {
+func NewLQRShared(p vehicle.Profile, dt float64, kQuad *[4][12]float64) (*LQR, error) {
 	if p.IsQuad() && kQuad == nil {
 		return NewLQR(p, dt)
 	}
-	return newLQR(p, dt, kQuad), nil
+	return &LQR{profile: p, dt: dt, kQuad: kQuad}, nil
 }
 
 // Reset clears the cached rover gain; the LQR is otherwise stateless
 // between ticks.
 func (l *LQR) Reset() {
-	l.kRover = nil
+	l.hasRover = false
 }
 
 // Update derives the recovery control action u = u_ref − K(x − x_ref).
-func (l *LQR) Update(est *vehicle.State, target mission.Waypoint, dt float64) vehicle.Input {
+func (l *LQR) Update(est *vehicle.State, target mission.Waypoint) vehicle.Input {
 	if l.profile.IsQuad() {
 		return l.updateQuad(est, target)
 	}
@@ -125,8 +104,8 @@ func (l *LQR) Update(est *vehicle.State, target mission.Waypoint, dt float64) ve
 func (l *LQR) updateQuad(est *vehicle.State, target mission.Waypoint) vehicle.Input {
 	// Reference: at the target waypoint, level hover — so the error is the
 	// state vector with the target position subtracted.
-	err := l.errQuad
-	est.VecInto(err)
+	var err [12]float64
+	est.VecInto(err[:])
 	err[0] -= target.X
 	err[1] -= target.Y
 	err[2] -= target.Z
@@ -141,8 +120,16 @@ func (l *LQR) updateQuad(est *vehicle.State, target mission.Waypoint) vehicle.In
 	for i := 0; i < 3; i++ {
 		err[i] = vehicle.Clamp(err[i], -maxPosErr, maxPosErr)
 	}
-	mat.MulVecInto(l.duQuad, l.kQuad, err)
-	du := l.duQuad
+	// du = K·err, each entry summed from +0 in column order, as
+	// mat.MulVecInto sums a row (TestLQRUpdateMatchesReference).
+	var du [4]float64
+	for i := range l.kQuad {
+		var s float64
+		for j, k := range &l.kQuad[i] {
+			s += k * err[j]
+		}
+		du[i] = s
+	}
 	q := l.profile.Quad
 	u := vehicle.Input{
 		Thrust: q.HoverThrust() - du[0],
@@ -219,12 +206,12 @@ func quadGain(q vehicle.Quadcopter, dt float64) (*mat.Mat, error) {
 func (l *LQR) updateRover(est *vehicle.State, target mission.Waypoint) vehicle.Input {
 	v := est.Speed2D()
 	// Refresh the linearization when the operating point has moved.
-	if l.kRover == nil ||
+	if !l.hasRover ||
 		math.Abs(vehicle.WrapAngle(est.Yaw-l.roverYaw)) > 0.3 ||
 		math.Abs(v-l.roverVel) > 0.8 {
 		l.refreshRoverGain(est.Yaw, v)
 	}
-	if l.kRover == nil {
+	if !l.hasRover {
 		return vehicle.Input{}
 	}
 	// Reference: target point, heading toward it, cruise speed scaled by
@@ -236,13 +223,20 @@ func (l *LQR) updateRover(est *vehicle.State, target mission.Waypoint) vehicle.I
 	if dist < 4 {
 		speedRef *= dist / 4
 	}
-	errVec := l.errRover
-	errVec[0] = vehicle.Clamp(-dx, -8, 8)
-	errVec[1] = vehicle.Clamp(-dy, -8, 8)
-	errVec[2] = vehicle.WrapAngle(est.Yaw - headingRef)
-	errVec[3] = v - speedRef
-	mat.MulVecInto(l.duRover, l.kRover, errVec)
-	du := l.duRover
+	err := [4]float64{
+		vehicle.Clamp(-dx, -8, 8),
+		vehicle.Clamp(-dy, -8, 8),
+		vehicle.WrapAngle(est.Yaw - headingRef),
+		v - speedRef,
+	}
+	var du [2]float64 // K·err, as in updateQuad
+	for i := range l.kRover {
+		var s float64
+		for j, k := range &l.kRover[i] {
+			s += k * err[j]
+		}
+		du[i] = s
+	}
 	u := vehicle.Input{
 		Thrust: vehicle.Clamp(-du[0], -l.profile.MaxThrust, l.profile.MaxThrust),
 		MYaw:   vehicle.Clamp(-du[1], -l.profile.Rover.MaxSteer, l.profile.Rover.MaxSteer),
@@ -255,8 +249,8 @@ func (l *LQR) updateRover(est *vehicle.State, target mission.Waypoint) vehicle.I
 // nothing although it runs on the recovery tick. A synthesis failure
 // keeps the previous gain.
 func (l *LQR) refreshRoverGain(yaw, v float64) {
-	if roverGain(l.kRoverBuf, l.profile.Rover, yaw, v, l.dt) == nil {
-		l.kRover = l.kRoverBuf
+	if roverGain(&l.kRover, l.profile.Rover, yaw, v, l.dt) == nil {
+		l.hasRover = true
 		l.roverYaw = yaw
 		l.roverVel = v
 	}

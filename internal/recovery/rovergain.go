@@ -61,10 +61,10 @@ type roverSystem struct {
 }
 
 // roverGain linearizes the kinematic bicycle about (yaw, v), solves the
-// DARE for states [x y ψ v], inputs [a δ], and writes the LQR gain into k
-// (2×4). On failure it returns mat.ErrNoConvergence or mat.ErrSingular
+// DARE for states [x y ψ v], inputs [a δ], and writes the LQR gain into k.
+// On failure it returns mat.ErrNoConvergence or mat.ErrSingular
 // unwrapped, so the refresh path allocates nothing, and leaves k as it was.
-func roverGain(k *mat.Mat, r vehicle.Rover, yaw, v float64, dt float64) error {
+func roverGain(k *[2][4]float64, r vehicle.Rover, yaw, v float64, dt float64) error {
 	if v < 0.5 {
 		v = 0.5 // keep the steering channel controllable
 	}
@@ -81,20 +81,15 @@ func roverGain(k *mat.Mat, r vehicle.Rover, yaw, v float64, dt float64) error {
 		b21: dt * (v / wheelbase),          // δ → ψ̇
 		b30: dt,                            // a → v̇: dt·1
 	}
-	var gain [2][4]float64
-	if err := sys.solve(&gain); err != nil {
-		return err
-	}
-	copy(k.Data[:4], gain[0][:])
-	copy(k.Data[4:], gain[1][:])
-	return nil
+	return sys.solve(k)
 }
 
 // solve iterates P ← sym(AᵀPA − AᵀPB·M + Q), M = (R + BᵀPB)⁻¹BᵀPA, from
 // P₀ = Q until two iterates differ by less than roverTol, then writes
 // K = M(P) for the converged P into k. It fails as mat.SolveDARE does:
 // mat.ErrSingular when R + BᵀPB is singular, mat.ErrNoConvergence on a
-// NaN difference or after roverMaxIter iterations.
+// NaN difference or after roverMaxIter iterations; k is written only on
+// success.
 func (sys *roverSystem) solve(k *[2][4]float64) error {
 	var p, next [4][4]float64
 	for i, q := range roverQ {

@@ -17,10 +17,12 @@ var roverDTs = []float64{0.005, 0.01, 0.02, 0.05}
 
 // sameGain reports whether the straight-line gain k matches the reference
 // bit for bit, naming the first entry that differs.
-func sameGain(k, ref *mat.Mat) (bool, string) {
-	for i, x := range k.Data {
-		if math.Float64bits(x) != math.Float64bits(ref.Data[i]) {
-			return false, fmt.Sprintf("K[%d][%d] = %v, reference %v", i/4, i%4, x, ref.Data[i])
+func sameGain(k *[2][4]float64, ref *mat.Mat) (bool, string) {
+	for i := range k {
+		for j, x := range k[i] {
+			if want := ref.At(i, j); math.Float64bits(x) != math.Float64bits(want) {
+				return false, fmt.Sprintf("K[%d][%d] = %v, reference %v", i, j, x, want)
+			}
 		}
 	}
 	return true, ""
@@ -55,14 +57,14 @@ func TestRoverGainMatchesReference(t *testing.T) {
 						v:   2 * r.MaxSpeed * rng.Float64(),
 					})
 				}
-				k := mat.New(2, 4)
+				var k [2][4]float64
 				for _, pt := range pts {
 					ref, refErr := refRoverGain(r, pt.yaw, pt.v, dt)
-					err := roverGain(k, r, pt.yaw, pt.v, dt)
+					err := roverGain(&k, r, pt.yaw, pt.v, dt)
 					if refErr != nil || err != nil {
 						t.Fatalf("ψ=%v v=%v: err %v, reference err %v", pt.yaw, pt.v, err, refErr)
 					}
-					if ok, diff := sameGain(k, ref); !ok {
+					if ok, diff := sameGain(&k, ref); !ok {
 						t.Fatalf("ψ=%v v=%v: %s", pt.yaw, pt.v, diff)
 					}
 				}
@@ -199,12 +201,11 @@ func TestRoverGainNonFinite(t *testing.T) {
 		if !errors.Is(refErr, mat.ErrNoConvergence) {
 			t.Fatalf("ψ=%v v=%v: reference err %v, want ErrNoConvergence", pt.yaw, pt.v, refErr)
 		}
-		k := mat.New(2, 4)
-		k.Data[0] = 42
-		if err := roverGain(k, r, pt.yaw, pt.v, dt); !errors.Is(err, mat.ErrNoConvergence) {
+		k := [2][4]float64{{42}}
+		if err := roverGain(&k, r, pt.yaw, pt.v, dt); !errors.Is(err, mat.ErrNoConvergence) {
 			t.Errorf("ψ=%v v=%v: err %v, want ErrNoConvergence", pt.yaw, pt.v, err)
 		}
-		if k.Data[0] != 42 {
+		if k != [2][4]float64{{42}} {
 			t.Errorf("ψ=%v v=%v: failed solve wrote the gain buffer", pt.yaw, pt.v)
 		}
 	}
@@ -212,11 +213,11 @@ func TestRoverGainNonFinite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference at v=-Inf: %v", err)
 	}
-	k := mat.New(2, 4)
-	if err := roverGain(k, r, 0.7, -inf, dt); err != nil {
+	var k [2][4]float64
+	if err := roverGain(&k, r, 0.7, -inf, dt); err != nil {
 		t.Fatalf("v=-Inf: %v", err)
 	}
-	if ok, diff := sameGain(k, ref); !ok {
+	if ok, diff := sameGain(&k, ref); !ok {
 		t.Errorf("v=-Inf: %s", diff)
 	}
 }
@@ -230,18 +231,20 @@ func TestLQRRoverFailedRefreshKeepsGain(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := mission.Waypoint{X: 5, Y: 5}
-	if u := l.Update(&vehicle.State{Yaw: math.NaN(), VX: 1}, target, 0.01); u != (vehicle.Input{}) || l.kRover != nil {
-		t.Fatalf("NaN heading without a gain: input %+v, gain %v; want zero input, no gain", u, l.kRover)
+	if u := l.Update(&vehicle.State{Yaw: math.NaN(), VX: 1}, target); u != (vehicle.Input{}) || l.hasRover {
+		t.Fatalf("NaN heading without a gain: input %+v, has gain %v; want zero input, no gain", u, l.hasRover)
 	}
-	l.Update(&vehicle.State{VX: 1}, target, 0.01)
-	if l.kRover == nil {
+	l.Update(&vehicle.State{VX: 1}, target)
+	if !l.hasRover {
 		t.Fatal("rover gain not synthesized")
 	}
-	want := append([]float64(nil), l.kRover.Data...)
-	l.Update(&vehicle.State{VX: math.Inf(1)}, target, 0.01) // |Δv| > 0.8 forces a refresh
-	for i, x := range l.kRover.Data {
-		if math.Float64bits(x) != math.Float64bits(want[i]) {
-			t.Fatalf("failed refresh changed the gain: %v, want %v", l.kRover.Data, want)
+	want := l.kRover
+	l.Update(&vehicle.State{VX: math.Inf(1)}, target) // |Δv| > 0.8 forces a refresh
+	for i := range want {
+		for j, x := range l.kRover[i] {
+			if math.Float64bits(x) != math.Float64bits(want[i][j]) {
+				t.Fatalf("failed refresh changed the gain: %v, want %v", l.kRover, want)
+			}
 		}
 	}
 }
@@ -255,10 +258,10 @@ func TestRoverUpdateZeroAlloc(t *testing.T) {
 	}
 	s := vehicle.State{VX: 1.3}
 	target := mission.Waypoint{X: 20, Y: 10}
-	l.Update(&s, target, 0.01)
+	l.Update(&s, target)
 	allocs := testing.AllocsPerRun(20, func() {
 		s.Yaw += 0.5 // past the 0.3 rad refresh threshold every call
-		l.Update(&s, target, 0.01)
+		l.Update(&s, target)
 	})
 	if allocs != 0 {
 		t.Errorf("rover Update with a gain refresh: %v allocs/op, want 0", allocs)
@@ -273,11 +276,11 @@ func TestRoverUpdateZeroAlloc(t *testing.T) {
 // v = 1.3 m/s, at the 100 Hz control period.
 func BenchmarkRoverGain(b *testing.B) {
 	r := vehicle.MustProfile(vehicle.AionR1).Rover
-	k := mat.New(2, 4)
+	var k [2][4]float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := roverGain(k, r, 0.7, 1.3, 0.01); err != nil {
+		if err := roverGain(&k, r, 0.7, 1.3, 0.01); err != nil {
 			b.Fatal(err)
 		}
 	}
