@@ -21,12 +21,18 @@ lint:
 race:
 	$(GO) test -race -short ./...
 
-# Un-short race pass over the executor (internal/engine: the pool, the
-# runner engine, the equivalence suite) and the workers=1-vs-8
-# determinism sweep — the places a data race could corrupt results.
+# The one list of un-short race passes (scripts/check.sh and CI's
+# scheduled race-runner job both run this target): the executor
+# (internal/engine: the pool, the runner engine, the equivalence suite)
+# and the mission service (drain, backpressure, disconnect,
+# determinism), the workers=1-vs-8 determinism sweep, and the pipeline
+# FSM with the legacy equivalence suite — the places a data race could
+# corrupt results.
 race-runner:
-	$(GO) test -race -timeout 1800s ./internal/engine
+	$(GO) test -race -timeout 1800s ./internal/engine ./internal/service
 	$(GO) test -race -timeout 1800s -run 'TestParallelDeterminism|TestDeltaForSingleflight|TestReportDeterminism' ./internal/experiments
+	$(GO) test -race -timeout 1800s -run 'TestPipelineEquivalence|TestLegalTransition|TestTransition|TestModeSides' ./internal/core
+	$(GO) test -race -timeout 1800s -run 'TestTraceTransitions' ./internal/sim
 
 # Pipeline-equivalence gate: reduced experiment suite vs the committed
 # pre-refactor golden snapshot, at workers=1 and N.
@@ -69,8 +75,8 @@ check:
 	sh scripts/check.sh
 
 # Layer micro-benchmarks (vehicle step, generic and rover Riccati solves,
-# tick, EKF, factor graph, whole mission), five samples each. The
+# tick, EKF, diagnosis, whole mission), five samples each. The
 # end-to-end benchmark is bench/ (see BENCHMARK.json).
 bench:
-	$(GO) test -run '^$$' -bench 'Step|SolveDARE|RoverGain|Tick|EKF|FG|Mission' -benchmem -count 5 \
-		./. ./internal/core/ ./internal/ekf/ ./internal/fg/ ./internal/mat/ ./internal/recovery/ ./internal/vehicle/
+	$(GO) test -run '^$$' -bench 'Step|SolveDARE|RoverGain|Tick|EKF|Diagnose|Mission' -benchmem -count 5 \
+		./. ./internal/core/ ./internal/diagnosis/ ./internal/ekf/ ./internal/mat/ ./internal/recovery/ ./internal/vehicle/

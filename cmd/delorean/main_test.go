@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"testing"
+	"time"
 
+	"repro/internal/sensors"
 	"repro/internal/service"
+	"repro/internal/trace"
 )
 
 // testOptions mirrors the flag defaults of main for direct run() tests.
@@ -110,5 +114,35 @@ func TestUsageErrWraps(t *testing.T) {
 	}
 	if got := exitCode(errors.New("io failed")); got != 1 {
 		t.Errorf("exitCode(runtime error) = %d, want 1", got)
+	}
+}
+
+// TestReplayInfiniteRollFinishes replays the committed corpus mission
+// with one frame's roll reading set to +Inf. The angle wrap of the
+// diagnosis error vector used to loop forever on it; the replay must now
+// end, with a report or an error, well within the deadline.
+func TestReplayInfiniteRollFinishes(t *testing.T) {
+	tr, err := trace.ReadFile("../../internal/sim/testdata/attack_mission.trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Frames[1500].State[sensors.SRoll] = math.Inf(1)
+	dir := t.TempDir()
+	if err := trace.WriteFile(dir+"/inf.trace", tr); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- run(options{replayPath: dir + "/inf.trace", reportPath: dir + "/report.json"}) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Logf("replay ended with an error: %v", err)
+			return
+		}
+		if fi, err := os.Stat(dir + "/report.json"); err != nil || fi.Size() == 0 {
+			t.Errorf("replay returned no error but wrote no report (%v)", err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("replay did not finish within 60 s")
 	}
 }

@@ -1,8 +1,10 @@
 // Package repro is a from-scratch Go reproduction of "Diagnosis-guided
 // Attack Recovery for Securing Robotic Vehicles from Sensor Deception
 // Attacks" (the DeLorean framework): a staged defense pipeline — attack
-// detection, factor-graph attack diagnosis, historic-states
-// checkpointing, state reconstruction, targeted LQR attack recovery, and
+// detection, factor-graph attack diagnosis (each sensor's graph
+// factorizes into independent per-state terms, so it is evaluated in
+// closed form), historic-states checkpointing, state reconstruction,
+// targeted LQR attack recovery, and
 // a recovery-exit monitor, wired by an explicit recovery-mode FSM — for
 // simulated quadcopters and ground rovers. The paper's baselines (SSR,
 // PID-Piper, LQR-O) are other rows of the same pipeline's strategy

@@ -145,15 +145,6 @@ func (r *Recorder) Replay() (anchor Record, since []Record, ok bool) {
 	return r.prev[len(r.prev)-1], r.cur, true
 }
 
-// Stopped reports whether recording is currently halted.
-func (r *Recorder) Stopped() bool { return r.stopped }
-
-// Trusted returns the attack-free historic states HS (the last completed
-// quiet window), or an empty slice if none exists yet. The returned slice
-// is shared and recycled at the next window rotation; callers must not
-// mutate it or retain it across Record calls.
-func (r *Recorder) Trusted() []Record { return r.prev }
-
 // LatestTrusted returns the most recent trustworthy record x_{t_s}
 // (§4.3), and false if no trusted window exists.
 func (r *Recorder) LatestTrusted() (Record, bool) {
@@ -168,7 +159,3 @@ func (r *Recorder) LatestTrusted() (Record, bool) {
 func (r *Recorder) MemoryBytes() int {
 	return (len(r.cur) + len(r.prev)) * recordBytes
 }
-
-// Len returns the number of samples currently buffered across both
-// windows.
-func (r *Recorder) Len() int { return len(r.cur) + len(r.prev) }

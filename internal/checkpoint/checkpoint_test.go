@@ -24,21 +24,21 @@ func TestWindowRotation(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		record(r, rec(float64(i)*0.1)) // 2.5 s of samples, 1 s windows
 	}
-	trusted := r.Trusted()
-	if trusted == nil {
-		t.Fatal("no trusted window after multiple rotations")
-	}
 	last, ok := r.LatestTrusted()
 	if !ok {
-		t.Fatal("LatestTrusted failed")
+		t.Fatal("no trusted window after multiple rotations")
 	}
 	// The trusted window should be the one before the current; its last
 	// record is at the most recent rotation boundary minus one sample.
 	if last.T < 1.0 || last.T >= 2.5 {
 		t.Errorf("latest trusted at t=%v, want within a completed window", last.T)
 	}
-	if got := trusted[len(trusted)-1]; got != last {
-		t.Error("LatestTrusted disagrees with Trusted()")
+	anchor, since, _ := r.Replay()
+	if anchor != last {
+		t.Error("Replay's anchor disagrees with LatestTrusted")
+	}
+	if len(since) == 0 || since[0].T < 2.0 {
+		t.Errorf("current window %v does not start at the last rotation", since)
 	}
 }
 
@@ -64,13 +64,16 @@ func TestAlertStopsRecording(t *testing.T) {
 		record(r, rec(float64(i)*0.1))
 	}
 	r.OnAlert()
-	if !r.Stopped() {
-		t.Error("recorder should be stopped after alert")
-	}
-	n := r.Len()
+	_, before, _ := r.Replay()
+	n, mem := len(before), r.MemoryBytes()
 	record(r, rec(2.0))
-	if r.Len() != n {
+	if _, since, _ := r.Replay(); len(since) != n || r.MemoryBytes() != mem {
 		t.Error("record accepted while stopped")
+	}
+	// A stopped recorder keeps input-only records instead.
+	r.RecordInput(2.0, vehicle.Input{Thrust: 2})
+	if _, since, _ := r.Replay(); len(since) != n+1 || !since[n].InputOnly {
+		t.Error("recorder should be stopped after alert")
 	}
 }
 
@@ -99,15 +102,16 @@ func TestResumeRestartsRecording(t *testing.T) {
 	r.OnAlert()
 	oldTrusted, _ := r.LatestTrusted()
 	r.Resume(3.0)
-	if r.Stopped() {
-		t.Error("recorder should run after Resume")
+	record(r, rec(3.0))
+	if _, since, _ := r.Replay(); len(since) != 1 || since[0] != rec(3.0) {
+		t.Errorf("recorder should run after Resume; current window %v", since)
 	}
 	// Old trusted window survives until a fresh window completes.
 	cur, _ := r.LatestTrusted()
 	if cur != oldTrusted {
 		t.Error("trusted window should survive resume until replaced")
 	}
-	for i := 0; i < 25; i++ {
+	for i := 1; i < 25; i++ {
 		record(r, rec(3.0+float64(i)*0.1))
 	}
 	fresh, _ := r.LatestTrusted()
@@ -180,13 +184,16 @@ func TestPropertyReplayMatchesRecordsSince(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		r := NewRecorder(0.05 + rng.Float64())
 		tm := 0.0
+		stopped := false
 		for i := 0; i < 400; i++ {
 			tm += 0.005 + 0.02*rng.Float64()
 			switch u := rng.Float64(); {
-			case !r.Stopped() && u < 0.02:
+			case !stopped && u < 0.02:
 				r.OnAlert()
-			case r.Stopped() && u < 0.05:
+				stopped = true
+			case stopped && u < 0.05:
 				r.Resume(tm)
+				stopped = false
 			}
 			record(r, rec(tm))
 			r.RecordInput(tm, vehicle.Input{Thrust: tm})
@@ -250,12 +257,10 @@ func TestPropertyTrustedPredatesAlert(t *testing.T) {
 		if alertAt < 0 {
 			return true
 		}
-		for _, record := range r.Trusted() {
-			if record.T > alertAt {
-				return false
-			}
-		}
-		return true
+		// Records are kept in time order, so the trusted window's last
+		// record is its latest.
+		last, ok := r.LatestTrusted()
+		return ok && last.T <= alertAt
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -275,7 +280,7 @@ func TestPropertyMemoryBounded(t *testing.T) {
 			record(r, rec(float64(i)*dt))
 		}
 		maxPerWindow := int(window/dt) + 2
-		return r.Len() <= 2*maxPerWindow
+		return r.MemoryBytes() <= 2*maxPerWindow*recordBytes
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -301,10 +306,15 @@ func TestRecordZeroAllocSecondWindow(t *testing.T) {
 	const dt = 0.01
 	r := NewRecorder(1.0)
 	i := 0
-	for ; r.Trusted() == nil; i++ {
+	for ; ; i++ {
+		if _, ok := r.LatestTrusted(); ok {
+			break
+		}
 		record(r, rec(float64(i)*dt))
 	}
-	first := len(r.Trusted())
+	// Record i−1 rotated the first window, of i−1 records, and opened the
+	// second.
+	first := i - 1
 	if n := mallocs(func() {
 		for k := 1; k < first; k++ {
 			record(r, rec(float64(i+k-1)*dt))
@@ -312,8 +322,8 @@ func TestRecordZeroAllocSecondWindow(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("filling the second window allocated %d times, want 0", n)
 	}
-	if got := len(r.Trusted()); got != first {
-		t.Fatalf("second window rotated early: trusted has %d records, want %d", got, first)
+	if last, _ := r.LatestTrusted(); last != rec(float64(first-1)*dt) {
+		t.Fatalf("second window rotated early: latest trusted record at t=%v", last.T)
 	}
 }
 
@@ -322,12 +332,15 @@ func TestRecordZeroAllocSecondWindow(t *testing.T) {
 // records that follow go into a buffer of the promoted window's capacity.
 func TestRecordInputZeroAllocAfterFirstWindowAlert(t *testing.T) {
 	const dt = 0.01
+	const promoted = 50
 	r := NewRecorder(1.0)
-	for i := 0; i < 50; i++ {
+	for i := 0; i < promoted; i++ {
 		record(r, rec(float64(i)*dt))
 	}
 	r.OnAlert()
-	promoted := len(r.Trusted())
+	if last, _ := r.LatestTrusted(); last != rec(float64(promoted-1)*dt) {
+		t.Fatalf("alert promoted a window ending at t=%v", last.T)
+	}
 	if n := mallocs(func() {
 		for k := 0; k < promoted; k++ {
 			r.RecordInput(float64(50+k)*dt, vehicle.Input{Thrust: 1})

@@ -85,9 +85,11 @@ func detectThreshFromDelta(delta diagnosis.Delta) detect.Thresholds {
 	return th
 }
 
-// approxModel returns the SSR-style system-identified model: the same
-// dynamics structure with imperfectly learned parameters (the
+// approxModel returns SSR's learned model: the profile's true dynamics
+// with fixed parameter errors standing in for imperfect learning (the
 // "approximation error" the paper identifies as SSR's weakness, §3.1).
+// A quadcopter's mass is 6% high, its drag 40% low and its roll and
+// pitch inertias 10% low; a rover's drag is 40% low.
 func approxModel(p vehicle.Profile) ekf.StepFunc {
 	if p.IsQuad() {
 		q := p.Quad

@@ -49,6 +49,3 @@ func NewShared(p vehicle.Profile, dt float64) (*Shared, error) {
 func (s *Shared) Matches(name vehicle.ProfileName, dt float64) bool {
 	return s != nil && s.profile == name && s.dtBits == math.Float64bits(dt)
 }
-
-// ProfileName identifies the profile the caches were built for.
-func (s *Shared) ProfileName() vehicle.ProfileName { return s.profile }

@@ -6,6 +6,24 @@
 // which sensors the SDA targets. Sensors whose states' factor-graph MLE is
 // Malicious are flagged.
 //
+// Each sensor's factor graph (Appendix A.1) has one binary variable s_i
+// per monitored physical state, a uniform prior P(s_i = malicious) = 0.5,
+// and one Eq. 2 factor on each variable:
+//
+//	f(e_{t−1}, e_t, s_i) = 1 if e_{t−1} > δ ∧ e_t > δ ∧ s_i = malicious
+//	                       1 if ¬(e_{t−1} > δ ∧ e_t > δ) ∧ s_i = benign
+//	                       0 otherwise
+//
+// No factor couples two variables, so the joint factorizes into one term
+// per state and exactly one assignment has nonzero probability: each
+// state takes the outcome its factor admits. The marginal
+// P(s_i = malicious | e) is therefore exactly 1 when the state's error
+// exceeded δ on both of the last two steps and exactly 0 otherwise, and
+// the Eq. 4 MLE is that outcome. DeLorean evaluates this closed form
+// instead of enumerating the 2ⁿ assignments. A channel with δ ≤ 0 is
+// unmonitored and has no variable; a NaN error never exceeds δ, and
+// neither does any error on a channel whose δ is NaN.
+//
 // The package also implements the three residual-analysis (RA) baselines
 // the paper compares against (§5.1): Savior-RA, PID-Piper-RA, and EKF-RA,
 // which extend the respective detectors' single-step residual check to all
@@ -14,10 +32,7 @@
 // reproduced faithfully.
 package diagnosis
 
-import (
-	"repro/internal/fg"
-	"repro/internal/sensors"
-)
+import "repro/internal/sensors"
 
 // Delta holds the per-state error thresholds δ of Table 3. A zero entry
 // marks a channel that is not monitored (e.g. altitude channels on a
@@ -75,40 +90,20 @@ var (
 // DeLorean is the factor-graph diagnosis of §4.1: it monitors the error
 // e_i between the observed and reference physical states across
 // consecutive diagnosis steps (the paper's four-state window yields the
-// error pair (e_{t−1}, e_t)), and runs MLE inference on per-sensor factor
-// graphs built from the Eq. 2 threshold factors.
+// error pair (e_{t−1}, e_t)) and reads each sensor's Eq. 4 MLE from the
+// closed form of its factor graph (see the package comment).
 type DeLorean struct {
 	delta Delta
 
-	// errHist is a fixed ring of the most recent error vectors, newest
-	// last; nHist counts the valid entries and saturates at histLen.
-	// Observe runs every tick, so the window must not allocate.
-	errHist [histLen]sensors.PhysState
-	nHist   int
+	// ePrev and eCur are the error pair (e_{t−1}, e_t); steps counts the
+	// observations and saturates at histLen. Observe runs every tick, so
+	// the window must not allocate.
+	ePrev, eCur sensors.PhysState
+	steps       int
 	// lastVerdicts are the per-sensor outcomes of the most recent
 	// Diagnose call (telemetry evidence); the buffer is reused across
 	// calls.
 	lastVerdicts []SensorVerdict
-	// margBuf is Diagnose's reused destination for batch marginals.
-	margBuf []float64
-
-	// graphs are the per-sensor factor graphs, built once at construction.
-	// Their threshold factors read the error pair through evidence cells
-	// (evPrev/evCur), so Diagnose only stores the current window into the
-	// cells and invalidates each graph's inference cache — it never
-	// rebuilds graph structure or factor closures. The factor predicate is
-	// identical to the rebuilt-per-call form, and the enumeration order is
-	// a property of graph structure, so the marginals are bit-identical.
-	graphs []sensorGraph
-	evPrev sensors.PhysState
-	evCur  sensors.PhysState
-}
-
-// sensorGraph is one sensor's cached diagnosis graph.
-type sensorGraph struct {
-	typ   sensors.Type
-	g     *fg.Graph
-	nvars int
 }
 
 // SensorVerdict is one sensor's diagnosis outcome together with its
@@ -125,38 +120,9 @@ type SensorVerdict struct {
 // pairwise errors (e_{t−1}, e_t).
 const histLen = 2
 
-// NewDeLorean returns the FG diagnoser with calibrated thresholds. The
-// per-sensor factor graphs over the monitored channels (Table 1) are
-// built here, once; their factors read the error evidence through the
-// diagnoser's evidence cells.
+// NewDeLorean returns the FG diagnoser with calibrated thresholds.
 func NewDeLorean(delta Delta) *DeLorean {
-	d := &DeLorean{delta: delta}
-	maxVars := 0
-	for _, typ := range sensors.AllTypes() {
-		g := fg.New()
-		nvars := 0
-		for _, idx := range sensors.StatesOf(typ) {
-			if delta[idx] <= 0 {
-				continue // unmonitored channel on this RV
-			}
-			v := g.AddVariable(idx.String())
-			g.AddFactor(
-				"f_"+idx.String(),
-				fg.ThresholdFactorAt(&d.evPrev[idx], &d.evCur[idx], delta[idx]),
-				v,
-			)
-			nvars++
-		}
-		if nvars == 0 {
-			continue // sensor entirely unmonitored on this RV
-		}
-		d.graphs = append(d.graphs, sensorGraph{typ: typ, g: g, nvars: nvars})
-		if nvars > maxVars {
-			maxVars = nvars
-		}
-	}
-	d.margBuf = make([]float64, maxVars)
-	return d
+	return &DeLorean{delta: delta, lastVerdicts: make([]SensorVerdict, 0, sensors.NumTypes)}
 }
 
 // Name implements Diagnoser.
@@ -167,47 +133,47 @@ func (d *DeLorean) Name() string { return "DeLorean" }
 func (d *DeLorean) Reference() Reference { return RefShadow }
 
 // Observe records the error vector for one diagnosis step, shifting the
-// fixed window in place (no allocation — this runs every tick).
+// error pair in place (no allocation — this runs every tick).
 func (d *DeLorean) Observe(predicted, observed *sensors.PhysState) {
-	if d.nHist == histLen {
-		copy(d.errHist[:], d.errHist[1:])
-	} else {
-		d.nHist++
+	d.ePrev = d.eCur
+	sensors.AbsDiffInto(&d.eCur, observed, predicted)
+	if d.steps < histLen {
+		d.steps++
 	}
-	sensors.AbsDiffInto(&d.errHist[d.nHist-1], observed, predicted)
 }
 
-// Diagnose runs MLE inference on the cached per-sensor factor graphs
-// over that sensor's physical states (Table 1) and flags the sensor if
-// any state's MLE outcome is Malicious (P(s=malicious|e) > 0.5, Eq. 4).
-// It stores the error window into the evidence cells the factors read
-// and invalidates each graph's inference cache; graph structure is fixed
-// since construction, so steady-state diagnosis allocates nothing beyond
-// the returned set. The per-sensor verdicts with their marginals are
-// retained for Verdicts.
+// Diagnose evaluates each sensor's factor graph over its monitored
+// physical states (Table 1) and flags the sensor if any state's MLE
+// outcome is Malicious (P(s=malicious|e) > 0.5, Eq. 4): a state is
+// Malicious, with marginal 1, exactly when its error exceeded δ on both
+// of the last two steps; every other state has marginal 0. A channel
+// with δ ≤ 0 is unmonitored, and a sensor with no monitored channel gets
+// no verdict. The per-sensor verdicts are retained for Verdicts.
 func (d *DeLorean) Diagnose() sensors.TypeSet {
 	flagged := sensors.NewTypeSet()
 	d.lastVerdicts = d.lastVerdicts[:0]
-	if d.nHist < histLen {
+	if d.steps < histLen {
 		return flagged
 	}
-	d.evPrev = d.errHist[histLen-2]
-	d.evCur = d.errHist[histLen-1]
-
-	for i := range d.graphs {
-		sg := &d.graphs[i]
-		sg.g.Invalidate() // evidence cells changed under the factors
-		verdict := SensorVerdict{Sensor: sg.typ}
-		for _, p := range sg.g.MarginalsInto(d.margBuf[:sg.nvars]) {
-			if p > verdict.MaxMarginal {
-				verdict.MaxMarginal = p
+	for _, typ := range sensors.AllTypes() {
+		monitored := false
+		verdict := SensorVerdict{Sensor: typ}
+		for _, idx := range sensors.StatesOf(typ) {
+			delta := d.delta[idx]
+			if delta <= 0 {
+				continue // unmonitored channel on this RV
 			}
-			if p > 0.5 {
-				verdict.Malicious = true
+			monitored = true
+			if d.ePrev[idx] > delta && d.eCur[idx] > delta {
+				verdict.Malicious, verdict.MaxMarginal = true, 1
+				break
 			}
 		}
+		if !monitored {
+			continue // sensor entirely unmonitored on this RV
+		}
 		if verdict.Malicious {
-			flagged.Add(sg.typ)
+			flagged.Add(typ)
 		}
 		d.lastVerdicts = append(d.lastVerdicts, verdict)
 	}
@@ -225,7 +191,7 @@ func (d *DeLorean) Verdicts() []SensorVerdict {
 
 // Reset clears the history, retaining the verdict buffer for reuse.
 func (d *DeLorean) Reset() {
-	d.nHist = 0
+	d.steps = 0
 	d.lastVerdicts = d.lastVerdicts[:0]
 }
 

@@ -1,11 +1,12 @@
 package diagnosis
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/fg"
+	"repro/internal/floats"
 	"repro/internal/sensors"
 )
 
@@ -247,28 +248,87 @@ func TestPropertyNoFlagBelowDelta(t *testing.T) {
 	}
 }
 
-// rebuiltVerdicts is a verbatim transcription of the rebuild-per-call
-// diagnosis the cached-graph form replaced: one fresh factor graph per
-// sensor per call, value-capturing threshold factors. It is the
-// equivalence oracle proving the evidence-cell graphs are bit-exact.
-func rebuiltVerdicts(delta Delta, ePrev, eCur sensors.PhysState) []SensorVerdict {
+// Outcomes of a diagnosis variable in the factor-graph oracle.
+const (
+	benign = iota + 1
+	malicious
+)
+
+// oracleVerdicts is the reference for DeLorean's closed form: each
+// sensor's factor graph evaluated by exact enumeration, transcribed from
+// the generic factor-graph engine the diagnoser used to run (its score
+// and compute), restricted to this graph. Each monitored state is a
+// variable with a 0.5 prior and one Eq. 2 threshold factor; the 2ⁿ
+// assignments are walked in lexicographic order (benign before
+// malicious), a score stops at an exactly zero product, and a graph
+// whose every assignment scores zero falls back to the priors.
+func oracleVerdicts(delta Delta, ePrev, eCur *sensors.PhysState) []SensorVerdict {
+	const prior = 0.5
 	var out []SensorVerdict
 	for _, typ := range sensors.AllTypes() {
-		graph := fg.New()
-		nvars := 0
+		var vars []sensors.StateIndex
 		for _, idx := range sensors.StatesOf(typ) {
 			if delta[idx] <= 0 {
 				continue
 			}
-			v := graph.AddVariable(idx.String())
-			graph.AddFactor("f_"+idx.String(), fg.ThresholdFactor(ePrev[idx], eCur[idx], delta[idx]), v)
-			nvars++
+			vars = append(vars, idx)
 		}
-		if nvars == 0 {
+		n := len(vars)
+		if n == 0 {
 			continue
 		}
+		score := func(assign []int) float64 {
+			p := 1.0
+			for i := range vars {
+				if assign[i] == malicious {
+					p *= prior
+				} else {
+					p *= 1 - prior
+				}
+			}
+			for i, idx := range vars {
+				inflated := ePrev[idx] > delta[idx] && eCur[idx] > delta[idx]
+				if inflated == (assign[i] == malicious) {
+					p *= 1
+				} else {
+					p *= 0
+				}
+				if floats.Zero(p) {
+					return 0
+				}
+			}
+			return p
+		}
+		marg := make([]float64, n)
+		assign := make([]int, n)
+		var total float64
+		for code := 0; code < 1<<n; code++ {
+			for i := 0; i < n; i++ {
+				if code&(1<<(n-1-i)) != 0 {
+					assign[i] = malicious
+				} else {
+					assign[i] = benign
+				}
+			}
+			s := score(assign)
+			total += s
+			for j, a := range assign {
+				if a == malicious {
+					marg[j] += s
+				}
+			}
+		}
+		if floats.Zero(total) {
+			for i := range marg {
+				marg[i] = prior
+			}
+		} else {
+			for i := range marg {
+				marg[i] /= total
+			}
+		}
 		verdict := SensorVerdict{Sensor: typ}
-		for _, p := range graph.Marginals() {
+		for _, p := range marg {
 			if p > verdict.MaxMarginal {
 				verdict.MaxMarginal = p
 			}
@@ -281,58 +341,136 @@ func rebuiltVerdicts(delta Delta, ePrev, eCur sensors.PhysState) []SensorVerdict
 	return out
 }
 
-// TestDeLoreanCachedGraphsMatchRebuilt drives random evidence through the
-// cached-graph diagnoser and the rebuild-per-call oracle and requires
-// bit-identical marginals (==, not tolerance: same factor values and same
-// enumeration order must give the same floats).
-func TestDeLoreanCachedGraphsMatchRebuilt(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	delta := uniformDelta(1)
-	delta[sensors.SBaroAlt] = 0 // keep one unmonitored channel in play
-	d := NewDeLorean(delta)
-	var prev sensors.PhysState
-	for step := 0; step < 50; step++ {
-		var obs sensors.PhysState
-		for i := range obs {
-			if rng.Float64() < 0.4 {
-				obs[i] = rng.Float64() * 3
-			}
+// oracleDelta draws a threshold vector: mostly Table 3-sized positive
+// values, with unmonitored (0, −1), NaN and +Inf channels mixed in, or
+// the rover-style vector with its roll/pitch and vertical channels off.
+func oracleDelta(rng *rand.Rand) Delta {
+	if rng.Intn(4) == 0 {
+		d := uniformDelta(1)
+		d[sensors.SX], d[sensors.SY] = 4, 4
+		d[sensors.SVX], d[sensors.SVY] = 2.5, 2.5
+		d[sensors.SYaw], d[sensors.SBaroAlt] = 0.6, 2.5
+		d[sensors.SRoll], d[sensors.SPitch] = 0, 0
+		d[sensors.SWRoll], d[sensors.SWPitch] = 0, 0
+		d[sensors.SZ], d[sensors.SVZ], d[sensors.SAZ] = 0, 0, 0
+		return d
+	}
+	var d Delta
+	for i := range d {
+		switch rng.Intn(12) {
+		case 0:
+			d[i] = 0
+		case 1:
+			d[i] = -1
+		case 2:
+			d[i] = math.NaN()
+		case 3:
+			d[i] = math.Inf(1)
+		default:
+			d[i] = 0.1 + rng.Float64()
 		}
-		d.Observe(&sensors.PhysState{}, &obs)
-		if step == 0 {
-			prev = obs
+	}
+	return d
+}
+
+// oracleObservation draws one observed vector against a zero prediction,
+// so that each channel's error is its wrapped absolute value: quiet
+// (below δ), exactly δ, one ulp above δ, clearly inflated, −0, NaN or
+// ±Inf. inflate is the chance that a channel is clearly inflated.
+func oracleObservation(rng *rand.Rand, delta *Delta, inflate float64) sensors.PhysState {
+	var obs sensors.PhysState
+	for i := range obs {
+		d := delta[i]
+		if math.IsNaN(d) || math.IsInf(d, 0) || d <= 0 {
+			d = 1
+		}
+		if rng.Float64() < inflate {
+			obs[i] = d + 2*rng.Float64() + 1e-9
 			continue
 		}
-		got := d.Diagnose()
-		want := rebuiltVerdicts(delta, prev, obs)
-		verdicts := d.Verdicts()
-		if len(verdicts) != len(want) {
-			t.Fatalf("step %d: %d verdicts, oracle has %d", step, len(verdicts), len(want))
+		switch rng.Intn(10) {
+		case 0:
+			obs[i] = d
+		case 1:
+			obs[i] = math.Nextafter(d, math.Inf(1))
+		case 2:
+			obs[i] = math.Copysign(0, -1)
+		case 3:
+			obs[i] = math.NaN()
+		case 4:
+			obs[i] = math.Inf(1 - 2*rng.Intn(2))
+		default:
+			obs[i] = rng.Float64() * d
 		}
-		for i, w := range want {
-			g := verdicts[i]
-			if g.Sensor != w.Sensor || g.Malicious != w.Malicious || g.MaxMarginal != w.MaxMarginal {
-				t.Fatalf("step %d sensor %v: got %+v, oracle %+v", step, w.Sensor, g, w)
+	}
+	return obs
+}
+
+// TestDeLoreanMatchesFactorGraphOracle drives DeLorean and the
+// enumeration oracle with the same error pairs and requires the same
+// flagged set and the same verdicts in the same order, with bit-identical
+// marginals. Each case draws a threshold vector and feeds four steps, so
+// the window shift and the insufficient-history case are covered too.
+func TestDeLoreanMatchesFactorGraphOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var flagged, quiet int
+	for c := 0; c < 5000; c++ {
+		delta := oracleDelta(rng)
+		inflate := 0.8 * rng.Float64()
+		d := NewDeLorean(delta)
+		var pred, prevErr, curErr sensors.PhysState
+		for step := 0; step < 4; step++ {
+			obs := oracleObservation(rng, &delta, inflate)
+			d.Observe(&pred, &obs)
+			prevErr = curErr
+			sensors.AbsDiffInto(&curErr, &obs, &pred)
+			got, verdicts := d.Diagnose(), d.Verdicts()
+			if step == 0 {
+				if got.Len() != 0 || len(verdicts) != 0 {
+					t.Fatalf("case %d: one observation diagnosed %v, verdicts %+v", c, got, verdicts)
+				}
+				continue
 			}
-			if got.Has(w.Sensor) != w.Malicious {
-				t.Fatalf("step %d sensor %v: flagged=%v, oracle malicious=%v",
-					step, w.Sensor, got.Has(w.Sensor), w.Malicious)
+			want := oracleVerdicts(delta, &prevErr, &curErr)
+			if len(verdicts) != len(want) {
+				t.Fatalf("case %d step %d: %d verdicts, oracle has %d", c, step, len(verdicts), len(want))
+			}
+			var wantSet sensors.TypeSet
+			for i, w := range want {
+				g := verdicts[i]
+				if g.Sensor != w.Sensor || g.Malicious != w.Malicious ||
+					math.Float64bits(g.MaxMarginal) != math.Float64bits(w.MaxMarginal) {
+					t.Fatalf("case %d step %d: verdict %d is %+v, oracle %+v (δ %v, e %v → %v)",
+						c, step, i, g, w, delta, prevErr, curErr)
+				}
+				if w.Malicious {
+					wantSet.Add(w.Sensor)
+					flagged++
+				} else {
+					quiet++
+				}
+			}
+			if got != wantSet {
+				t.Fatalf("case %d step %d: Diagnose = %v, oracle flags %v", c, step, got, wantSet)
 			}
 		}
-		prev = obs
+	}
+	t.Logf("%d flagged and %d quiet verdicts", flagged, quiet)
+	if flagged < quiet/2 || quiet < flagged/2 {
+		t.Errorf("unbalanced evidence: %d flagged and %d quiet verdicts", flagged, quiet)
 	}
 }
 
 // TestDeLoreanDiagnoseZeroAlloc pins Diagnose's steady state at zero
 // allocations, with a sensor flagged: the returned set is a value, and
-// DeLorean's graphs, their scratch, the marginal buffer and the verdict
-// buffer are all reused. The RA baseline's Diagnose is held to the same.
+// DeLorean's verdict buffer is allocated at construction and reused. The
+// RA baseline's Diagnose is held to the same.
 func TestDeLoreanDiagnoseZeroAlloc(t *testing.T) {
 	var pred, obs sensors.PhysState
 	obs[sensors.SX] = 10
 	for _, d := range []Diagnoser{NewDeLorean(uniformDelta(1)), NewRA(EKFRA, uniformDelta(1))} {
 		observePair(d, pred, obs, 2)
-		if got := d.Diagnose(); got != sensors.NewTypeSet(sensors.GPS) { // also warms the enumeration scratch
+		if got := d.Diagnose(); got != sensors.NewTypeSet(sensors.GPS) {
 			t.Fatalf("%T: Diagnose = %v, want {GPS}", d, got)
 		}
 		if n := testing.AllocsPerRun(100, func() { d.Diagnose() }); n != 0 {
@@ -341,8 +479,8 @@ func TestDeLoreanDiagnoseZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkDeLoreanDiagnose is the diagnosis steady state: cached graphs,
-// evidence-cell rewrite, shared-buffer marginals.
+// BenchmarkDeLoreanDiagnose is the diagnosis steady state with two
+// sensors flagged.
 func BenchmarkDeLoreanDiagnose(b *testing.B) {
 	d := NewDeLorean(uniformDelta(1))
 	var pred, obs sensors.PhysState

@@ -26,12 +26,12 @@ import (
 const nx = 12
 
 // StepFunc writes the model state dt after *s under input u into *dst;
-// dst may be s. It abstracts the dynamics model so the filter can run on
-// either the true vehicle parameters or the system-identified model
-// (Appendix A.2 learns the model through system identification). A
-// StepFunc is pure: its result depends on its arguments only. It is
-// called through a func value, so the states it is handed escape: keep
-// them in long-lived structs, not in a caller's locals.
+// dst may be s. It abstracts the dynamics model: the filter and
+// reconstruction run the profile's true model (StepForProfile), and SSR's
+// recovery runs the same model with perturbed parameters. A StepFunc is
+// pure: its result depends on its arguments only. It is called through a
+// func value, so the states it is handed escape: keep them in long-lived
+// structs, not in a caller's locals.
 type StepFunc func(dst, s *vehicle.State, u vehicle.Input, dt float64)
 
 // QuadStep returns a StepFunc for the given quadcopter model (no wind —

@@ -59,7 +59,6 @@ var hotallocFuncs = map[string]bool{
 	"Identity": true,
 	"Diag":     true,
 	"FromRows": true,
-	"Solve":    true,
 	"SolveMat": true,
 	"FactorLU": true,
 }
@@ -75,7 +74,6 @@ var hotallocMethods = map[string]bool{
 	"T":          true,
 	"Clone":      true,
 	"Symmetrize": true,
-	"SolveVec":   true,
 }
 
 func runHotalloc(pass *ProgramPass, cfg HotallocConfig) {
@@ -243,12 +241,8 @@ func pointerShaped(t types.Type) bool {
 // intoName maps an allocating method name to its *Into kernel for the
 // diagnostic's suggested fix.
 func intoName(method string) string {
-	switch method {
-	case "T":
+	if method == "T" {
 		return "Transpose"
-	case "SolveVec":
-		return "SolveVec"
-	default:
-		return method
 	}
+	return method
 }

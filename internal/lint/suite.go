@@ -18,7 +18,7 @@ const (
 	campaignPath  = modulePath + "/internal/campaign"
 	simPath       = modulePath + "/internal/sim"
 	ekfPath       = modulePath + "/internal/ekf"
-	fgPath        = modulePath + "/internal/fg"
+	diagnosisPath = modulePath + "/internal/diagnosis"
 	tracePath     = modulePath + "/internal/trace"
 	sourcePath    = modulePath + "/internal/source"
 	servicePath   = modulePath + "/internal/service"
@@ -125,18 +125,17 @@ func defaultSinks() []string {
 
 // defaultHotalloc declares the roots and cold cut points of the module's
 // zero-allocation hot set. The hot set itself is derived by call-graph
-// reachability — the per-tick defense pipeline entry plus the
-// factor-graph inference kernels, minus the sanctioned episodic/lazy
-// paths below. There is no hand-maintained function list: extract a
-// helper from Tick's callees and it is hot automatically.
+// reachability — the per-tick defense pipeline entry plus the diagnosis
+// inference of every diagnoser, minus the sanctioned episodic/lazy paths
+// below. There is no hand-maintained function list: extract a helper
+// from Tick's callees and it is hot automatically.
 func defaultHotalloc() HotallocConfig {
 	return HotallocConfig{
 		MatPath: modulePath + "/internal/mat",
 		Roots: []FuncRef{
 			corePath + ":Pipeline.Tick",
-			fgPath + ":Graph.Marginal",
-			fgPath + ":Graph.MarginalsInto",
-			fgPath + ":Graph.MLE",
+			diagnosisPath + ":DeLorean.Diagnose",
+			diagnosisPath + ":RA.Diagnose",
 			// One control period: a nominal Step must not allocate, or
 			// per-tick garbage scales with mission length.
 			simPath + ":Mission.Step",
@@ -144,7 +143,7 @@ func defaultHotalloc() HotallocConfig {
 		// Episodic or one-time paths sanctioned to allocate. Each runs per
 		// alert episode or per configuration change, never per tick, and
 		// owns the pipeline's cold allocations (triage snapshots, widened
-		// diagnosis graphs, lazy workspace growth).
+		// diagnosis events, lazy workspace growth).
 		Cold: []FuncRef{
 			corePath + ":Pipeline.triage",
 			corePath + ":Pipeline.widenDiagnosis",
@@ -153,7 +152,6 @@ func defaultHotalloc() HotallocConfig {
 			corePath + ":Pipeline.readmit",
 			corePath + ":Pipeline.exitRecovery",
 			corePath + ":Pipeline.triggerDetail",
-			fgPath + ":Graph.growScratch",
 			// The first window promotion allocates the next window's
 			// buffer, once per checkpoint recorder.
 			modulePath + "/internal/checkpoint:recycle",

@@ -106,15 +106,6 @@ func (f *LU) Refactor(a *Mat) error {
 	return nil
 }
 
-// SolveVec solves a·x = b for x using the factorization.
-func (f *LU) SolveVec(b Vec) (Vec, error) {
-	x := NewVec(f.lu.Rows)
-	if err := f.SolveVecInto(x, b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
 // SolveVecInto solves a·x = b into dst. dst must have length n and must
 // not alias b (the permutation reads b at arbitrary indices while dst is
 // written).
@@ -184,15 +175,6 @@ func (f *LU) SolveInto(dst, b *Mat) error {
 		}
 	}
 	return nil
-}
-
-// Solve solves a·x = b for a square matrix a.
-func Solve(a *Mat, b Vec) (Vec, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveVec(b)
 }
 
 // SolveMat solves a·X = B for a square matrix a.

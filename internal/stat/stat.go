@@ -66,18 +66,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// RMS returns the root mean square of xs, or 0 for an empty slice.
-func RMS(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var ss float64
-	for _, x := range xs {
-		ss += x * x
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
 // CDFPoint is one (value, cumulative probability) sample of an empirical
 // cumulative distribution function.
 type CDFPoint struct {
@@ -100,20 +88,6 @@ func EmpiricalCDF(xs []float64) []CDFPoint {
 		out[i] = CDFPoint{Value: v, Prob: float64(i+1) / n}
 	}
 	return out
-}
-
-// CDFAt returns the empirical probability P(X ≤ v) for the sample xs.
-func CDFAt(xs []float64, v float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var count int
-	for _, x := range xs {
-		if x <= v {
-			count++
-		}
-	}
-	return float64(count) / float64(len(xs))
 }
 
 // OutlierThreshold implements the paper's δ rule:

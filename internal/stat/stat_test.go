@@ -83,15 +83,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestRMS(t *testing.T) {
-	if got := RMS([]float64{3, 4}); math.Abs(got-math.Sqrt(12.5)) > 1e-12 {
-		t.Errorf("RMS = %v", got)
-	}
-	if got := RMS(nil); got != 0 {
-		t.Errorf("RMS(nil) = %v", got)
-	}
-}
-
 func TestEmpiricalCDF(t *testing.T) {
 	cdf := EmpiricalCDF([]float64{2, 1, 3})
 	if len(cdf) != 3 {
@@ -102,16 +93,6 @@ func TestEmpiricalCDF(t *testing.T) {
 	}
 	if cdf[2].Prob != 1 {
 		t.Errorf("final prob = %v, want 1", cdf[2].Prob)
-	}
-}
-
-func TestCDFAt(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := CDFAt(xs, 2.5); got != 0.5 {
-		t.Errorf("CDFAt(2.5) = %v, want 0.5", got)
-	}
-	if got := CDFAt(nil, 1); got != 0 {
-		t.Errorf("CDFAt(nil) = %v", got)
 	}
 }
 

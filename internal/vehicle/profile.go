@@ -24,12 +24,6 @@ func RealRVs() []ProfileName {
 	return []ProfileName{Pixhawk, Tarot, SkyViper, AionR1}
 }
 
-// SimulatedRVs lists the profiles standing in for the paper's two SITL
-// vehicles (Tables 4–6, Fig. 10).
-func SimulatedRVs() []ProfileName {
-	return []ProfileName{ArduCopter, ArduRover}
-}
-
 // AllRVs lists every profile.
 func AllRVs() []ProfileName {
 	return []ProfileName{Pixhawk, Tarot, SkyViper, AionR1, ArduCopter, ArduRover}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func testQuad() Quadcopter {
@@ -133,6 +134,64 @@ func TestWrapAngle(t *testing.T) {
 	}
 }
 
+// TestWrapAngleTerminates: a huge or infinite angle must wrap in bounded
+// time. Each call runs in a goroutine under a deadline, so a wrap that
+// never returns fails the test instead of hanging the binary.
+func TestWrapAngleTerminates(t *testing.T) {
+	deadline := time.After(5 * time.Second)
+	for _, a := range []float64{math.Inf(1), math.Inf(-1), 1e300, -1e300, 0x1p60, -0x1p60, math.NaN()} {
+		done := make(chan float64, 1)
+		go func() { done <- WrapAngle(a) }()
+		select {
+		case got := <-done:
+			switch {
+			case math.IsInf(a, 0) || math.IsNaN(a):
+				if !math.IsNaN(got) {
+					t.Errorf("WrapAngle(%v) = %v, want NaN", a, got)
+				}
+			case !(got > -math.Pi && got <= math.Pi):
+				t.Errorf("WrapAngle(%v) = %v, outside (−π, π]", a, got)
+			}
+		case <-deadline:
+			t.Fatalf("WrapAngle(%v) did not return within 5 s", a)
+		}
+	}
+}
+
+// loopWrapAngle is a verbatim copy of the wrap loop as it stood before
+// huge angles were reduced first: the reference for |a| ≤ 8π.
+func loopWrapAngle(a float64) float64 {
+	for a > math.Pi {
+		a -= 2 * math.Pi
+	}
+	for a <= -math.Pi {
+		a += 2 * math.Pi
+	}
+	return a
+}
+
+// TestWrapAngleMatchesLoop: up to ±8π the wrap is the old loop, bit for
+// bit, including the boundaries and their neighbours.
+func TestWrapAngleMatchesLoop(t *testing.T) {
+	cases := []float64{math.Copysign(0, -1)}
+	for k := -8; k <= 8; k++ {
+		c := float64(k) * math.Pi
+		cases = append(cases, c, math.Nextafter(c, math.Inf(1)), math.Nextafter(c, math.Inf(-1)))
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 100000; i++ {
+		cases = append(cases, (2*rng.Float64()-1)*8*math.Pi)
+	}
+	for _, a := range cases {
+		if math.Abs(a) > 8*math.Pi {
+			continue
+		}
+		if got, want := WrapAngle(a), loopWrapAngle(a); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("WrapAngle(%v) = %v, loop gives %v", a, got, want)
+		}
+	}
+}
+
 func TestRoverStraightLine(t *testing.T) {
 	r := MustProfile(AionR1).Rover
 	s := State{VX: 2} // heading yaw=0, moving +x
@@ -239,15 +298,27 @@ func TestProfileKinds(t *testing.T) {
 	}
 }
 
+// TestRealAndSimulatedPartition: the profiles that are not real-RV
+// stand-ins are the two SITL vehicles of Tables 4–6 and Fig. 10.
 func TestRealAndSimulatedPartition(t *testing.T) {
 	if got := len(RealRVs()); got != 4 {
 		t.Errorf("RealRVs = %d, want 4", got)
 	}
-	if got := len(SimulatedRVs()); got != 2 {
-		t.Errorf("SimulatedRVs = %d, want 2", got)
-	}
 	if got := len(AllRVs()); got != 6 {
 		t.Errorf("AllRVs = %d, want 6", got)
+	}
+	real := make(map[ProfileName]bool)
+	for _, name := range RealRVs() {
+		real[name] = true
+	}
+	var simulated []ProfileName
+	for _, name := range AllRVs() {
+		if !real[name] {
+			simulated = append(simulated, name)
+		}
+	}
+	if len(simulated) != 2 || simulated[0] != ArduCopter || simulated[1] != ArduRover {
+		t.Errorf("simulated RVs = %v, want [ArduCopter ArduRover]", simulated)
 	}
 }
 

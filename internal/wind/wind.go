@@ -43,11 +43,6 @@ func New(meanSpeed, direction, gustStdev float64, rng *rand.Rand) *Model {
 	}
 }
 
-// Calm returns a zero-wind model.
-func Calm() *Model {
-	return &Model{rng: rand.New(rand.NewSource(0))}
-}
-
 // Step advances the gust process by dt seconds and returns the current
 // wind vector.
 func (m *Model) Step(dt float64) vehicle.Wind {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestCalmIsZero(t *testing.T) {
-	m := Calm()
+	m := New(0, 1, 0, rand.New(rand.NewSource(0)))
 	for i := 0; i < 100; i++ {
 		if w := m.Step(0.01); w.Speed() != 0 {
 			t.Fatalf("calm wind produced %v", w)

@@ -5,13 +5,14 @@
 # The package-wide race pass runs with -short: the full experiment suite
 # already takes ~2 minutes natively and the race detector multiplies that
 # by ~20×, so the heavy mission sweeps (which honor testing.Short) are
-# skipped there. The executor (internal/engine) is the place where
-# races would silently corrupt results, so it gets dedicated un-short
-# race passes: every internal/engine test (the pool, the runner
-# engine, the engine equivalence suite), and the workers=1-vs-8
-# byte-identical determinism sweep in internal/experiments. A full
-# `go test -race -timeout 60m ./...` remains available for release
-# verification.
+# skipped there. The places where races would silently corrupt results
+# get dedicated un-short race passes, listed once in the Makefile's
+# race-runner target (CI's scheduled race-runner job runs the same
+# target): the executor (internal/engine), the mission service, the
+# workers=1-vs-8 byte-identical determinism sweep in
+# internal/experiments, and the pipeline FSM with the legacy
+# equivalence suite. A full `go test -race -timeout 60m ./...` remains
+# available for release verification.
 set -eu
 cd "$(dirname "$0")/.." || exit 1
 
@@ -27,15 +28,8 @@ echo "== test =="
 go test ./...
 echo "== race (short) =="
 go test -race -short ./...
-echo "== race (engine: pool, runner, equivalence) =="
-go test -race -timeout 1800s ./internal/engine
-echo "== race (parallel determinism) =="
-go test -race -timeout 1800s -run 'TestParallelDeterminism|TestDeltaForSingleflight|TestReportDeterminism' ./internal/experiments
-echo "== race (pipeline FSM + legacy equivalence) =="
-go test -race -timeout 1800s -run 'TestPipelineEquivalence|TestLegalTransition|TestTransition|TestModeSides' ./internal/core
-go test -race -timeout 1800s -run 'TestTraceTransitions' ./internal/sim
-echo "== race (mission service: drain, backpressure, disconnect, determinism) =="
-go test -race -timeout 1800s -run 'TestService' ./internal/service
+echo "== race (un-short: make race-runner) =="
+"${MAKE:-make}" race-runner
 if command -v shellcheck >/dev/null 2>&1; then
     echo "== shellcheck =="
     shellcheck scripts/*.sh
