@@ -143,11 +143,21 @@ func addScaled(x, s, d *State, h float64) {
 	x.WRoll, x.WPitch, x.WYaw = s.WRoll+h*d.WRoll, s.WPitch+h*d.WPitch, s.WYaw+h*d.WYaw
 }
 
-// wrapAngle wraps an angle to (−π, π]. Beyond ±8π it first reduces a
-// with math.Remainder, so a huge or infinite angle cannot keep the loops
-// below turning (a − 2π rounds back to a above about 2⁵⁶); an infinite
-// angle becomes NaN, and NaN stays NaN.
+// wrapAngle wraps an angle to (−π, π]. It is small enough to inline at
+// every call site, so an angle already in range, the common case, costs
+// two comparisons; NaN stays NaN.
 func wrapAngle(a float64) float64 {
+	if a > math.Pi || a <= -math.Pi {
+		return wrapOutside(a)
+	}
+	return a
+}
+
+// wrapOutside wraps an angle outside (−π, π]. Beyond ±8π it first
+// reduces a with math.Remainder, so a huge or infinite angle cannot keep
+// the loops below turning (a − 2π rounds back to a above about 2⁵⁶); an
+// infinite angle becomes NaN.
+func wrapOutside(a float64) float64 {
 	if math.Abs(a) > 8*math.Pi {
 		a = math.Remainder(a, 2*math.Pi)
 	}
