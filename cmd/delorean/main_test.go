@@ -118,9 +118,9 @@ func TestUsageErrWraps(t *testing.T) {
 }
 
 // TestReplayInfiniteRollFinishes replays the committed corpus mission
-// with one frame's roll reading set to +Inf. The angle wrap of the
-// diagnosis error vector used to loop forever on it; the replay must now
-// end, with a report or an error, well within the deadline.
+// with one frame's roll reading set to +Inf, which reaches the angle wrap
+// of every tick's error vector. The replay must end, with a report or an
+// error, well within the deadline.
 func TestReplayInfiniteRollFinishes(t *testing.T) {
 	tr, err := trace.ReadFile("../../internal/sim/testdata/attack_mission.trace")
 	if err != nil {
