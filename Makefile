@@ -75,8 +75,8 @@ check:
 	sh scripts/check.sh
 
 # Layer micro-benchmarks (vehicle step, generic and rover Riccati solves,
-# tick, EKF, diagnosis, whole mission), five samples each. The
-# end-to-end benchmark is bench/ (see BENCHMARK.json).
+# tick, EKF, reconstruction roll-forward, diagnosis, whole mission), five
+# samples each. The end-to-end benchmark is bench/ (see BENCHMARK.json).
 bench:
-	$(GO) test -run '^$$' -bench 'Step|SolveDARE|RoverGain|Tick|EKF|Diagnose|Mission' -benchmem -count 5 \
-		./. ./internal/core/ ./internal/diagnosis/ ./internal/ekf/ ./internal/mat/ ./internal/recovery/ ./internal/vehicle/
+	$(GO) test -run '^$$' -bench 'Step|SolveDARE|RoverGain|Tick|EKF|RollForward|Diagnose|Mission' -benchmem -count 5 \
+		./. ./internal/core/ ./internal/diagnosis/ ./internal/ekf/ ./internal/mat/ ./internal/reconstruct/ ./internal/recovery/ ./internal/vehicle/

@@ -31,25 +31,29 @@ func TestTickSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTickSharedSteadyStateZeroAlloc covers the nominal copter tick that
-// engine-run missions fly: on the shared caches, past the EKF schedule's
-// fixpoint (ArduCopter reaches it within 2,500 cycles; see
-// ekf.TestScheduleSteadyState). A quiet warm-up masks no sensor and runs
-// no model-only prediction, so the filter is still on the schedule.
+// TestTickSharedSteadyStateZeroAlloc covers the nominal tick that
+// engine-run missions fly, on the shared caches past the EKF schedule's
+// fixpoint, for a copter and a rover (each reaches it within 1,400 cycles;
+// see ekf.TestScheduleSteadyState). A quiet warm-up masks no sensor and
+// runs no model-only prediction, so the filter is still on the schedule.
 func TestTickSharedSteadyStateZeroAlloc(t *testing.T) {
-	fw, meas, target := benchFramework(t, vehicle.ArduCopter, true)
-	tick := 0
-	for ; tick < 3000; tick++ {
-		fw.Tick(float64(tick)*0.01, meas, target)
-	}
-	if fw.Recovering() || fw.RecoveryActivations() != 0 {
-		t.Fatal("quiet warmup entered recovery; the filter may have left the schedule")
-	}
-	if n := testing.AllocsPerRun(300, func() {
-		fw.Tick(float64(tick)*0.01, meas, target)
-		tick++
-	}); n != 0 {
-		t.Errorf("steady-state shared Tick allocates %v per run, want 0", n)
+	for _, name := range []vehicle.ProfileName{vehicle.ArduCopter, vehicle.ArduRover} {
+		t.Run(string(name), func(t *testing.T) {
+			fw, meas, target := benchFramework(t, name, true)
+			tick := 0
+			for ; tick < 3000; tick++ {
+				fw.Tick(float64(tick)*0.01, meas, target)
+			}
+			if fw.Recovering() || fw.RecoveryActivations() != 0 {
+				t.Fatal("quiet warmup entered recovery; the filter may have left the schedule")
+			}
+			if n := testing.AllocsPerRun(300, func() {
+				fw.Tick(float64(tick)*0.01, meas, target)
+				tick++
+			}); n != 0 {
+				t.Errorf("steady-state shared Tick allocates %v per run, want 0", n)
+			}
+		})
 	}
 }
 

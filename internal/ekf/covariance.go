@@ -9,32 +9,48 @@ import (
 )
 
 // The private covariance recursion runs on every tick of a filter that has
-// left the shared schedule (a masked sensor, a model-only Predict), so its
-// two kernels are hot. Both matrices they multiply by are structural:
+// left the shared schedule (a masked sensor, a model-only Predict) and on
+// every record a state reconstruction replays, so its two kernels are hot.
+// Every matrix they multiply by is structural:
 //
 //   - F = I + h·E, where E couples position to velocity and angle to rate
-//     (rows 0–2 and 6–8 of F carry h in the column three to the right);
-//   - H selects one state per observation row (a 0/1 row selection; GPS z
-//     and the barometer observe the same state).
+//     (state i to state i+3, for i in 0–2 and 6–8);
+//   - Q·dt and Init's 0.1·I are diagonal;
+//   - H selects one state per observation row: GPS 0–5, baro 2, mag 8, and
+//     on quads only gyro 6 and 7.
 //
-// So the kernels below are straight-line code over the 12×12 covariance
-// instead of generic mat products. They return the same bits as the
-// mat.MulInto/AddInto/TransposeInto/SymmetrizeInto and LU.Refactor/
-// SolveInto chain they replaced:
+// So F, Q, H, S, K and I − K·H never link two of the six (state, rate)
+// pairs (x, vx), (y, vy), (z, vz), (ψ, ωψ), (φ, ωφ) and (θ, ωθ), and every
+// entry of P outside a pair is exactly +0 from Init on. The filter stores P
+// as the pairs' 2×2 blocks, and the kernels below run pair by pair: each
+// pair has at most three observation rows, so its S needs at most a 3×3 LU.
+// A rover has no roll or pitch row, so its (φ, ωφ) and (θ, ωθ) pairs feed
+// no gain, gate or state; it carries only its four observed pairs, which
+// come first.
 //
-//   - Each element accumulates the same nonzero terms in the same order and
-//     the same `acc + x*y` shape as MulInto, starting from +0, so a target
+// The kernels return the bits of the generic 12×12 path, the mat.MulInto/
+// AddInto/TransposeInto/SymmetrizeInto and LU.Refactor/SolveInto chain
+// that equiv_test.go transcribes as the allocating reference:
+//
+//   - Each in-pair element accumulates the same nonzero terms in the same
+//     order and the same `acc + x*y` shape, starting from +0, so a target
 //     that fuses x*y + z (arm64) fuses the same multiply-adds. A term with
-//     a structural factor of 1 is its other factor (0 + p, never bare p, so
-//     a −0 input still becomes +0 as the generic accumulator makes it).
-//   - A dropped term has a structural factor of exactly 0. For a finite
-//     operand it adds ±0 to an accumulator that started at +0, which
-//     leaves its bits unchanged: no accumulator is ever −0.
+//     a structural factor of 1 is its other factor (0 + p, never bare p,
+//     so a −0 input still becomes +0 as the generic accumulator makes it).
+//   - Every generic term outside a pair is a ±0 added to or subtracted
+//     from an accumulator that is never −0, which leaves its bits
+//     unchanged. The generic LU of S picks each pivot among its column's
+//     pair rows, since every other row holds ±0 there, so it swaps rows
+//     only within a pair and keeps each pair's rows in row order.
 //   - R's entries are stored products in the generic path, so the noise²
 //     goes through a float64 conversion before it is added.
-//   - The m×m factor and the solves copy LU.Refactor and SolveVecInto:
+//   - Each pair's factor and solves copy LU.Refactor and SolveVecInto:
 //     strict-> pivot, 1e-14 singular test, and each element's sequence of
 //     subtractions and its final division, in order.
+//   - Kᵀ keeps all twelve columns, with +0 outside each row's pair, where
+//     the generic solve may leave −0. applyGain sums each state's
+//     products from +0, and +0 + (−0) is +0, so that sign reaches nothing;
+//     a NaN innovation still reaches every state through 0·NaN.
 //
 // Precondition: P is finite. A non-finite P still gives a non-finite
 // posterior, but not the generic path's bits: there a structural zero
@@ -42,12 +58,32 @@ import (
 // function of the profile, dt and the active-set history only — never of a
 // measurement — and no external input sets dt.
 //
-// TestKernelsMatchAllocatingReference checks both kernels bit for bit
-// against the allocating reference in equiv_test.go.
+// TestCovariancePairStructure checks on the allocating 12×12 reference in
+// equiv_test.go that P stays pair-diagonal and that a rover's roll and
+// pitch gains stay 0, and TestKernelsMatchAllocatingReference checks both
+// kernels against that reference bit for bit.
 
-// coupled reports whether row (or column) i of F carries h: the position
-// and angle rows.
-func coupled(i int) bool { return i < 3 || (i >= 6 && i < 9) }
+// npair is the number of (state, rate) covariance pairs, and roverPairs
+// the number a rover carries: its observed ones, which come first.
+const (
+	npair      = 6
+	roverPairs = 4
+)
+
+// maxPairRows bounds one pair's observation rows: GPS z, GPS vz and the
+// barometer on (z, vz).
+const maxPairRows = 3
+
+// pairState lists each pair's first state (position or angle); its rate
+// is three states further on.
+var pairState = [npair]int{0, 1, 2, 8, 6, 7}
+
+// statePair maps a state to the pair that holds it.
+var statePair = [nx]int{0, 1, 2, 0, 1, 2, 4, 5, 3, 4, 5, 3}
+
+// stateSide returns state s's place in its pair: 0 for a position or an
+// angle, 1 for its rate.
+func stateSide(s int) int { return s / 3 % 2 }
 
 // propagateCovariance advances P ← sym(F·P·Fᵀ + Q·dt), where
 // F = I + h·(pos ← vel, angle ← rate) with h = dt is the kinematic
@@ -58,52 +94,67 @@ func coupled(i int) bool { return i < 3 || (i >= 6 && i < 9) }
 // innovations leak into the attitude estimate through spurious
 // cross-covariances.
 func (f *Filter) propagateCovariance() {
-	ws := &f.ws
 	h := f.dt
-	p := &f.p
-	var a [nx]float64
-	for i := range nx {
-		// Row i of F·P: a coupled row adds h times the row three below.
-		pi := &p[i]
-		if coupled(i) {
-			pd := &p[i+3]
-			for j := range nx {
-				a[j] = (0 + pi[j]) + h*pd[j]
-			}
-		} else {
-			for j := range nx {
-				a[j] = 0 + pi[j]
-			}
-		}
-		// Row i of F·P·Fᵀ + Q·dt: a coupled column adds h times the
-		// column three to the right. Q is diagonal, and adding its +0
-		// off-diagonal leaves a sum that is never −0 unchanged.
-		b := &ws.prod[i]
-		for j := range nx {
-			if coupled(j) {
-				b[j] = (0 + a[j]) + a[j+3]*h
-			} else {
-				b[j] = 0 + a[j]
-			}
-		}
-		b[i] += f.qdt[i]
+	for k := range f.np {
+		p, q := &f.p[k], &f.qdt[k]
+		// F·P: the first row adds h times the second.
+		a00 := (0 + p[0][0]) + h*p[1][0]
+		a01 := (0 + p[0][1]) + h*p[1][1]
+		a10 := 0 + p[1][0]
+		a11 := 0 + p[1][1]
+		// F·P·Fᵀ + Q·dt: the first column adds h times the second.
+		b00 := (0 + a00) + a01*h
+		b01 := 0 + a01
+		b10 := (0 + a10) + a11*h
+		b11 := 0 + a11
+		b00 += q[0]
+		b11 += q[1]
+		p[0][0] = 0.5 * (b00 + b00)
+		p[0][1] = 0.5 * (b01 + b10)
+		p[1][0] = 0.5 * (b10 + b01)
+		p[1][1] = 0.5 * (b11 + b11)
 	}
-	symmetrizeInto(p, &ws.prod)
 }
 
 // covGain runs the measurement-independent half of the correction for the
 // row set: it forms S = H·P·Hᵀ + R, derives the innovation gate
 // half-widths into ws.gates, solves for the Kalman gain K = P·Hᵀ·S⁻¹ into
 // ws.kt as Kᵀ, and advances P ← sym((I − K·H)·P). The leading len(rows)
-// entries of ws.kt and ws.gates stay valid until the next covGain call.
+// entries of ws.kt and ws.gates stay valid until the next covGain call. A
+// singular S leaves P untouched: no pair is updated until every pair's
+// gain is solved.
 func (f *Filter) covGain(rows []obsChannel) error {
-	ws := &f.ws
-	m := len(rows)
-	p := &f.p
+	// Each pair's rows, in row order.
+	var idx [npair][maxPairRows]int
+	var n [npair]int
+	for r := range rows {
+		k := statePair[rows[r].state]
+		idx[k][n[k]] = r
+		n[k]++
+	}
+	for k := range f.np {
+		if n[k] > 0 {
+			if err := f.pairGain(k, rows, idx[k][:n[k]]); err != nil {
+				return err
+			}
+		}
+	}
+	for k := range f.np {
+		f.pairUpdate(k, rows, idx[k][:n[k]])
+	}
+	return nil
+}
 
-	// Sᵀ, gathered: S_rc = (0 + P[s_r][s_c]) + R_rc with R diagonal.
+// pairGain solves pair k's share of the correction: the gates of its rows
+// idx and their rows of Kᵀ, +0 outside the pair.
+func (f *Filter) pairGain(k int, rows []obsChannel, idx []int) error {
+	ws := &f.ws
+	p := &f.p[k]
+	m := len(idx)
+
+	// Sᵀ, gathered: S_ab = (0 + P[s_a][s_b]) + R_ab with R diagonal.
 	//
-	// Innovation gates: ±gateSigma·√S_ii, the standard EKF defense against
+	// Innovation gates: ±gateSigma·√S_aa, the standard EKF defense against
 	// implausible jumps. A deception bias larger than the gate is admitted
 	// gradually (a few gates per correction cycle) rather than
 	// instantaneously — which bounds how far a single corrupted correction
@@ -111,116 +162,112 @@ func (f *Filter) covGain(rows []obsChannel) error {
 	// effect, as observed on real autopilot stacks.
 	const gateSigma = 5.0
 	lu := &ws.lu
-	gates := &ws.gates
-	for r, chr := range rows {
-		lr := &lu[r]
-		for c, chc := range rows {
-			lr[c] = 0 + p[chc.state][chr.state]
+	for a, ra := range idx {
+		cha := &rows[ra]
+		sa := stateSide(cha.state)
+		la := &lu[a]
+		for b, rb := range idx {
+			la[b] = 0 + p[stateSide(rows[rb].state)][sa]
 		}
-		lr[r] += float64(chr.noise * chr.noise)
-		gates[r] = gateSigma * math.Sqrt(lr[r])
+		la[a] += float64(cha.noise * cha.noise)
+		ws.gates[ra] = gateSigma * math.Sqrt(la[a])
 	}
 
 	// Sᵀ = Π·L·U with partial pivoting, in place.
-	var piv [nobs]int
+	var piv [maxPairRows]int
 	for i := range m {
 		piv[i] = i
 	}
-	for k := range m {
-		pr, amax := k, math.Abs(lu[k][k])
-		for i := k + 1; i < m; i++ {
-			if v := math.Abs(lu[i][k]); v > amax {
+	for c := range m {
+		pr, amax := c, math.Abs(lu[c][c])
+		for i := c + 1; i < m; i++ {
+			if v := math.Abs(lu[i][c]); v > amax {
 				pr, amax = i, v
 			}
 		}
 		if amax < 1e-14 {
 			return fmt.Errorf("ekf correct: %w", mat.ErrSingular)
 		}
-		if pr != k {
-			lu[pr], lu[k] = lu[k], lu[pr]
-			piv[pr], piv[k] = piv[k], piv[pr]
+		if pr != c {
+			lu[pr], lu[c] = lu[c], lu[pr]
+			piv[pr], piv[c] = piv[c], piv[pr]
 		}
-		lk := &lu[k]
-		for i := k + 1; i < m; i++ {
+		lc := &lu[c]
+		for i := c + 1; i < m; i++ {
 			li := &lu[i]
-			l := li[k] / lk[k]
-			li[k] = l
-			for j := k + 1; j < m; j++ {
-				li[j] -= l * lk[j]
+			l := li[c] / lc[c]
+			li[c] = l
+			for j := c + 1; j < m; j++ {
+				li[j] -= l * lc[j]
 			}
 		}
 	}
 
-	// Sᵀ·Kᵀ = (P·Hᵀ)ᵀ: row j of K solves against (0 + P[j][s_c])_c. All
-	// twelve right-hand sides go through each substitution step together.
-	kt := &ws.kt
-	for i := range m {
-		s := rows[piv[i]].state
-		ki := &kt[i]
-		for j := range nx {
-			ki[j] = 0 + p[j][s]
-		}
+	// Sᵀ·Kᵀ = (P·Hᵀ)ᵀ: the pair's two columns of row a of Kᵀ solve
+	// against (0 + P[·][s_a]), together through each substitution step.
+	var kt [maxPairRows][2]float64
+	for a := range m {
+		s := stateSide(rows[idx[piv[a]]].state)
+		kt[a] = [2]float64{0 + p[0][s], 0 + p[1][s]}
 	}
 	for i := 1; i < m; i++ {
 		ki := &kt[i]
 		for j := range i {
 			l, kj := lu[i][j], &kt[j]
-			for c := range nx {
-				ki[c] -= l * kj[c]
-			}
+			ki[0] -= l * kj[0]
+			ki[1] -= l * kj[1]
 		}
 	}
 	for i := m - 1; i >= 0; i-- {
 		ki := &kt[i]
 		for j := i + 1; j < m; j++ {
 			u, kj := lu[i][j], &kt[j]
-			for c := range nx {
-				ki[c] -= u * kj[c]
-			}
+			ki[0] -= u * kj[0]
+			ki[1] -= u * kj[1]
 		}
 		d := lu[i][i]
-		for c := range nx {
-			ki[c] /= d
-		}
+		ki[0] /= d
+		ki[1] /= d
 	}
-
-	// P ← sym((I − K·H)·P). Row i of K·H adds K[i][r] into column s_r, in
-	// row order; the product keeps MulInto's k order and its zero skip.
-	// The update reads only K and the prior P, neither of which the state
-	// half touches, so running it before the state update is bit-exact.
-	for i := range nx {
-		var c [nx]float64
-		for r, ch := range rows {
-			c[ch.state] += kt[r][i]
-		}
-		ci := c[i]
-		for j := range nx {
-			c[j] = 0 - c[j]
-		}
-		c[i] = 1 - ci
-		acc := &ws.prod[i]
-		*acc = [nx]float64{}
-		for k := range nx {
-			v := c[k]
-			if floats.Zero(v) {
-				continue
-			}
-			pk := &p[k]
-			for j := range nx {
-				acc[j] += v * pk[j]
-			}
-		}
+	s0 := pairState[k]
+	for a, ra := range idx {
+		row := &ws.kt[ra]
+		*row = [nx]float64{}
+		row[s0], row[s0+3] = kt[a][0], kt[a][1]
 	}
-	symmetrizeInto(p, &ws.prod)
 	return nil
 }
 
-// symmetrizeInto writes (a + aᵀ)/2 into p.
-func symmetrizeInto(p, a *[nx][nx]float64) {
-	for i := range nx {
-		pi := &p[i]
-		for j := range nx {
-			pi[j] = 0.5 * (a[i][j] + a[j][i])
+// pairUpdate advances pair k of P ← sym((I − K·H)·P) from the Kᵀ rows
+// pairGain wrote for its rows idx; a pair with no row is symmetrized. Row
+// i of K·H adds K[i][r] into column s_r, in row order; the product keeps
+// MulInto's k order and its zero skip. The update reads only K and the
+// prior P, neither of which the state half touches, so running it before
+// the state update is bit-exact.
+func (f *Filter) pairUpdate(k int, rows []obsChannel, idx []int) {
+	p := &f.p[k]
+	s0 := pairState[k]
+	var acc [2][2]float64
+	for i := range 2 {
+		var c [2]float64
+		for _, r := range idx {
+			c[stateSide(rows[r].state)] += f.ws.kt[r][s0+3*i]
+		}
+		ci := c[i]
+		c[0], c[1] = 0-c[0], 0-c[1]
+		c[i] = 1 - ci
+		ai := &acc[i]
+		for j := range 2 {
+			v := c[j]
+			if floats.Zero(v) {
+				continue
+			}
+			ai[0] += v * p[j][0]
+			ai[1] += v * p[j][1]
 		}
 	}
+	p[0][0] = 0.5 * (acc[0][0] + acc[0][0])
+	p[0][1] = 0.5 * (acc[0][1] + acc[1][0])
+	p[1][0] = 0.5 * (acc[1][0] + acc[0][1])
+	p[1][1] = 0.5 * (acc[1][1] + acc[1][1])
 }

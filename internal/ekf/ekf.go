@@ -75,10 +75,15 @@ type Filter struct {
 	isQuad  bool
 	profile vehicle.ProfileName // with dt, picks the schedules it may consume
 	dt      float64
-	qdt     [nx]float64 // diagonal of Q·dt
 	x       vehicle.State
-	p       [nx][nx]float64 // estimate covariance
 	obs     [nobs]obsChannel
+
+	// p is the estimate covariance as its (state, rate) pairs, of which
+	// the first np are carried: all six on a quad, the four observed ones
+	// on a rover (see covariance.go). qdt is Q·dt on each pair's diagonal.
+	p   [npair][2][2]float64
+	np  int
+	qdt [npair][2]float64
 
 	// sched, when non-nil, is the shared covariance/gain schedule this
 	// filter consumes instead of running its own covariance recursion
@@ -105,10 +110,6 @@ const nobs = 10
 // delint's hotalloc analyzer keeps the hot functions from quietly
 // reverting to allocating code.
 type workspace struct {
-	// prod holds F·P·Fᵀ + Q·dt or (I − K·H)·P before it is symmetrized
-	// into P.
-	prod [nx][nx]float64
-
 	// model is PredictHybrid's model step, run only when a masked
 	// inertial sensor reads it.
 	model vehicle.State
@@ -116,9 +117,11 @@ type workspace struct {
 	// Correct scratch for m ≤ nobs active rows, in the leading m entries.
 	rows  [nobs]obsChannel
 	z     [nobs]float64
-	lu    [nobs][nobs]float64 // LU factors of Sᵀ
-	kt    [nobs][nx]float64   // Kᵀ
-	gates [nobs]float64       // innovation gate half-widths
+	kt    [nobs][nx]float64 // Kᵀ
+	gates [nobs]float64     // innovation gate half-widths
+
+	// lu holds the LU factors of one pair's Sᵀ.
+	lu [maxPairRows][maxPairRows]float64
 }
 
 // New returns a filter for the profile at tick period dt, with
@@ -147,8 +150,12 @@ func New(p vehicle.Profile, dt float64) *Filter {
 			{sensor: sensors.Gyro, state: 7, noise: nz(20 * n.Gyro)},
 		},
 	}
+	f.np = roverPairs
+	if f.isQuad {
+		f.np = npair
+	}
 	for i, q := range defaultProcessNoise() {
-		f.qdt[i] = dt * q
+		f.qdt[statePair[i]][stateSide(i)] = dt * q
 	}
 	f.Init(vehicle.State{})
 	return f
@@ -174,13 +181,14 @@ func defaultProcessNoise() [nx]float64 {
 	return d
 }
 
-// Init seeds the filter state and resets the covariance to 0.1·I. If a
-// schedule is attached, Init (re)arms consumption from step 0.
+// Init seeds the filter state and resets the covariance to 0.1·I on the
+// carried pairs. If a schedule is attached, Init (re)arms consumption from
+// step 0.
 func (f *Filter) Init(s vehicle.State) {
 	f.x = s
-	f.p = [nx][nx]float64{}
-	for i := range nx {
-		f.p[i][i] = 0.1
+	f.p = [npair][2][2]float64{}
+	for k := range f.np {
+		f.p[k] = [2][2]float64{{0.1, 0}, {0, 0.1}}
 	}
 	f.predPending = false
 	if f.sched != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/mat"
 	"repro/internal/sensors"
 	"repro/internal/vehicle"
 )
@@ -196,19 +197,19 @@ func TestCovarianceStaysPSD(t *testing.T) {
 		if err := f.Correct(&meas, allSensors()); err != nil {
 			t.Fatalf("Correct: %v", err)
 		}
-		if !isPSD(&f.p, 1e-9) {
+		if !isPSD(covariance(f), 1e-9) {
 			t.Fatalf("covariance not PSD at tick %d", i)
 		}
 	}
 }
 
-// isPSD reports whether p is symmetric positive semi-definite within tol:
-// whether a Cholesky factorization of sym(p) + tol·I succeeds.
-func isPSD(p *[nx][nx]float64, tol float64) bool {
+// isPSD reports whether p (12×12) is symmetric positive semi-definite
+// within tol: whether a Cholesky factorization of sym(p) + tol·I succeeds.
+func isPSD(p *mat.Mat, tol float64) bool {
 	var l [nx][nx]float64
 	for i := range nx {
 		for j := 0; j <= i; j++ {
-			sum := 0.5 * (p[i][j] + p[j][i])
+			sum := 0.5 * (p.At(i, j) + p.At(j, i))
 			if i == j {
 				sum += tol
 			}
@@ -233,10 +234,10 @@ func TestMaskingGrowsUncertainty(t *testing.T) {
 	f := New(p, 0.01)
 	f.Init(vehicle.State{Z: 10})
 	u := vehicle.Input{Thrust: p.Quad.HoverThrust()}
-	prev := f.p[0][0]
+	prev := f.p[0][0][0]
 	for i := 0; i < 100; i++ {
 		f.Predict(u)
-		cur := f.p[0][0]
+		cur := f.p[0][0][0]
 		if cur < prev-1e-12 {
 			t.Fatalf("masked covariance shrank at tick %d: %v < %v", i, cur, prev)
 		}

@@ -124,36 +124,74 @@ func bitsEqualMat(t *testing.T, step int, what string, got, want *mat.Mat) {
 	}
 }
 
-// covariance returns the filter's covariance as a matrix. A filter on the
-// shared schedule detaches first: the schedule carries its covariance.
+// covariance returns the filter's covariance as a 12×12 matrix: its
+// carried pairs, and +0 everywhere else. A filter on the shared schedule
+// detaches first: the schedule carries its covariance.
 func covariance(f *Filter) *mat.Mat {
 	if f.onShared() {
 		f.detachShared()
 	}
 	m := mat.New(nx, nx)
-	for i := range nx {
-		copy(m.Data[i*nx:(i+1)*nx], f.p[i][:])
+	for k := range f.np {
+		s := pairState[k]
+		for i := range 2 {
+			for j := range 2 {
+				m.Set(s+3*i, s+3*j, f.p[k][i][j])
+			}
+		}
 	}
 	return m
 }
 
-// setCovariance overwrites the filter's covariance with m (12×12).
+// setCovariance overwrites the filter's carried pairs with their entries
+// of m (12×12).
 func setCovariance(f *Filter, m *mat.Mat) {
-	for i := range nx {
-		copy(f.p[i][:], m.Data[i*nx:(i+1)*nx])
+	for k := range f.np {
+		s := pairState[k]
+		for i := range 2 {
+			for j := range 2 {
+				f.p[k][i][j] = m.At(s+3*i, s+3*j)
+			}
+		}
 	}
 }
 
-// gain returns the nx×m Kalman gain the filter's last private correction
-// solved for, from the Kᵀ it keeps.
-func gain(f *Filter, m int) *mat.Mat {
-	k := mat.New(nx, m)
-	for c := range m {
+// inPair reports whether states i and j lie in one (state, rate) pair.
+func inPair(i, j int) bool { return statePair[i] == statePair[j] }
+
+// bitsEqualCarried asserts bit identity of the filter's covariance with
+// want on the pairs the filter carries.
+func bitsEqualCarried(t *testing.T, step int, what string, f *Filter, want *mat.Mat) {
+	t.Helper()
+	got := covariance(f)
+	for i := range nx {
 		for j := range nx {
-			k.Set(j, c, f.ws.kt[c][j])
+			if !inPair(i, j) || statePair[i] >= f.np {
+				continue
+			}
+			if g, w := got.At(i, j), want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("step %d: %s diverges at (%d, %d): %g != %g", step, what, i, j, g, w)
+			}
 		}
 	}
-	return k
+}
+
+// bitsEqualGain asserts that the Kᵀ the filter's last private correction
+// solved for matches the reference gain want (nx×m): bit for bit in each
+// row's pair, and equal to it, both zero, outside, where the reference may
+// hold −0 and the filter holds +0.
+func bitsEqualGain(t *testing.T, step int, f *Filter, want *mat.Mat) {
+	t.Helper()
+	for c := range want.Cols {
+		s := f.ws.rows[c].state
+		for j := range nx {
+			g, w := f.ws.kt[c][j], want.At(j, c)
+			if inPair(j, s) && math.Float64bits(g) != math.Float64bits(w) ||
+				!inPair(j, s) && !(g == 0 && w == 0) {
+				t.Fatalf("step %d: gain diverges at (%d, %d): %g != %g", step, j, c, g, w)
+			}
+		}
+	}
 }
 
 // bitsEqualState asserts bit identity of two states.
@@ -172,7 +210,7 @@ func bitsEqualState(t *testing.T, step int, got, want vehicle.State) {
 // deterministic Predict/Correct sequence — including masked-sensor phases
 // that reshape the Correct workspace to a smaller row count — and checks
 // state and covariance stay bit-identical to the allocating reference
-// after every step.
+// after every step: on the rover, the covariance on the pairs it carries.
 func TestWorkspaceMatchesAllocatingReference(t *testing.T) {
 	profiles := []vehicle.ProfileName{vehicle.ArduCopter, vehicle.ArduRover}
 	for _, id := range profiles {
@@ -205,7 +243,7 @@ func TestWorkspaceMatchesAllocatingReference(t *testing.T) {
 				f.Predict(u)
 				refP = refPropagate(refP, refQ(), fkin, dt)
 				f.step(&refX, &refX, u, dt)
-				bitsEqualMat(t, i, "covariance after Predict", covariance(f), refP)
+				bitsEqualCarried(t, i, "covariance after Predict", f, refP)
 				bitsEqualState(t, i, f.x, refX)
 
 				// Mask GPS for a stretch: the workspace reshapes to fewer
@@ -222,43 +260,54 @@ func TestWorkspaceMatchesAllocatingReference(t *testing.T) {
 					t.Fatalf("step %d: refCorrect: %v", i, err)
 				}
 				refP, refX = ref.p, ref.x
-				bitsEqualMat(t, i, "covariance after Correct", covariance(f), refP)
+				bitsEqualCarried(t, i, "covariance after Correct", f, refP)
 				bitsEqualState(t, i, f.x, refX)
 			}
 		})
 	}
 }
 
-// randomPrior draws a symmetric covariance whose states' scales span eight
-// decades (so its entries span sixteen), with exact zeros of both signs
-// and subnormal entries in symmetric pairs. Without the zeroed and
-// subnormal pairs it is positive definite.
+// randomPrior draws a pair-diagonal covariance, the only form the filter
+// can reach (TestCovariancePairStructure): each (state, rate) pair is a
+// positive definite 2×2 block whose states' scales span eight decades (so
+// its entries span sixteen), and its off-diagonal entry is sometimes an
+// exact zero of either sign or a subnormal. Every entry outside a pair is
+// +0.
 func randomPrior(rng *rand.Rand) *mat.Mat {
-	g := mat.New(nx, nx)
-	for i := range g.Data {
-		g.Data[i] = rng.NormFloat64()
-	}
-	c := g.Mul(g.T())
 	var d [nx]float64
 	for i := range d {
 		d[i] = math.Pow(10, -4+8*rng.Float64())
 	}
 	p := mat.New(nx, nx)
-	for i := range nx {
-		for j := 0; j <= i; j++ {
-			v := d[i] * c.At(i, j) * d[j]
-			if i != j {
-				switch u := rng.Float64(); {
-				case u < 0.08:
-					v = 0
-				case u < 0.12:
-					v = math.Copysign(0, -1)
-				case u < 0.16:
-					v = math.Copysign(math.Float64frombits(1+uint64(rng.Int63n(1<<52-1))), rng.NormFloat64())
-				}
+	for _, s := range pairState {
+		var g [2][nx]float64
+		for a := range g {
+			for j := range g[a] {
+				g[a][j] = rng.NormFloat64()
 			}
-			p.Set(i, j, v)
-			p.Set(j, i, v)
+		}
+		states := [2]int{s, s + 3}
+		for a := range 2 {
+			for b := 0; b <= a; b++ {
+				var c float64
+				for j := range nx {
+					c += g[a][j] * g[b][j]
+				}
+				i, j := states[a], states[b]
+				v := d[i] * c * d[j]
+				if a != b {
+					switch u := rng.Float64(); {
+					case u < 0.08:
+						v = 0
+					case u < 0.12:
+						v = math.Copysign(0, -1)
+					case u < 0.16:
+						v = math.Copysign(math.Float64frombits(1+uint64(rng.Int63n(1<<52-1))), rng.NormFloat64())
+					}
+				}
+				p.Set(i, j, v)
+				p.Set(j, i, v)
+			}
 		}
 	}
 	return p
@@ -289,13 +338,33 @@ func typeSubset(bits int) sensors.TypeSet {
 	return set
 }
 
-// TestKernelsMatchAllocatingReference checks the straight-line covariance
-// kernels (propagateCovariance and covGain, through Correct) bit for bit
-// against the allocating reference on random priors: all six profiles,
-// all 32 subsets of the five sensor types, one filter for each of
-// dt ∈ {0.005, 0.01, 0.02, 0.05} and one non-round period, two
+// lastUniqueRow returns the last of the active rows whose state no other
+// active row observes, and false if no row is active.
+func lastUniqueRow(f *Filter, meas *sensors.PhysState, active sensors.TypeSet) (obsChannel, bool) {
+	rows, _ := f.selectRows(meas, active)
+	for i := len(rows) - 1; i >= 0; i-- {
+		n := 0
+		for _, ch := range rows {
+			if ch.state == rows[i].state {
+				n++
+			}
+		}
+		if n == 1 {
+			return rows[i], true
+		}
+	}
+	return obsChannel{}, false
+}
+
+// TestKernelsMatchAllocatingReference checks the pair kernels
+// (propagateCovariance and covGain, through Correct) bit for bit against
+// the allocating reference on random pair-diagonal priors: all six
+// profiles, all 32 subsets of the five sensor types, one filter for each
+// of dt ∈ {0.005, 0.01, 0.02, 0.05} and one non-round period, two
 // propagations in a row, asymmetric priors, and priors that make S
-// singular, where both paths must fail.
+// singular, where both paths must fail and the filter's P must stay as
+// it was. It compares P on the carried pairs, the state, the gates and K,
+// whose zeros outside a row's pair it compares by value (bitsEqualGain).
 func TestKernelsMatchAllocatingReference(t *testing.T) {
 	perProfile := 10000
 	if testing.Short() {
@@ -327,7 +396,7 @@ func TestKernelsMatchAllocatingReference(t *testing.T) {
 					f.propagateCovariance()
 					want = refPropagate(want, q, fkin, dt)
 				}
-				bitsEqualMat(t, n, "covariance after propagation", covariance(f), want)
+				bitsEqualCarried(t, n, "covariance after propagation", f, want)
 				if n%7 == 6 {
 					// Correct a fresh prior instead: covGain must not rely
 					// on the propagation's exact symmetry or on its turning
@@ -341,10 +410,14 @@ func TestKernelsMatchAllocatingReference(t *testing.T) {
 					setCovariance(f, want)
 				}
 				if n%50 == 49 {
-					// Zero the first observed state's row and column and
-					// cancel its noise: S gets an exactly zero column.
-					if rows, _ := f.selectRows(&meas, active); len(rows) > 0 {
-						s, r := rows[0].state, rows[0].noise
+					// Zero the row and column of the last state that one
+					// row alone observes, and cancel its noise: S gets an
+					// exactly zero column. That state's pair is mostly the
+					// last pair with rows, so the pairs before it have
+					// solved their gains when its factor fails, and P must
+					// still be untouched.
+					if row, ok := lastUniqueRow(f, &meas, active); ok {
+						s, r := row.state, row.noise
 						for k := range nx {
 							want.Set(s, k, 0)
 							want.Set(k, s, 0)
@@ -364,12 +437,13 @@ func TestKernelsMatchAllocatingReference(t *testing.T) {
 				}
 				if err != nil {
 					failed++
+					bitsEqualCarried(t, n, "covariance after a failed Correct", f, want)
 					continue
 				}
-				bitsEqualMat(t, n, "covariance after Correct", covariance(f), ref.p)
+				bitsEqualCarried(t, n, "covariance after Correct", f, ref.p)
 				bitsEqualState(t, n, f.x, ref.x)
 				if ref.k != nil {
-					bitsEqualMat(t, n, "gain", gain(f, ref.k.Cols), ref.k)
+					bitsEqualGain(t, n, f, ref.k)
 					gates := &mat.Mat{Rows: 1, Cols: len(ref.gates), Data: f.ws.gates[:len(ref.gates)]}
 					bitsEqualMat(t, n, "gates", gates, &mat.Mat{Rows: 1, Cols: len(ref.gates), Data: ref.gates})
 				}
@@ -383,16 +457,19 @@ func TestKernelsMatchAllocatingReference(t *testing.T) {
 
 // TestKernelsNonFinitePrior pins the kernels' precondition: they are
 // bit-exact for a finite covariance only, but a prior with a non-finite
-// entry still never comes out finite. (Its bits may differ from the
-// generic path's, which adds Inf·0 = NaN terms the kernels drop.)
+// entry in a carried pair still never comes out finite. (Its bits may
+// differ from the generic path's, which adds Inf·0 = NaN terms the
+// kernels drop.)
 func TestKernelsNonFinitePrior(t *testing.T) {
 	all := sensors.NewTypeSet(sensors.AllTypes()...)
 	for _, id := range []vehicle.ProfileName{vehicle.ArduCopter, vehicle.ArduRover} {
 		f := New(vehicle.MustProfile(id), 0.01)
 		rng := rand.New(rand.NewSource(5))
 		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			for i := range nx {
-				for j := 0; j <= i; j++ {
+			for k := range f.np {
+				s := pairState[k]
+				for _, e := range [][2]int{{s, s}, {s + 3, s}, {s + 3, s + 3}} {
+					i, j := e[0], e[1]
 					prior := randomPrior(rng)
 					prior.Set(i, j, bad)
 					prior.Set(j, i, bad)
@@ -413,5 +490,64 @@ func TestKernelsNonFinitePrior(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCovariancePairStructure licenses the pair form of the covariance
+// (covariance.go) on the allocating 12×12 reference, run from Init's
+// 0.1·I: every entry outside the six (state, rate) pairs stays exactly +0,
+// never −0, and on a rover, which drops its roll and pitch pairs, the φ,
+// θ, ωφ and ωθ rows of K stay exactly 0. It covers all six profiles, a
+// recursion at each of dt ∈ {0.005, 0.01, 0.02, 0.05, 0.0173}, the active
+// set redrawn among the 32 subsets of the sensor types, and model-only
+// predictions mixed in.
+func TestCovariancePairStructure(t *testing.T) {
+	cycles := 3000
+	if testing.Short() {
+		cycles = 300
+	}
+	dts := []float64{0.005, 0.01, 0.02, 0.05, 0.0173}
+	q := refQ()
+	var x vehicle.State
+	var meas sensors.PhysState
+	for pi, prof := range vehicle.Profiles() {
+		t.Run(string(prof.Name), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(2000 + pi)))
+			for _, dt := range dts {
+				f := New(prof, dt)
+				fkin := kinematicJacobian(dt)
+				p := mat.Identity(nx).Scale(0.1)
+				active := sensors.All
+				for n := 0; n < cycles; n++ {
+					if rng.Intn(16) == 0 {
+						active = typeSubset(rng.Intn(32))
+					}
+					p = refPropagate(p, q, fkin, dt)
+					if rng.Intn(8) != 0 {
+						ref, err := refCorrect(f, p, x, meas, active)
+						if err != nil {
+							t.Fatalf("dt %v, cycle %d: refCorrect: %v", dt, n, err)
+						}
+						p = ref.p
+						if !f.isQuad && ref.k != nil {
+							for _, j := range []int{6, 7, 9, 10} {
+								for c := range ref.k.Cols {
+									if v := ref.k.At(j, c); v != 0 {
+										t.Fatalf("dt %v, cycle %d (active %v): K[%d][%d] = %g, want 0", dt, n, active, j, c, v)
+									}
+								}
+							}
+						}
+					}
+					for i := range nx {
+						for j := range nx {
+							if v := p.At(i, j); !inPair(i, j) && math.Float64bits(v) != 0 {
+								t.Fatalf("dt %v, cycle %d (active %v): P[%d][%d] = %g, want +0", dt, n, active, i, j, v)
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }

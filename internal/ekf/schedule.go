@@ -21,12 +21,15 @@
 // continues on its private recursion, bit-identical to a filter that
 // never shared. Detachment is sticky; missions never rejoin mid-flight.
 //
-// For quad profiles the recursion reaches a bitwise fixpoint (the DARE
-// steady state) after ~1200–2000 cycles, after which one steady step
-// serves every later tick. Rover profiles never reach a bitwise
-// fixpoint (their roll/pitch block is unobserved and grows without
-// bound), so their schedule keeps extending — the per-step cost is
-// amortized across every rover mission that shares the schedule.
+// The recursion runs on the filter's covariance pairs (covariance.go),
+// so a schedule's snapshots hold the pairs too: only the four observed
+// ones on a rover, whose unobserved roll and pitch variances would grow
+// without bound and keep P from repeating. At dt 0.01, the tick period every
+// mission runs at, each profile's recursion reaches a bitwise fixpoint
+// (the DARE steady state) within 1,200–2,000 cycles, after which one
+// steady step serves every later tick, so a schedule stops growing however
+// long its missions run. (At dt 0.02, Tarot's and ArduRover's recursions
+// settle into a period-2 cycle instead, and their schedules keep growing.)
 package ekf
 
 import (
@@ -54,7 +57,7 @@ type schedStep struct {
 // covariance after completing cycle `cycle`.
 type snapshot struct {
 	cycle int
-	p     [nx][nx]float64
+	p     [npair][2][2]float64
 }
 
 // Schedule is the shared covariance/gain schedule for one
@@ -83,7 +86,7 @@ type Schedule struct {
 	// prevP is the covariance after the last built cycle. Once the
 	// fixpoint is reached no cycle is built, so it holds the steady
 	// covariance.
-	prevP [nx][nx]float64
+	prevP [npair][2][2]float64
 	snaps []snapshot
 	err   error // sticky builder error; steps before it stay served
 }
@@ -182,7 +185,7 @@ func (s *Schedule) build(sp []*schedStep) []*schedStep {
 // snapshot with the same kernels the builder used, so the result is
 // bit-identical to a filter that ran privately from the start. Cold
 // path: called once per detaching filter.
-func (s *Schedule) seedPost(cycle int, dst *[nx][nx]float64) {
+func (s *Schedule) seedPost(cycle int, dst *[npair][2][2]float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if st := s.steady.Load(); st >= 0 && cycle >= int(st)-1 {
@@ -215,11 +218,13 @@ func (s *Schedule) seedPost(cycle int, dst *[nx][nx]float64) {
 }
 
 // bitsEqual reports exact bitwise equality of two covariances.
-func bitsEqual(a, b *[nx][nx]float64) bool {
-	for i := range nx {
-		for j := range nx {
-			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
-				return false
+func bitsEqual(a, b *[npair][2][2]float64) bool {
+	for k := range a {
+		for i := range 2 {
+			for j := range 2 {
+				if math.Float64bits(a[k][i][j]) != math.Float64bits(b[k][i][j]) {
+					return false
+				}
 			}
 		}
 	}

@@ -69,7 +69,9 @@ func runPair(t *testing.T, prof vehicle.Profile, sched *Schedule, steps, maskFro
 
 // TestScheduleMatchesPrivate: shared vs private bit identity across
 // profiles and fall-off points — never, immediately, one cycle in, deep
-// into the mission, and straddling a snapshot boundary.
+// into the mission, straddling a snapshot boundary, and after the
+// schedule's fixpoint (at dt 0.01, cycle 1,330 on the two quads and 1,192
+// on the rover). Every earlier case detaches before the fixpoint.
 func TestScheduleMatchesPrivate(t *testing.T) {
 	for _, id := range []vehicle.ProfileName{vehicle.ArduCopter, vehicle.Pixhawk, vehicle.ArduRover} {
 		prof := vehicle.MustProfile(id)
@@ -78,39 +80,77 @@ func TestScheduleMatchesPrivate(t *testing.T) {
 			cases := []struct {
 				name            string
 				steps, from, to int
+				steady          bool // the schedule is at its fixpoint by then
 			}{
-				{"nominal", 400, -1, -1},
-				{"mask-at-0", 200, 0, 40},
-				{"mask-at-1", 200, 1, 40},
-				{"mask-at-3", 200, 3, 40},
-				{"mask-mid", 300, 150, 190},
-				{"mask-at-snapshot-boundary", 200, 64, 100},
-				{"mask-past-snapshot", 260, 65, 100},
+				{"nominal", 400, -1, -1, false},
+				{"mask-at-0", 200, 0, 40, false},
+				{"mask-at-1", 200, 1, 40, false},
+				{"mask-at-3", 200, 3, 40, false},
+				{"mask-mid", 300, 150, 190, false},
+				{"mask-at-snapshot-boundary", 200, 64, 100, false},
+				{"mask-past-snapshot", 260, 65, 100, false},
+				{"mask-past-fixpoint", 1900, 1700, 1740, true},
 			}
 			for ci, tc := range cases {
 				t.Run(tc.name, func(t *testing.T) {
 					runPair(t, prof, sched, tc.steps, tc.from, tc.to, int64(100+ci))
+					built, steady := sched.Steps()
+					if steady != tc.steady || steady && built > tc.from {
+						t.Errorf("schedule steady %v with %d steps after the case, want steady %v before cycle %d",
+							steady, built, tc.steady, tc.from)
+					}
 				})
 			}
 		})
 	}
 }
 
-// TestScheduleSteadyState: quad schedules reach the bitwise covariance
-// fixpoint; missions consuming the steady step still match a private
-// filter exactly, including after a post-steady fall-off.
+// TestScheduleSteadyState: quad and rover schedules reach the bitwise
+// covariance fixpoint; missions consuming the steady step still match a
+// private filter exactly, including after a post-steady fall-off.
 func TestScheduleSteadyState(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long fixpoint run")
+	for _, id := range []vehicle.ProfileName{vehicle.ArduCopter, vehicle.ArduRover, vehicle.AionR1} {
+		prof := vehicle.MustProfile(id)
+		t.Run(string(id), func(t *testing.T) {
+			sched := NewSchedule(prof, 0.01)
+			runPair(t, prof, sched, 2500, -1, -1, 11)
+			if _, steady := sched.Steps(); !steady {
+				t.Fatal("schedule did not reach the covariance fixpoint within 2500 cycles")
+			}
+			// Fall off well after steady: the seed covariance is the fixpoint.
+			runPair(t, prof, sched, 2500, 2200, 2260, 12)
+		})
 	}
-	prof := vehicle.MustProfile(vehicle.ArduCopter)
-	sched := NewSchedule(prof, 0.01)
-	runPair(t, prof, sched, 2500, -1, -1, 11)
-	if _, steady := sched.Steps(); !steady {
-		t.Fatal("quad schedule did not reach the covariance fixpoint within 2500 cycles")
+}
+
+// TestRoverScheduleBounded: a rover schedule consumed for 30,000 cycles,
+// one 300-s mission at dt 0.01, is steady and holds no step past its
+// fixpoint's, so it stops growing however long rover missions run.
+func TestRoverScheduleBounded(t *testing.T) {
+	for _, id := range []vehicle.ProfileName{vehicle.ArduRover, vehicle.AionR1} {
+		prof := vehicle.MustProfile(id)
+		sched := NewSchedule(prof, 0.01)
+		f := New(prof, 0.01)
+		f.AttachSchedule(sched)
+		f.Init(vehicle.State{})
+		all := sensors.NewTypeSet(sensors.AllTypes()...)
+		rng := rand.New(rand.NewSource(61))
+		for i := 0; i < 30000; i++ {
+			meas := missionMeas(rng)
+			f.PredictHybrid(vehicle.Input{Thrust: 0.5}, &meas, all)
+			if err := f.Correct(&meas, all); err != nil {
+				t.Fatalf("%s: cycle %d: Correct: %v", id, i, err)
+			}
+		}
+		if !f.onShared() {
+			t.Fatalf("%s: filter left the schedule", id)
+		}
+		built, steady := sched.Steps()
+		if fix := int(sched.steady.Load()); !steady || built != fix+1 {
+			t.Errorf("%s: %d steps after 30,000 cycles, steady %v at cycle %d; want steady and no step past it",
+				id, built, steady, fix)
+		}
 	}
-	// Fall off well after steady: the seed covariance is the fixpoint.
-	runPair(t, prof, sched, 2500, 2200, 2260, 12)
 }
 
 // TestScheduleDetachOnPredict: a pure model Predict (the recovery
